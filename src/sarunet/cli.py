@@ -1,7 +1,9 @@
 """Command-line interface: synthesize data, train, evaluate, predict, explain.
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 data or
-configuration error, 4 numeric failure. Configuration precedence is flags >
+configuration error, 4 numeric failure. An input file of the wrong format
+(another magic) exits 2; a truncated or corrupt container or checkpoint, and
+a malformed config file line or value, exit 3. Configuration precedence is flags >
 config file (``key=value`` lines, ``#`` comments) > built-in defaults. Every
 artifact-producing command writes one JSON manifest (config snapshot, seed,
 sha256 hashes of input files, output paths, wall-clock timings); manifest
@@ -14,6 +16,10 @@ normalization scale comes from the frames the train windows read. Boundary
 rule: windows on either side of a split boundary may share frames, and no
 purge gap is applied. Their manifests record it under ``splits``: the
 windows per split and the frames shared by each pair of splits.
+
+``predict`` writes precipitation as clamped non-negative values in raw
+units; for binary (cloud) checkpoints it writes binary masks, each pixel 1
+where the prediction is >= 0.5 (the evaluation rule), else 0.
 
 ``NOWCAST_THREADS`` caps internal numeric parallelism (0 or unset = auto);
 it must be honored before numpy loads, so the heavy imports happen inside
@@ -56,14 +62,20 @@ def _sha256(path: Path) -> str:
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
+    from .errors import ConfigurationError
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"config file {path}: not UTF-8 text ({e})") from None
     values = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, val = line.partition("=")
         if not sep:
-            raise SystemExit(f"config file {path}: malformed line {raw!r}")
+            raise ConfigurationError(f"config file {path}: malformed line {raw!r} "
+                                     "(expected key=value)")
         values[key.strip().replace("-", "_")] = val.strip()
     return values
 
@@ -75,16 +87,17 @@ def _apply_config_file(args: argparse.Namespace, converters: dict) -> None:
     """Fill argparse Namespace holes (None) from the --config file."""
     if not getattr(args, "config", None):
         return
-    values = _parse_config_file(Path(args.config))
-    for key, raw in values.items():
-        if key not in converters:
+    from .errors import ConfigurationError
+    path = Path(args.config)
+    for key, raw in _parse_config_file(path).items():
+        if key not in converters or getattr(args, key, None) is not None:
             continue
-        if getattr(args, key, None) is None:
-            conv = converters[key]
-            if conv is bool:
-                setattr(args, key, _BOOLS[raw.lower()])
-            else:
-                setattr(args, key, conv(raw))
+        conv = converters[key]
+        try:
+            setattr(args, key, _BOOLS[raw.lower()] if conv is bool else conv(raw))
+        except (KeyError, ValueError):
+            raise ConfigurationError(f"config file {path}: invalid value {raw!r} "
+                                     f"for key {key!r}") from None
 
 
 def _fill_defaults(args: argparse.Namespace, defaults: dict) -> None:
@@ -232,7 +245,7 @@ def _checkpoint_extras(spec, series, scale, select_fraction, cloud: bool) -> dic
 
 def _spec_from_extras(meta: dict):
     from .data import WindowSpec
-    from .errors import UsageError
+    from .errors import DataError, UsageError
     try:
         spec = WindowSpec(int(meta["input_frames"]),
                           tuple(int(o) for o in meta["target_offsets"].split(",")))
@@ -242,17 +255,19 @@ def _spec_from_extras(meta: dict):
         unit = meta["unit"]
     except KeyError as e:
         raise UsageError(f"checkpoint is missing training metadata key {e}") from None
+    except ValueError as e:
+        raise DataError(f"checkpoint training metadata is unparseable: {e}") from None
     return spec, scale, fraction, interval, unit
 
 
-def _check_data_compat(meta: dict, series) -> None:
+def _check_data_compat(interval: int, unit: str, series) -> None:
     from .errors import ConfigurationError
     diffs = []
-    if int(meta["interval_minutes"]) != series.interval_minutes:
-        diffs.append(f"interval_minutes: checkpoint {meta['interval_minutes']} "
+    if interval != series.interval_minutes:
+        diffs.append(f"interval_minutes: checkpoint {interval} "
                      f"vs data {series.interval_minutes}")
-    if meta["unit"] != series.unit:
-        diffs.append(f"unit: checkpoint {meta['unit']} vs data {series.unit}")
+    if unit != series.unit:
+        diffs.append(f"unit: checkpoint {unit} vs data {series.unit}")
     if diffs:
         raise ConfigurationError("checkpoint/data mismatch:\n  " + "\n  ".join(diffs))
 
@@ -359,8 +374,8 @@ def cmd_evaluate(args) -> int:
     if args.checkpoint:
         ckpt = Path(args.checkpoint)
         model, meta = load_checkpoint(ckpt)
-        _check_data_compat(meta, series)
         spec, scale, fraction, interval, unit = _spec_from_extras(meta)
+        _check_data_compat(interval, unit, series)
         inputs[str(ckpt)] = _sha256(ckpt)
     else:
         if args.baseline != "persistence":
@@ -419,6 +434,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     from .data import FrameSeries, load_nwds, make_windows, save_nwds, select_rainy
+    from .metrics import binarize
     from .model import load_checkpoint
     from .tensor import Tensor4
     import numpy as np
@@ -430,8 +446,8 @@ def cmd_predict(args) -> int:
     _refuse_overwrite([out], args.force)
     model, meta = load_checkpoint(ckpt)
     series = load_nwds(data_path)
-    _check_data_compat(meta, series)
-    spec, scale, fraction, _, _ = _spec_from_extras(meta)
+    spec, scale, fraction, interval, unit = _spec_from_extras(meta)
+    _check_data_compat(interval, unit, series)
     selected = None if fraction is None else select_rainy(series, fraction)
     windows = make_windows(series, spec, selected, strict=True)
     from .errors import UsageError
@@ -441,7 +457,10 @@ def cmd_predict(args) -> int:
     inp_idx, _ = windows[args.window_index]
     x = series.frames[list(inp_idx)][None] / np.float32(scale)
     pred, _ = model.forward(Tensor4(x, _checked=True))
-    frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
+    if unit == "binary":
+        frames = binarize(pred.data[0], unit)
+    else:
+        frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
     out.parent.mkdir(parents=True, exist_ok=True)
     save_nwds(out, FrameSeries(frames, series.interval_minutes, series.unit))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "predict",
@@ -455,8 +474,7 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     from .data import load_nwds, make_windows, select_rainy
     from .errors import UsageError
-    from .gradcam import (ExplainTarget, explain_suite, grad_cam,
-                          save_heatmap_nwds, suite_targets, write_ppm)
+    from .gradcam import explain_suite, save_heatmap_nwds, write_ppm
     from .model import load_checkpoint
     from .tensor import Tensor4
     import numpy as np
@@ -467,8 +485,8 @@ def cmd_explain(args) -> int:
     out_dir = Path(args.out_dir)
     model, meta = load_checkpoint(ckpt)
     series = load_nwds(data_path)
-    _check_data_compat(meta, series)
     spec, scale, fraction, interval, unit = _spec_from_extras(meta)
+    _check_data_compat(interval, unit, series)
     selected = None if fraction is None else select_rainy(series, fraction)
     windows = make_windows(series, spec, selected, strict=True)
     if not 0 <= args.input_window < len(windows):
@@ -481,13 +499,12 @@ def cmd_explain(args) -> int:
     kw = dict(unit=unit, scale=scale, interval_minutes=interval,
               threshold_mm_per_h=args.threshold)
 
-    if args.targets == "all":
-        maps = explain_suite(model, x, klass=klass, **kw)
-    else:
-        names = [n.strip() for n in args.targets.split(",") if n.strip()]
-        if not names:
+    layers = None
+    if args.targets != "all":
+        layers = [n.strip() for n in args.targets.split(",") if n.strip()]
+        if not layers:
             raise UsageError("--targets needs 'all' or a comma-separated name list")
-        maps = [grad_cam(model, x, ExplainTarget(n, klass), **kw) for n in names]
+    maps = explain_suite(model, x, layers, klass=klass, **kw)
 
     index_path = out_dir / "index.csv"
     files = [out_dir / (hm.target.layer.replace(".", "_") + ext)

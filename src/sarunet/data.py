@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, DimensionError, UsageError
-from .tensor import Tensor4, read_t4, tensor, write_t4
+from .tensor import Tensor4, read_exact, read_magic, read_t4, tensor, write_t4
 
 __all__ = [
     "FrameSeries", "WindowSpec", "SampleBatch", "Window", "WindowDataset",
@@ -53,8 +53,8 @@ class FrameSeries:
             raise DimensionError(f"frames must be [T,H,W], got shape {self.frames.shape}")
         if self.unit not in _UNIT_CODES:
             raise UsageError(f"unit must be one of {sorted(_UNIT_CODES)}, got {self.unit!r}")
-        if self.frames.size and self.frames.min() < 0:
-            raise DataError("frame values must be >= 0")
+        if self.frames.size and not self.frames.min() >= 0:
+            raise DataError("frame values must be >= 0 (NaN is rejected)")
         if self.unit == "binary":
             vals = np.unique(self.frames)
             if not np.isin(vals, (0.0, 1.0)).all():
@@ -310,16 +310,20 @@ def save_nwds(path, series: FrameSeries) -> None:
 
 
 def load_nwds(path) -> FrameSeries:
+    """Read an NWDS file. Another format raises ``UsageError``; a truncated or
+    corrupt container raises ``DataError``."""
     with open(path, "rb") as f:
-        if f.read(4) != _NWDS_MAGIC:
-            raise UsageError(f"{path}: not an NWDS container")
-        interval, code, count = struct.unpack("<IBQ", f.read(13))
+        read_magic(f, _NWDS_MAGIC, f"{path}: NWDS container")
+        interval, code, count = struct.unpack("<IBQ", read_exact(f, 13, f"{path}: NWDS header"))
         if code not in _CODE_UNITS:
-            raise UsageError(f"{path}: unknown unit code {code}")
-        frames = [read_t4(f)[0, 0] for _ in range(count)]
-    if not frames:
+            raise DataError(f"{path}: unknown unit code {code}")
+        records = [read_t4(f) for _ in range(count)]
+    if not records:
         raise DataError(f"{path}: container holds no frames")
-    return FrameSeries(np.stack(frames), interval, _CODE_UNITS[code])
+    shape = records[0].shape
+    if shape[:2] != (1, 1) or any(r.shape != shape for r in records):
+        raise DataError(f"{path}: frames must be [1,1,H,W] records of one shape")
+    return FrameSeries(np.stack([r[0, 0] for r in records]), interval, _CODE_UNITS[code])
 
 
 def export_window_manifest(windows: Sequence[Window], path) -> None:

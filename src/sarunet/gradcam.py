@@ -49,11 +49,12 @@ class Heatmap:
     raw_max: float
 
 
-def _check_target(model: Model, target: ExplainTarget) -> None:
+def _check_targets(model: Model, targets: list[ExplainTarget]) -> None:
     valid = {n for n in model.trace_names()
              if any(n.endswith(s) for s in _EXPLAINABLE_SUFFIXES)}
-    if target.layer not in valid:
-        raise UsageError(f"unknown explain target {target.layer!r}; "
+    unknown = [t.layer for t in targets if t.layer not in valid]
+    if unknown:
+        raise UsageError(f"unknown explain target(s) {unknown}; "
                          f"valid targets: {sorted(valid)}")
 
 
@@ -125,26 +126,39 @@ def _score_kwargs(target_klass: str, unit: Optional[str], scale: float,
                 threshold_mm_per_h=threshold_mm_per_h)
 
 
+def _sweep(model: Model, x: Tensor4, targets: list[ExplainTarget], *,
+           score_mode: str = "masked_sum", score_scale: float = 1.0,
+           **score_kw) -> list[Heatmap]:
+    """Heatmaps of all ``targets`` from one forward/backward pass: the score
+    does not depend on the target, so the traced activations share it."""
+    _check_targets(model, targets)
+    if x.shape[0] != 1:
+        raise UsageError("Grad-CAM explains one sample at a time")
+    height, width = x.shape[2], x.shape[3]
+    model.zero_grad()
+    with Tape() as tape:
+        pred, trace = model.forward(x, train=False,
+                                    trace_request=[t.layer for t in targets])
+        score, mask = rain_score(pred, score_mode=score_mode,
+                                 score_scale=score_scale, **score_kw)
+    if mask.sum() == 0:
+        return [_zero_map(height, width, t) for t in targets]
+    tape.backward(score)
+    out = []
+    for t in targets:
+        act = trace.get(t.layer)
+        out.append(_combine(act.data, act.grad, height, width, t))
+    return out
+
+
 def grad_cam(model: Model, x: Tensor4, target: ExplainTarget, *,
              unit: Optional[str] = None, scale: float = 1.0,
              interval_minutes: int = 5, threshold_mm_per_h: float = 0.5,
              score_mode: str = "masked_sum", score_scale: float = 1.0) -> Heatmap:
     """Heatmap of one layer's contribution to the predicted-rain score."""
-    _check_target(model, target)
-    if x.shape[0] != 1:
-        raise UsageError("grad_cam explains one sample at a time")
     kw = _score_kwargs(target.klass, unit, scale, interval_minutes, threshold_mm_per_h)
-    height, width = x.shape[2], x.shape[3]
-    model.zero_grad()
-    with Tape() as tape:
-        pred, trace = model.forward(x, train=False, trace_request=[target.layer])
-        score, mask = rain_score(pred, score_mode=score_mode,
-                                 score_scale=score_scale, **kw)
-    if mask.sum() == 0:
-        return _zero_map(height, width, target)
-    tape.backward(score)
-    act = trace.get(target.layer)
-    return _combine(act.data, act.grad, height, width, target)
+    return _sweep(model, x, [target], score_mode=score_mode,
+                  score_scale=score_scale, **kw)[0]
 
 
 def suite_targets(model: Model) -> list[ExplainTarget]:
@@ -163,28 +177,16 @@ def suite_targets(model: Model) -> list[ExplainTarget]:
     return [ExplainTarget(n) for n in names]
 
 
-def explain_suite(model: Model, x: Tensor4, *, unit: Optional[str] = None,
-                  scale: float = 1.0, interval_minutes: int = 5,
-                  threshold_mm_per_h: float = 0.5,
+def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, *,
+                  unit: Optional[str] = None, scale: float = 1.0,
+                  interval_minutes: int = 5, threshold_mm_per_h: float = 0.5,
                   klass: str = "rain") -> list[Heatmap]:
-    """All 32 heatmaps from one forward/backward pass (score independent of
-    the target, so traced activations share the sweep)."""
-    targets = [ExplainTarget(t.layer, klass) for t in suite_targets(model)]
+    """Heatmaps of ``layers`` (default: the 32-map suite in grid order) from
+    one forward/backward pass."""
+    if layers is None:
+        layers = [t.layer for t in suite_targets(model)]
     kw = _score_kwargs(klass, unit, scale, interval_minutes, threshold_mm_per_h)
-    height, width = x.shape[2], x.shape[3]
-    model.zero_grad()
-    with Tape() as tape:
-        pred, trace = model.forward(x, train=False,
-                                    trace_request=[t.layer for t in targets])
-        score, mask = rain_score(pred, **kw)
-    if mask.sum() == 0:
-        return [_zero_map(height, width, t) for t in targets]
-    tape.backward(score)
-    out = []
-    for t in targets:
-        act = trace.get(t.layer)
-        out.append(_combine(act.data, act.grad, height, width, t))
-    return out
+    return _sweep(model, x, [ExplainTarget(n, klass) for n in layers], **kw)
 
 
 # -- rendering -------------------------------------------------------------------

@@ -18,7 +18,6 @@ bottleneck channels, and no pre-upsample 1x1 convolutions.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -27,8 +26,8 @@ import numpy as np
 from . import ops
 from .blocks import (BatchNorm2d, Cbam, Conv2dLayer, DoubleDscBlock,
                      ResidualDscBlock, param_count)
-from .errors import ConfigurationError, DimensionError, UsageError
-from .tensor import Tensor4, read_t4, write_t4
+from .errors import ConfigurationError, DataError, DimensionError, UsageError
+from .tensor import Tensor4, read_section, write_section
 
 __all__ = [
     "ModelConfig", "Model", "ActivationTrace", "build", "persistence_forward",
@@ -284,52 +283,42 @@ def plain_unet_param_count(in_channels: int, out_channels: int, base: int) -> in
 
 # -- checkpoints ("SARv1") -----------------------------------------------------
 #
-# Layout, all little-endian:
-#   magic "SARv1"
-#   u32 line count, then per line: u32 byte length + UTF-8 "key=value"
-#   u64 tensor count, then per tensor: u32 name length + name + T4v1 record
-# Config keys come first; callers may append extra metadata keys (for example
-# the data normalization scale). Round-trips are bitwise exact.
+# A SARv1 checkpoint is one ``write_section`` section (see sarunet.tensor)
+# with magic "SARv1": config keys come first, then any extra metadata keys
+# (for example the data normalization scale); parameters, then buffers stored
+# as [1, c, 1, 1] records. Round-trips are bitwise exact.
 
 _CKPT_MAGIC = b"SARv1"
-_CONFIG_KEYS = ("in_channels", "out_channels", "base_channels", "depth",
-                "variant", "cbam_reduction", "shortcut_bn")
 
 
-def _write_kv(f, key: str, value: str) -> None:
-    line = f"{key}={value}".encode("utf-8")
-    f.write(struct.pack("<I", len(line)))
-    f.write(line)
+def _parse_bool(s: str) -> bool:
+    if s not in ("True", "False"):
+        raise ValueError(f"invalid bool {s!r}")
+    return s == "True"
 
 
-def _read_kv(f) -> tuple[str, str]:
-    (length,) = struct.unpack("<I", f.read(4))
-    line = f.read(length).decode("utf-8")
-    key, _, value = line.partition("=")
-    return key, value
+_CONFIG_PARSERS = {"in_channels": int, "out_channels": int, "base_channels": int,
+                   "depth": int, "variant": str, "cbam_reduction": int,
+                   "shortcut_bn": _parse_bool}
+
+
+def _named_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
+    """Checkpoint records: parameter arrays, then buffers as [1,c,1,1] views."""
+    arrays = [(name, t.data) for name, t in model.named_parameters()]
+    arrays += [(name, buf.reshape(1, -1, 1, 1)) for name, buf in model.named_buffers()]
+    return arrays
 
 
 def write_checkpoint_section(f, model: Model, extra: Optional[dict[str, str]] = None) -> None:
     """Write the SARv1 section (config meta + named tensors) to a file object."""
     cfg = model.config
-    meta = {k: str(getattr(cfg, k)) for k in _CONFIG_KEYS}
+    meta = {k: str(getattr(cfg, k)) for k in _CONFIG_PARSERS}
     if extra:
         overlap = set(extra) & set(meta)
         if overlap:
             raise UsageError(f"extra checkpoint keys shadow config keys: {sorted(overlap)}")
         meta.update({k: str(v) for k, v in extra.items()})
-    tensors = [(name, t.data) for name, t in model.named_parameters()]
-    tensors += [(name, buf.reshape(1, -1, 1, 1)) for name, buf in model.named_buffers()]
-    f.write(_CKPT_MAGIC)
-    f.write(struct.pack("<I", len(meta)))
-    for k, v in meta.items():
-        _write_kv(f, k, v)
-    f.write(struct.pack("<Q", len(tensors)))
-    for name, arr in tensors:
-        nb = name.encode("utf-8")
-        f.write(struct.pack("<I", len(nb)))
-        f.write(nb)
-        write_t4(f, arr)
+    write_section(f, _CKPT_MAGIC, meta, _named_arrays(model))
 
 
 def save_checkpoint(path, model: Model, extra: Optional[dict[str, str]] = None) -> None:
@@ -337,51 +326,29 @@ def save_checkpoint(path, model: Model, extra: Optional[dict[str, str]] = None) 
         write_checkpoint_section(f, model, extra)
 
 
-def _parse_bool(s: str) -> bool:
-    return s == "True"
-
-
 def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]]:
     """Read one SARv1 section from a file object; the stream is left
-    positioned just past the section."""
-    if f.read(5) != _CKPT_MAGIC:
-        raise UsageError(f"{path}: not a SARv1 checkpoint")
-    (n_meta,) = struct.unpack("<I", f.read(4))
-    meta = dict(_read_kv(f) for _ in range(n_meta))
-    (n_tensors,) = struct.unpack("<Q", f.read(8))
-    tensors = {}
-    for _ in range(n_tensors):
-        (ln,) = struct.unpack("<I", f.read(4))
-        name = f.read(ln).decode("utf-8")
-        tensors[name] = read_t4(f)
+    positioned just past the section. A missing or unparseable config value,
+    or a missing, extra or misshapen tensor, raises ``DataError``."""
+    meta, tensors = read_section(f, _CKPT_MAGIC, f"{path}: SARv1 checkpoint")
     try:
-        config = ModelConfig(
-            in_channels=int(meta.pop("in_channels")),
-            out_channels=int(meta.pop("out_channels")),
-            base_channels=int(meta.pop("base_channels")),
-            depth=int(meta.pop("depth")),
-            variant=meta.pop("variant"),
-            cbam_reduction=int(meta.pop("cbam_reduction")),
-            shortcut_bn=_parse_bool(meta.pop("shortcut_bn")),
-        )
+        config = ModelConfig(**{k: parse(meta.pop(k)) for k, parse in _CONFIG_PARSERS.items()})
     except KeyError as e:
-        raise UsageError(f"{path}: checkpoint missing config key {e}") from None
+        raise DataError(f"{path}: checkpoint missing config key {e}") from None
+    except ValueError as e:
+        raise DataError(f"{path}: unparseable checkpoint config value: {e}") from None
     dtype = next(iter(tensors.values())).dtype if tensors else np.float32
     model = Model(config, seed=0, dtype=dtype)
-    for name, t in model.named_parameters():
+    for name, dst in _named_arrays(model):
         if name not in tensors:
-            raise UsageError(f"{path}: checkpoint missing tensor {name!r}")
+            raise DataError(f"{path}: checkpoint missing tensor {name!r}")
         arr = tensors.pop(name)
-        if arr.shape != t.data.shape:
+        if arr.shape != dst.shape:
             raise DimensionError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, expected {t.data.shape}")
-        t.data[...] = arr
-    for name, buf in model.named_buffers():
-        if name not in tensors:
-            raise UsageError(f"{path}: checkpoint missing buffer {name!r}")
-        buf[...] = tensors.pop(name).reshape(buf.shape)
+                f"{path}: tensor {name!r} has shape {arr.shape}, expected {dst.shape}")
+        dst[...] = arr
     if tensors:
-        raise UsageError(f"{path}: checkpoint holds unknown tensors {sorted(tensors)}")
+        raise DataError(f"{path}: checkpoint holds unknown tensors {sorted(tensors)}")
     return model, meta
 
 

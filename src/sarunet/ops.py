@@ -5,11 +5,6 @@ backward rule on the active tape. Conventions fixed here for bit-stable
 tests: relu'(0) = 0, max-pool ties break to the first index in row-major
 window order, bilinear upsampling uses the corner-aligned-false mapping
 ``src = (dst + 0.5) / 2 - 0.5`` with clamping.
-
-Convolution ships two code paths: ``im2col`` (patch matrix + BLAS matmul,
-the default) and ``direct`` (sliding-window accumulation kept as an
-in-library reference). Both produce the same function; the test suite holds
-an additional fully scalar loop oracle.
 """
 
 from __future__ import annotations
@@ -96,27 +91,10 @@ def _conv_forward_im2col(x, w, stride, padding, groups, ho, wo):
     return out.reshape(n, cout, ho, wo), cols
 
 
-def _conv_forward_direct(x, w, stride, padding, groups, ho, wo):
-    n, cin = x.shape[:2]
-    cout, cin_g, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    out = np.zeros((n, cout, ho, wo), dtype=x.dtype)
-    og = cout // groups
-    for o in range(cout):
-        g = o // og
-        for ci in range(cin_g):
-            src = xp[:, g * cin_g + ci]
-            for i in range(kh):
-                for j in range(kw):
-                    out[:, o] += w[o, ci, i, j] * src[:, i:i + stride * ho:stride,
-                                                      j:j + stride * wo:stride]
-    return out
-
-
 def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
-           stride: int = 1, padding: int = 0, groups: int = 1,
-           method: str = "im2col") -> Tensor4:
-    """Grouped 2-d cross-correlation with zero padding.
+           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor4:
+    """Grouped 2-d cross-correlation with zero padding, through an im2col
+    patch matrix and a batched matmul.
 
     ``weight`` is ``[cout, cin/groups, kh, kw]``; ``bias``, when given, is a
     per-output-channel vector stored as ``[1, cout, 1, 1]``. ``groups=cin``
@@ -124,24 +102,13 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
     n, cin, h, w_in, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, stride, padding, groups)
-    if method == "im2col":
-        out, cols = _conv_forward_im2col(x.data, weight.data, stride, padding, groups, ho, wo)
-    elif method == "direct":
-        out = _conv_forward_direct(x.data, weight.data, stride, padding, groups, ho, wo)
-        cols = None
-    else:
-        raise UsageError(f"unknown conv method {method!r}; use 'im2col' or 'direct'")
+    out, cols = _conv_forward_im2col(x.data, weight.data, stride, padding, groups, ho, wo)
     if bias is not None:
         out = out + bias.data
     k = (cin // groups) * kh * kw
     hp, wp = h + 2 * padding, w_in + 2 * padding
 
     def backward_fn(gout: np.ndarray):
-        nonlocal cols
-        if cols is None:  # direct path shares the im2col backward
-            xp = (np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-                  if padding else x.data)
-            cols = _im2col(xp, kh, kw, stride, ho, wo)
         go = gout.reshape(n, groups, cout // groups, ho * wo)
         colsg = cols.reshape(n, groups, k, ho * wo)
         wg = weight.data.reshape(groups, cout // groups, k)

@@ -12,24 +12,28 @@ Tapes are thread-local: concurrent inference threads each open their own tape
 
 from __future__ import annotations
 
+import io
 import struct
 import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError
 
 __all__ = [
     "Tensor4",
     "Tape",
     "tensor",
     "parameter",
-    "backward",
     "active_tape",
     "set_debug_checks",
+    "read_exact",
+    "read_magic",
     "read_t4",
     "write_t4",
+    "read_section",
+    "write_section",
 ]
 
 # Post-op finiteness checks; off by default for speed, flipped on in tests.
@@ -49,7 +53,7 @@ class Tensor4:
     ``requires_grad`` and accumulates across backward passes until zeroed.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False, _checked: bool = False):
         if not isinstance(data, np.ndarray):
@@ -65,7 +69,6 @@ class Tensor4:
         self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = np.zeros_like(self.data) if requires_grad else None
-        self._tape: Optional["Tape"] = None
 
     # -- introspection -----------------------------------------------------
 
@@ -141,7 +144,7 @@ class Tape:
         with Tape() as tape:
             y = model.forward(x, train=True)
             loss = mse_loss(y, target)
-        backward(loss)
+        tape.backward(loss)
 
     ``last_backward_ops`` reports how many recorded ops the most recent
     backward sweep visited (always all of them, exactly once).
@@ -163,7 +166,6 @@ class Tape:
     def record(self, name: str, inputs: Sequence[Tensor4], output: Tensor4,
                backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
         self.ops.append(_OpRecord(name, tuple(inputs), output, backward_fn))
-        output._tape = self
 
     def backward(self, loss: Tensor4) -> None:
         """Accumulate dLoss/dT into ``grad`` of every requires_grad tensor.
@@ -173,9 +175,12 @@ class Tape:
         """
         if loss.shape != (1, 1, 1, 1):
             raise UsageError(f"backward needs a scalar-shaped [1,1,1,1] loss, got {loss.shape}")
+        produced = {id(rec.output) for rec in self.ops}
+        if id(loss) not in produced:
+            raise UsageError("loss tensor was not recorded on this tape; "
+                             "run the forward pass inside `with Tape() as tape:`")
         pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         leaf_tensors: dict[int, Tensor4] = {}
-        produced = {id(rec.output) for rec in self.ops}
         visited = 0
         for rec in reversed(self.ops):
             visited += 1
@@ -196,20 +201,10 @@ class Tape:
                 if key not in produced:
                     leaf_tensors[key] = t
         self.last_backward_ops = visited
-        if id(loss) in pending and loss.requires_grad and id(loss) not in leaf_tensors:
-            loss.grad += pending.pop(id(loss))
         for key, t in leaf_tensors.items():
             g = pending.pop(key, None)
             if g is not None:
                 t.grad += g
-
-
-def backward(loss: Tensor4) -> None:
-    """Backpropagate from a scalar loss through the tape that recorded it."""
-    if loss._tape is None:
-        raise UsageError("loss tensor was not recorded on any tape; "
-                         "run the forward pass inside `with Tape() as tape:`")
-    loss._tape.backward(loss)
 
 
 def make_result(data: np.ndarray, name: str, inputs: Sequence[Tensor4],
@@ -234,14 +229,44 @@ def zero_grads(params: Iterable[Tensor4]) -> None:
         p.zero_grad()
 
 
-# -- serialization (T4v1 record) --------------------------------------------
+# -- serialization -------------------------------------------------------------
 #
-# Little-endian record: magic "T4v1", four u64 dims, one u8 dtype code
+# T4v1 record, little-endian: magic "T4v1", four u64 dims, one u8 dtype code
 # (0 = float32, 1 = float64), then the raw row-major payload.
 
 _T4_MAGIC = b"T4v1"
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+
+# Reads above this size first check the bytes left in the stream, so a
+# corrupt length never makes a reader allocate more than the file holds.
+_CHECKED_READ_BYTES = 1 << 20
+
+
+def read_exact(f, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of ``what``; a stream that ends first (or
+    holds fewer bytes than a large ``n``) raises ``DataError``."""
+    if n > _CHECKED_READ_BYTES:
+        pos = f.tell()
+        left = f.seek(0, io.SEEK_END) - pos
+        f.seek(pos)
+        if n > left:
+            raise DataError(f"{what} claims {n} bytes, but only {left} are left")
+    data = f.read(n)
+    if len(data) != n:
+        raise DataError(f"truncated {what}: wanted {n} bytes, got {len(data)}")
+    return data
+
+
+def read_magic(f, magic: bytes, what: str) -> None:
+    """Consume ``magic``. Other bytes are another format (``UsageError``); a
+    stream that ends inside the magic is truncated (``DataError``)."""
+    got = f.read(len(magic))
+    if got == magic:
+        return
+    if magic.startswith(got):
+        raise DataError(f"truncated {what}: stream ends inside the magic")
+    raise UsageError(f"not a {what}: magic {got!r}, expected {magic!r}")
 
 
 def write_t4(f, arr: np.ndarray) -> None:
@@ -258,19 +283,61 @@ def write_t4(f, arr: np.ndarray) -> None:
 
 def read_t4(f) -> np.ndarray:
     """Read one T4v1 record; returns a native-endian contiguous array."""
-    magic = f.read(4)
-    if magic != _T4_MAGIC:
-        raise UsageError(f"bad tensor record magic {magic!r}, expected {_T4_MAGIC!r}")
-    header = f.read(33)
-    if len(header) != 33:
-        raise UsageError("truncated T4v1 header")
-    n, c, h, w, code = struct.unpack("<4QB", header)
+    read_magic(f, _T4_MAGIC, "T4v1 record")
+    n, c, h, w, code = struct.unpack("<4QB", read_exact(f, 33, "T4v1 header"))
     if code not in _CODE_DTYPES:
-        raise UsageError(f"unknown T4v1 dtype code {code}")
+        raise DataError(f"unknown T4v1 dtype code {code}")
     dt = _CODE_DTYPES[code]
-    nbytes = n * c * h * w * dt.itemsize
-    payload = f.read(nbytes)
-    if len(payload) != nbytes:
-        raise UsageError("truncated T4v1 payload")
+    payload = read_exact(f, n * c * h * w * dt.itemsize, "T4v1 payload")
     arr = np.frombuffer(payload, dtype=dt).reshape(n, c, h, w)
     return np.ascontiguousarray(arr.astype(dt.newbyteorder("=")))
+
+
+def write_section(f, magic: bytes, meta: dict[str, str],
+                  tensors: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Write one section, the container of SARv1 checkpoints and OPTv1
+    optimizer state. Layout, little-endian: ``magic``; a u32 count of
+    ``meta`` lines, each a u32 byte length and a UTF-8 ``key=value`` line; a
+    u64 count of ``tensors``, each a u32 byte length, a UTF-8 name and one
+    T4v1 record. Both keep their order; round-trips are bitwise exact."""
+    f.write(magic)
+    f.write(struct.pack("<I", len(meta)))
+    for k, v in meta.items():
+        _write_text(f, f"{k}={v}")
+    f.write(struct.pack("<Q", len(tensors)))
+    for name, arr in tensors:
+        _write_text(f, name)
+        write_t4(f, arr)
+
+
+def read_section(f, magic: bytes, what: str
+                 ) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read one section written by :func:`write_section`, leaving the stream
+    just past it; returns ``(meta, tensors)`` in file order."""
+    read_magic(f, magic, what)
+    (n_meta,) = struct.unpack("<I", read_exact(f, 4, what))
+    meta = {}
+    for _ in range(n_meta):
+        key, _, value = _read_text(f, what).partition("=")
+        meta[key] = value
+    (n_tensors,) = struct.unpack("<Q", read_exact(f, 8, what))
+    tensors = {}
+    for _ in range(n_tensors):
+        name = _read_text(f, what)
+        tensors[name] = read_t4(f)
+    return meta, tensors
+
+
+def _write_text(f, text: str) -> None:
+    raw = text.encode("utf-8")
+    f.write(struct.pack("<I", len(raw)))
+    f.write(raw)
+
+
+def _read_text(f, what: str) -> str:
+    (length,) = struct.unpack("<I", read_exact(f, 4, what))
+    raw = read_exact(f, length, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{what} holds text that is not UTF-8: {raw[:40]!r}") from None

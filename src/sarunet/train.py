@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +29,8 @@ from . import ops
 from .data import WindowDataset
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .model import (Model, load_checkpoint, read_checkpoint_section,
-                    write_checkpoint_section)
-from .tensor import Tape, Tensor4, read_t4, write_t4
+                    save_checkpoint, write_checkpoint_section)
+from .tensor import Tape, Tensor4, read_section, write_section
 
 __all__ = [
     "TrainConfig", "TrainState", "EpochStats", "FitResult",
@@ -197,60 +196,39 @@ def _write_opt_section(f, state: TrainState, rng: np.random.Generator) -> None:
         "adam_step_count": str(state.adam_step_count),
         "rng_state": json.dumps(rng.bit_generator.state),
     }
-    f.write(_OPT_MAGIC)
-    f.write(struct.pack("<I", len(meta)))
-    for k, v in meta.items():
-        line = f"{k}={v}".encode("utf-8")
-        f.write(struct.pack("<I", len(line)))
-        f.write(line)
     moments = [(f"m.{n}", a) for n, a in state.adam_m.items()]
     moments += [(f"v.{n}", a) for n, a in state.adam_v.items()]
-    f.write(struct.pack("<Q", len(moments)))
-    for name, arr in moments:
-        nb = name.encode("utf-8")
-        f.write(struct.pack("<I", len(nb)))
-        f.write(nb)
-        write_t4(f, arr.reshape(arr.shape if arr.ndim == 4 else (1, -1, 1, 1)))
+    write_section(f, _OPT_MAGIC, meta, moments)
 
 
-def _read_opt_section(f, lr0: float) -> tuple[TrainState, dict]:
-    if f.read(5) != _OPT_MAGIC:
-        raise UsageError("training checkpoint lacks an OPTv1 section")
-    (n_meta,) = struct.unpack("<I", f.read(4))
-    meta = {}
-    for _ in range(n_meta):
-        (ln,) = struct.unpack("<I", f.read(4))
-        k, _, v = f.read(ln).decode("utf-8").partition("=")
-        meta[k] = v
-    state = TrainState(current_lr=float(meta["current_lr"]))
-    state.epoch = int(meta["epoch"])
-    state.best_val_loss = float(meta["best_val_loss"]) if meta["best_val_loss"] else None
-    state.best_epoch = int(meta["best_epoch"])
-    state.since_improve = int(meta["since_improve"])
-    state.since_improve_lr = int(meta["since_improve_lr"])
-    state.adam_step_count = int(meta["adam_step_count"])
-    (n_tensors,) = struct.unpack("<Q", f.read(8))
-    for _ in range(n_tensors):
-        (ln,) = struct.unpack("<I", f.read(4))
-        name = f.read(ln).decode("utf-8")
-        arr = read_t4(f)
+def _read_opt_section(f) -> tuple[TrainState, np.random.Generator]:
+    """Optimizer state and the shuffle generator; a missing or unparseable
+    value raises ``DataError``."""
+    meta, tensors = read_section(f, _OPT_MAGIC, "OPTv1 optimizer section")
+    try:
+        state = TrainState(
+            current_lr=float(meta["current_lr"]),
+            epoch=int(meta["epoch"]),
+            best_val_loss=float(meta["best_val_loss"]) if meta["best_val_loss"] else None,
+            best_epoch=int(meta["best_epoch"]),
+            since_improve=int(meta["since_improve"]),
+            since_improve_lr=int(meta["since_improve_lr"]),
+            adam_step_count=int(meta["adam_step_count"]))
+        rng = np.random.default_rng()
+        rng.bit_generator.state = json.loads(meta["rng_state"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DataError(f"OPTv1 optimizer section: missing or unparseable value: {e!r}") from None
+    for name, arr in tensors.items():
         kind, _, pname = name.partition(".")
         target = state.adam_m if kind == "m" else state.adam_v
         target[pname] = arr
-    return state, json.loads(meta["rng_state"])
+    return state, rng
 
 
 def _snapshot(model: Model) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     params = {n: t.data.copy() for n, t in model.named_parameters()}
     buffers = {n: b.copy() for n, b in model.named_buffers()}
     return params, buffers
-
-
-def _restore_moment_shapes(model: Model, state: TrainState) -> None:
-    for name, p in model.named_parameters():
-        for store in (state.adam_m, state.adam_v):
-            if name in store:
-                store[name] = store[name].reshape(p.data.shape).astype(p.data.dtype)
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
@@ -287,7 +265,7 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
             raise UsageError(f"cannot resume: {last} does not exist")
         with open(last, "rb") as f:
             loaded, _ = read_checkpoint_section(f, str(last))
-            state, rng_state = _read_opt_section(f, config.lr0)
+            state, rng = _read_opt_section(f)
         if loaded.config != model.config:
             raise UsageError(f"resume checkpoint config {loaded.config} does not match "
                              f"the model being trained ({model.config})")
@@ -295,9 +273,6 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
             p.data[...] = q.data
         for (name, b), (_, c) in zip(model.named_buffers(), loaded.named_buffers()):
             b[...] = c
-        _restore_moment_shapes(model, state)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = rng_state
         best_params, best_buffers = _snapshot(model)
         best_file = out_path / "best.ckpt"
         if best_file.exists():
@@ -342,7 +317,7 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
         if state.best_epoch == state.epoch or state.epoch == 1:
             best_params, best_buffers = _snapshot(model)
             if out_path is not None:
-                _save_best(out_path / "best.ckpt", model)
+                save_checkpoint(out_path / "best.ckpt", model)
         history.append(EpochStats(state.epoch, train_mse, val_mse, lr_used,
                                   time.perf_counter() - t0))
         if out_path is not None:
@@ -358,11 +333,6 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
     return FitResult(history=history, best_epoch=state.best_epoch,
                      best_val_loss=state.best_val_loss, best_params=best_params,
                      best_buffers=best_buffers, stopped_early=stopped_early)
-
-
-def _save_best(path, model: Model) -> None:
-    with open(path, "wb") as f:
-        write_checkpoint_section(f, model)
 
 
 def load_best_into(model: Model, result: FitResult) -> Model:

@@ -5,12 +5,14 @@ by the max absolute gradient difference normalized by the largest gradient
 magnitude (see oracles.grad_rel_err).
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from sarunet import Tape, backward, ops, tensor
+from sarunet import Tape, ops, tensor
 from sarunet.errors import UsageError
 
 from oracles import finite_diff, grad_rel_err
@@ -45,17 +47,17 @@ class TestTapeMechanics:
     def test_sum_gives_ones(self):
         x = tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 5)),
                    requires_grad=True, dtype=F64)
-        with Tape():
+        with Tape() as tape:
             loss = ops.sum_all(x)
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
 
     def test_relu_dead_region_gives_zeros(self):
         x = tensor(np.abs(np.random.default_rng(1).normal(size=(1, 2, 3, 3))) + 0.1,
                    requires_grad=True, dtype=F64)
-        with Tape():
+        with Tape() as tape:
             loss = ops.sum_all(ops.relu(ops.smul(x, -1.0)))
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.zeros_like(x.data))
 
     def test_every_op_visited_exactly_once(self):
@@ -87,7 +89,32 @@ class TestTapeMechanics:
         x = tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
         y = ops.relu(x)  # no tape active: nothing recorded
         with pytest.raises(UsageError):
-            backward(y)
+            Tape().backward(y)
+
+    def test_loss_from_another_tape_rejected(self):
+        x = tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        with Tape():
+            y = ops.relu(x)
+        with pytest.raises(UsageError):
+            Tape().backward(y)
+
+    def test_tape_freed_without_collector(self):
+        """Recorded outputs hold no reference back to their tape, so a dropped
+        tape is freed by reference counting while its loss lives on."""
+        rng = np.random.default_rng(3)
+        x = tensor(rng.normal(size=(1, 2, 8, 8)))
+        w = tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = ops.mean_all(ops.relu(ops.conv2d(x, w, padding=1)))
+            tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+            assert loss.shape == (1, 1, 1, 1)
+        finally:
+            gc.enable()
 
     def test_tape_is_topological(self):
         x = tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
@@ -104,10 +131,10 @@ class TestTapeMechanics:
 
     def test_shared_intermediate_accumulates(self):
         x = tensor(np.full((1, 1, 1, 1), 3.0), requires_grad=True, dtype=F64)
-        with Tape():
+        with Tape() as tape:
             a = ops.relu(x)
             loss = ops.sum_all(ops.add(a, a))
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.full_like(x.data, 2.0))
 
     def test_threaded_inference_private_tapes(self):

@@ -133,6 +133,20 @@ class TestTrain:
         manifest2 = json.loads((out2 / "manifest.json").read_text())
         assert manifest2["config"]["max_epochs"] == 2
 
+    @pytest.mark.parametrize("line,key", [
+        ("max-epochs", "max-epochs"), ("max-epochs=abc", "max_epochs"),
+        ("cloud=maybe", "cloud")])
+    def test_bad_config_line_is_configuration_error(self, synth_file, tmp_path,
+                                                    capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"in-frames=6\n{line}\n")
+        code = run("train", "--data", synth_file, "--config", cfg,
+                   "--lead-minutes", 30, "--out-dir", tmp_path / "x")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err
+        assert line.partition("=")[2] in err
+
 
 class TestSplitRule:
     """Rain-gated windows are built over the whole series, then split
@@ -249,6 +263,21 @@ class TestPredict:
         series = load_nwds(out)
         assert series.frames.shape == (1, 32, 32)
         assert series.frames.min() >= 0.0
+
+    def test_cloud_prediction_is_binary_mask(self, tmp_path):
+        cloud = tmp_path / "cloud.nwds"
+        assert run("synth", "--frames", 40, "--size", 32, "--binary",
+                   "--interval", 15, "--out", cloud) == 0
+        assert run("train", "--data", cloud, "--cloud", "--base-channels", 4,
+                   "--cbam-reduction", 4, "--max-epochs", 1, "--batch-size", 4,
+                   "--out-dir", tmp_path / "run") == 0
+        out = tmp_path / "pred.nwds"
+        assert run("predict", "--checkpoint", tmp_path / "run" / "model.ckpt",
+                   "--data", cloud, "--out", out) == 0
+        series = load_nwds(out)
+        assert series.unit == "binary"
+        assert series.frames.shape == (6, 32, 32)
+        assert set(np.unique(series.frames)) <= {0.0, 1.0}
 
 
 class TestExplain:

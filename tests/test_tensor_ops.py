@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sarunet import Tensor4, ops, tensor
-from sarunet.errors import ConfigurationError, DimensionError, UsageError
+from sarunet.errors import ConfigurationError, DataError, DimensionError, UsageError
 from sarunet.tensor import read_t4, set_debug_checks, write_t4
 
 from oracles import bilinear_double, conv2d_loops, max_pool2_windows
@@ -44,7 +44,7 @@ class TestConv2d:
         err = np.abs(y.data - ref).max() / np.abs(ref).max()
         assert err <= 1e-6
 
-    def test_direct_and_im2col_paths_agree(self):
+    def test_random_shapes_match_loop_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n, cin, g = rng.integers(1, 3), int(rng.integers(1, 5)), 1
@@ -53,11 +53,11 @@ class TestConv2d:
             cout = int(rng.integers(1, 4)) * g
             k = int(rng.choice([1, 3]))
             h = int(rng.integers(k, 9))
-            x = t(rng.normal(size=(n, cin, h, h)).astype(np.float32))
-            w = t(rng.normal(size=(cout, cin // g, k, k)).astype(np.float32))
-            a = ops.conv2d(x, w, padding=k // 2, groups=g, method="im2col")
-            b = ops.conv2d(x, w, padding=k // 2, groups=g, method="direct")
-            err = np.abs(a.data - b.data).max() / max(np.abs(a.data).max(), 1e-12)
+            x = rng.normal(size=(n, cin, h, h)).astype(np.float32)
+            w = rng.normal(size=(cout, cin // g, k, k)).astype(np.float32)
+            a = ops.conv2d(t(x), t(w), padding=k // 2, groups=g)
+            b = conv2d_loops(x, w, padding=k // 2, groups=g)
+            err = np.abs(a.data - b).max() / max(np.abs(a.data).max(), 1e-12)
             assert err <= 1e-5
 
     def test_stride_and_bias(self):
@@ -99,12 +99,12 @@ class TestBatchNorm:
         gamma = t(np.zeros((1, 2, 1, 1)))
         beta = t(np.full((1, 2, 1, 1), 0.25))
         rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
-        from sarunet import Tape, backward
-        with Tape():
+        from sarunet import Tape
+        with Tape() as tape:
             y = ops.batch_norm(x, gamma, beta, rm, rv, train=True)
             loss = ops.sum_all(y)
         assert np.all(y.data == 0.25)
-        backward(loss)
+        tape.backward(loss)
         assert np.all(x.grad == 0.0)
 
     def test_running_stats_update_and_eval_mode(self):
@@ -173,23 +173,23 @@ class TestPooling:
         assert np.all(y.data == 1.25)
 
     def test_matches_window_oracle_and_backward_routing(self):
-        from sarunet import Tape, backward
+        from sarunet import Tape
         rng = np.random.default_rng(10)
         x = t(rng.normal(size=(1, 1, 4, 4)).astype(np.float32), requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             y = ops.max_pool2(x)
             loss = ops.sum_all(y)
         np.testing.assert_array_equal(y.data, max_pool2_windows(x.data))
-        backward(loss)
+        tape.backward(loss)
         assert np.count_nonzero(x.grad) == 4
         assert x.grad.sum() == 4.0
 
     def test_tie_break_first_index(self):
-        from sarunet import Tape, backward
+        from sarunet import Tape
         x = t(np.zeros((1, 1, 2, 2)), requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             loss = ops.sum_all(ops.max_pool2(x))
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_odd_dims_rejected(self):
@@ -267,6 +267,21 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(UsageError):
             read_t4(io.BytesIO(b"XXXX" + b"\0" * 40))
+
+    @pytest.mark.parametrize("cut,byte,value", [
+        (None, 11, 0x80),          # n = 2^63 + 1: far beyond the stream
+        (None, 36, 7),             # unknown dtype code
+        (-1, None, None),          # payload one byte short
+        (20, None, None),          # header cut short
+        (2, None, None)])          # stream ends inside the magic
+    def test_corrupt_record_is_data_error(self, cut, byte, value):
+        buf = io.BytesIO()
+        write_t4(buf, np.zeros((1, 2, 3, 4), np.float32))
+        raw = bytearray(buf.getvalue())
+        if byte is not None:
+            raw[byte] = value
+        with pytest.raises(DataError):
+            read_t4(io.BytesIO(bytes(raw[:cut])))
 
 
 class TestTensorInvariants:
