@@ -3,6 +3,7 @@ series, pinned by sha256 at fixed seeds; loaders and the CLI under truncation
 and bit flips."""
 
 import hashlib
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from sarunet.data import (FrameSeries, WindowDataset, WindowSpec, load_nwds,
                           make_windows, save_nwds, synth_generate)
 from sarunet.errors import DataError, SarunetError
 from sarunet.model import (ModelConfig, build, load_checkpoint,
-                           read_checkpoint_section, save_checkpoint)
-from sarunet.train import TrainConfig, _read_opt_section, fit
+                           read_checkpoint_section, save_checkpoint,
+                           write_checkpoint_section)
+from sarunet.train import TrainConfig, _read_opt_section, _write_opt_section, fit
 
 GOLDEN_SHA256 = {
     "model.ckpt": "3ce1c5457b9a71aea588e548c7b305ca7253ed1c1f42431673e50fc92f5a712f",
@@ -54,6 +56,20 @@ def tiny_files(tmp_path_factory):
 def test_golden_bytes(tiny_files, name):
     digest = hashlib.sha256(tiny_files[name].read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+def test_last_ckpt_codec_round_trip(tiny_files):
+    """Reading the SARv1 and OPTv1 sections of ``last.ckpt`` and writing
+    them back gives the same bytes, whatever arithmetic produced them."""
+    raw = tiny_files["last.ckpt"].read_bytes()
+    f = io.BytesIO(raw)
+    model, extra = read_checkpoint_section(f)
+    state, rng = _read_opt_section(f)
+    assert f.tell() == len(raw)
+    out = io.BytesIO()
+    write_checkpoint_section(out, model, extra or None)
+    _write_opt_section(out, state, rng)
+    assert out.getvalue() == raw
 
 
 def load(name, path):
