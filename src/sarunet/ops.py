@@ -79,51 +79,84 @@ def _conv_shapes(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
     return n, cin, h, w, cout, kh, kw, ho, wo
 
 
-def _conv_forward_im2col(x, w, stride, padding, groups, ho, wo):
-    n, cin = x.shape[:2]
-    cout, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+def _record_conv(out: np.ndarray, x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
+                 backward_fn) -> Tensor4:
+    """Add the bias and record one conv kernel on the tape as ``conv2d``
+    with inputs ``(x, weight[, bias])``, whichever kernel ran."""
+    if bias is None:
+        return make_result(out, "conv2d", (x, weight), backward_fn)
+    return make_result(out + bias.data, "conv2d", (x, weight, bias), backward_fn)
+
+
+def _conv_grads(gout: np.ndarray, dx: np.ndarray, dw: np.ndarray,
+                bias: Optional[Tensor4]) -> list[np.ndarray]:
+    if bias is None:
+        return [dx, dw]
+    return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias.shape)]
+
+
+def _conv_im2col(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
+                 stride: int, padding: int, groups: int, ho: int, wo: int) -> Tensor4:
+    n, cin, h, w_in = x.shape
+    cout, _, kh, kw = weight.shape
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x.data
     cols = _im2col(xp, kh, kw, stride, ho, wo)
     k = (cin // groups) * kh * kw
-    colsg = cols.reshape(n, groups, k, ho * wo)
-    wg = w.reshape(groups, cout // groups, k)
-    out = np.matmul(wg[None, :, :, :], colsg)          # [n, g, cout/g, L]
-    return out.reshape(n, cout, ho, wo), cols
-
-
-def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor4:
-    """Grouped 2-d cross-correlation with zero padding, through an im2col
-    patch matrix and a batched matmul.
-
-    ``weight`` is ``[cout, cin/groups, kh, kw]``; ``bias``, when given, is a
-    per-output-channel vector stored as ``[1, cout, 1, 1]``. ``groups=cin``
-    yields a depthwise convolution.
-    """
-    _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
-    n, cin, h, w_in, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, stride, padding, groups)
-    out, cols = _conv_forward_im2col(x.data, weight.data, stride, padding, groups, ho, wo)
-    if bias is not None:
-        out = out + bias.data
-    k = (cin // groups) * kh * kw
     hp, wp = h + 2 * padding, w_in + 2 * padding
+    colsg = cols.reshape(n, groups, k, ho * wo)
+    wg = weight.data.reshape(groups, cout // groups, k)
+    out = np.matmul(wg[None, :, :, :], colsg)          # [n, g, cout/g, L]
 
     def backward_fn(gout: np.ndarray):
         go = gout.reshape(n, groups, cout // groups, ho * wo)
-        colsg = cols.reshape(n, groups, k, ho * wo)
-        wg = weight.data.reshape(groups, cout // groups, k)
         dw = np.matmul(go, colsg.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
         dcols = np.matmul(wg.transpose(0, 2, 1)[None, :, :, :], go)
         dxp = _col2im(dcols.reshape(n, cin * kh * kw, ho * wo),
                       n, cin, hp, wp, kh, kw, stride, ho, wo)
         dx = dxp[:, :, padding:hp - padding, padding:wp - padding] if padding else dxp
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(gout.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
-        return grads
+        return _conv_grads(gout, dx, dw, bias)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return make_result(out, "conv2d", inputs, backward_fn)
+    return _record_conv(out.reshape(n, cout, ho, wo), x, weight, bias, backward_fn)
+
+
+def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
+    n, cin, h, w_in = x.shape
+    cout = weight.shape[0]
+    x3 = x.data.reshape(n, cin, h * w_in)              # a view: Tensor4 data is contiguous
+    w2 = weight.data.reshape(cout, cin)
+
+    def backward_fn(gout: np.ndarray):
+        go = gout.reshape(n, cout, h * w_in)
+        dw = np.matmul(go, x3.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        dx = np.matmul(w2.T, go).reshape(x.shape)
+        return _conv_grads(gout, dx, dw, bias)
+
+    out = np.matmul(w2, x3).reshape(n, cout, h, w_in)
+    return _record_conv(out, x, weight, bias, backward_fn)
+
+
+def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
+           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor4:
+    """Grouped 2-d cross-correlation with zero padding.
+
+    ``weight`` is ``[cout, cin/groups, kh, kw]``; ``bias``, when given, is a
+    per-output-channel vector stored as ``[1, cout, 1, 1]``. ``groups=cin``
+    yields a depthwise convolution. The call's own shape picks one of two
+    kernels, each recorded on the tape as ``conv2d``:
+
+    - **pointwise** (1x1, stride 1, padding 0, ``groups=1``): one matmul
+      over the input as stored, forward and backward. Its backward keeps
+      no array of its own, only the input and the weight.
+    - **im2col**, every other shape (depthwise and dense 3x3, CBAM 7x7,
+      grouped, strided): a patch matrix and a batched matmul. Its backward keeps the
+      patch matrix, ``kh*kw`` times the input.
+    """
+    _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
+    _, _, _, _, _, kh, kw, ho, wo = _conv_shapes(x, weight, bias, stride, padding, groups)
+    if kh == kw == 1 and stride == 1 and padding == 0 and groups == 1:
+        return _conv_pointwise(x, weight, bias)
+    return _conv_im2col(x, weight, bias, stride, padding, groups, ho, wo)
 
 
 # -- batch normalization ------------------------------------------------------

@@ -5,11 +5,12 @@ import io
 import numpy as np
 import pytest
 
-from sarunet import Tensor4, ops, tensor
+from sarunet import Tape, Tensor4, ops, tensor
 from sarunet.errors import ConfigurationError, DataError, DimensionError, UsageError
 from sarunet.tensor import read_t4, set_debug_checks, write_t4
 
-from oracles import bilinear_double, conv2d_loops, max_pool2_windows
+from oracles import (bilinear_double, conv2d_loops, finite_diff, grad_rel_err,
+                     max_pool2_windows)
 
 
 def t(arr, **kw):
@@ -80,6 +81,62 @@ class TestConv2d:
             ops.conv2d(x, t(np.ones((2, 3, 3, 3))), stride=2)  # non-integral output
         with pytest.raises(DimensionError):
             ops.conv2d(x, t(np.ones((2, 1, 3, 3))), groups=1)  # cin/g mismatch
+
+
+# Planes for the specialised kernels: one sample and a batch, non-square, a
+# single row and a single column.
+KERNEL_SHAPES = [(1, 3, 5, 7), (3, 2, 6, 4), (3, 2, 1, 6), (1, 3, 5, 1)]
+
+
+def kernel_case(kind, shape, with_bias, seed=0):
+    """Float64 input, weight, optional bias and conv2d keywords that take
+    the ``kind`` kernel."""
+    rng = np.random.default_rng(seed)
+    n, c, h, w = shape
+    if kind == "pointwise":
+        weight, kwargs = rng.normal(size=(4, c, 1, 1)), {}
+    else:
+        weight, kwargs = rng.normal(size=(c, 1, 3, 3)), {"padding": 1, "groups": c}
+    bias = rng.normal(size=weight.shape[0]) if with_bias else None
+    return rng.normal(size=shape), weight, bias, kwargs
+
+
+@pytest.fixture
+def no_im2col(monkeypatch):
+    """Fail any conv that falls back to the general im2col path."""
+    def refuse(*args):
+        raise AssertionError("conv2d took the im2col path")
+    monkeypatch.setattr(ops, "_conv_im2col", refuse)
+
+
+@pytest.mark.usefixtures("no_im2col")
+@pytest.mark.parametrize("kind", ["pointwise"])
+class TestConvKernels:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_loop_oracle(self, kind, shape, with_bias):
+        x, w, b, kwargs = kernel_case(kind, shape, with_bias)
+        bt = None if b is None else t(b.reshape(1, -1, 1, 1), dtype=np.float64)
+        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64), bt, **kwargs)
+        ref = conv2d_loops(x, w, bias=b, **kwargs)
+        np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gradients_match_finite_differences(self, kind, shape):
+        x, w, b, kwargs = kernel_case(kind, shape, True, seed=1)
+        params = [t(a, dtype=np.float64, requires_grad=True)
+                  for a in (x, w, b.reshape(1, -1, 1, 1))]
+
+        def loss():
+            y = ops.conv2d(*params, **kwargs)
+            return ops.sum_all(ops.mul(y, y))
+
+        with Tape() as tape:
+            out = loss()
+        tape.backward(out)
+        for p in params:
+            num = finite_diff(lambda: loss().item(), p.data, h=1e-5)
+            assert grad_rel_err(p.grad, num) <= 1e-7
 
 
 class TestBatchNorm:
