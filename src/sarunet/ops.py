@@ -136,26 +136,85 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     return _record_conv(out, x, weight, bias, backward_fn)
 
 
+def _pad_planes(a: np.ndarray) -> np.ndarray:
+    """``[n, c, h, w]`` zero-padded by one column each side, one row on top
+    and two below, each plane flattened to ``[n, c, (h+3)*(w+2)]``. Tap
+    ``(i, j)`` of a 3x3 window is then the contiguous slice at offset
+    ``i*(w+2)+j``, of length ``h*(w+2)``; the second row below keeps the
+    last tap's slice in bounds."""
+    n, c, h, w = a.shape
+    p = np.zeros((n, c, h + 3, w + 2), dtype=a.dtype)
+    p[:, :, 1:h + 1, 1:w + 1] = a
+    return p.reshape(n, c, (h + 3) * (w + 2))
+
+
+def _tap_offsets(w: int) -> list[int]:
+    return [i * (w + 2) + j for i in range(3) for j in range(3)]
+
+
+def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Per-channel 3x3 correlation of :func:`_pad_planes` output with
+    ``taps`` ``[c, 9]`` (row-major): nine multiply-adds over whole-plane
+    slices into one buffer, then a contiguous copy without the two padding
+    columns."""
+    length = h * (w + 2)
+    offsets = _tap_offsets(w)
+    acc = planes[:, :, :length] * taps[None, :, 0, None]
+    term = np.empty_like(acc)
+    for t in range(1, 9):
+        np.multiply(planes[:, :, offsets[t]:offsets[t] + length], taps[None, :, t, None],
+                    out=term)
+        acc += term
+    del term                                    # not alive during the copy
+    return np.ascontiguousarray(acc.reshape(acc.shape[0], acc.shape[1], h, w + 2)[..., :w])
+
+
+def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
+    n, c, h, w_in = x.shape
+    xp = _pad_planes(x.data)
+    taps = weight.data.reshape(c, 9)
+
+    def backward_fn(gout: np.ndarray):
+        gp = _pad_planes(gout)
+        dx = _shifted_sum(gp, taps[:, ::-1], h, w_in)   # the flipped kernel
+        length = h * (w_in + 2)
+        centre = _tap_offsets(w_in)[4]
+        g = gp[:, :, centre:centre + length]             # gout, zero in the padding columns
+        dw = np.empty((c, 9), dtype=taps.dtype)
+        for t, off in enumerate(_tap_offsets(w_in)):
+            dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
+        return _conv_grads(gout, dx, dw.reshape(weight.shape), bias)
+
+    return _record_conv(_shifted_sum(xp, taps, h, w_in), x, weight, bias, backward_fn)
+
+
 def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor4:
     """Grouped 2-d cross-correlation with zero padding.
 
     ``weight`` is ``[cout, cin/groups, kh, kw]``; ``bias``, when given, is a
     per-output-channel vector stored as ``[1, cout, 1, 1]``. ``groups=cin``
-    yields a depthwise convolution. The call's own shape picks one of two
+    yields a depthwise convolution. The call's own shape picks one of three
     kernels, each recorded on the tape as ``conv2d``:
 
     - **pointwise** (1x1, stride 1, padding 0, ``groups=1``): one matmul
       over the input as stored, forward and backward. Its backward keeps
       no array of its own, only the input and the weight.
-    - **im2col**, every other shape (depthwise and dense 3x3, CBAM 7x7,
-      grouped, strided): a patch matrix and a batched matmul. Its backward keeps the
+    - **depthwise 3x3** (3x3, stride 1, padding 1, ``groups == cin ==
+      cout``): nine shifted multiply-adds over the zero-padded input planes;
+      the backward runs the same sum over the padded gradient with the
+      kernel flipped. Its backward keeps the padded input, about one input
+      in size.
+    - **im2col**, every other shape (CBAM 7x7, grouped, strided, dense
+      3x3): a patch matrix and a batched matmul. Its backward keeps the
       patch matrix, ``kh*kw`` times the input.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
-    _, _, _, _, _, kh, kw, ho, wo = _conv_shapes(x, weight, bias, stride, padding, groups)
+    _, cin, _, _, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, stride, padding, groups)
     if kh == kw == 1 and stride == 1 and padding == 0 and groups == 1:
         return _conv_pointwise(x, weight, bias)
+    if kh == kw == 3 and stride == 1 and padding == 1 and groups == cin == cout:
+        return _conv_depthwise3(x, weight, bias)
     return _conv_im2col(x, weight, bias, stride, padding, groups, ho, wo)
 
 

@@ -4,23 +4,28 @@ and bit flips."""
 
 import hashlib
 import io
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarunet import ops
 from sarunet.cli import main
 from sarunet.data import (FrameSeries, WindowDataset, WindowSpec, load_nwds,
                           make_windows, save_nwds, synth_generate)
 from sarunet.errors import DataError, SarunetError
-from sarunet.model import (ModelConfig, build, load_checkpoint,
+from sarunet.model import (_CKPT_MAGIC, ModelConfig, build, load_checkpoint,
                            read_checkpoint_section, save_checkpoint,
                            write_checkpoint_section)
-from sarunet.train import TrainConfig, _read_opt_section, _write_opt_section, fit
+from sarunet.tensor import read_section
+from sarunet.train import (_OPT_MAGIC, TrainConfig, _read_opt_section,
+                           _write_opt_section, fit)
 
 GOLDEN_SHA256 = {
     "model.ckpt": "3ce1c5457b9a71aea588e548c7b305ca7253ed1c1f42431673e50fc92f5a712f",
-    "last.ckpt": "3e9015224f9c03feda468ebd089a28585cb3e5a0c82003a45124f88f6f80f8ea",
+    "last.ckpt": "2ac916d44acdfe3aed6b0b74348b62d83c66b9d4c5c532a93f63bc0d1367517f",
     "series.nwds": "b473582e1d387ecb835237d78ec80dab0d31ae1d3d93f216a2653c2b6d438a5b",
 }
 
@@ -70,6 +75,50 @@ def test_last_ckpt_codec_round_trip(tiny_files):
     write_checkpoint_section(out, model, extra or None)
     _write_opt_section(out, state, rng)
     assert out.getvalue() == raw
+
+
+def last_ckpt_sections(path):
+    with open(path, "rb") as f:
+        return [read_section(f, magic, str(path)) for magic in (_CKPT_MAGIC, _OPT_MAGIC)]
+
+
+# A bias added just before a training-mode batch norm has a gradient of
+# exactly zero (the norm subtracts the batch mean), so what the backward
+# computes for it is rounding noise, and Adam turns any change in that noise
+# into a step of +-lr. Such biases, their Adam moments, the running means
+# they shift and the validation loss read through those running means differ
+# between two summation orders by far more than rounding.
+NOISE_DRIVEN = re.compile(r"(\.dsc\d\.pointwise_bias|\.running_mean)$")
+
+
+def test_last_ckpt_moves_by_rounding_only(tiny_files, tmp_path, monkeypatch):
+    """With every depthwise conv sent through the general im2col path, the
+    one-epoch ``last.ckpt`` agrees with the shipped one in every tensor whose
+    gradient is not rounding noise: the two depthwise kernels differ in
+    summation order only."""
+    calls = []
+
+    def depthwise_as_im2col(x, weight, bias):
+        calls.append(x.shape)
+        _, c, h, w = x.shape
+        return ops._conv_im2col(x, weight, bias, 1, 1, c, h, w)
+
+    monkeypatch.setattr(ops, "_conv_depthwise3", depthwise_as_im2col)
+    reference = write_tiny_files(tmp_path)["last.ckpt"]
+    assert calls
+    shipped = last_ckpt_sections(tiny_files["last.ckpt"])
+    compared = 0
+    for (meta, tensors), (ref_meta, ref_tensors) in zip(shipped, last_ckpt_sections(reference)):
+        assert meta.keys() == ref_meta.keys() and tensors.keys() == ref_tensors.keys()
+        assert {k: v for k, v in meta.items() if k != "best_val_loss"} == \
+            {k: v for k, v in ref_meta.items() if k != "best_val_loss"}
+        for name, arr in tensors.items():
+            ref = ref_tensors[name]
+            assert arr.shape == ref.shape and np.isfinite(arr).all(), name
+            if not NOISE_DRIVEN.search(name):
+                assert np.abs(arr - ref).max() <= 1e-3 * np.abs(ref).max(), name
+                compared += 1
+    assert compared > 0.8 * sum(len(t) for _, t in shipped)
 
 
 def load(name, path):

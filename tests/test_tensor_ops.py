@@ -1,6 +1,7 @@
 """Forward semantics of the tensor core, checked against independent oracles."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def no_im2col(monkeypatch):
 
 
 @pytest.mark.usefixtures("no_im2col")
-@pytest.mark.parametrize("kind", ["pointwise"])
+@pytest.mark.parametrize("kind", ["pointwise", "depthwise"])
 class TestConvKernels:
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("with_bias", [False, True])
@@ -137,6 +138,23 @@ class TestConvKernels:
         for p in params:
             num = finite_diff(lambda: loss().item(), p.data, h=1e-5)
             assert grad_rel_err(p.grad, num) <= 1e-7
+
+
+@pytest.mark.usefixtures("no_im2col")
+def test_depthwise_forward_peak_memory():
+    """A taped depthwise forward allocates a few copies of its input at
+    most; an im2col patch matrix alone would take nine."""
+    rng = np.random.default_rng(2)
+    x = t(rng.normal(size=(2, 8, 64, 64)).astype(np.float32), requires_grad=True)
+    w = t(rng.normal(size=(8, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            ops.conv2d(x, w, padding=1, groups=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes
 
 
 class TestBatchNorm:
