@@ -147,7 +147,10 @@ def _version() -> str:
 
 def _window_spec(in_frames: int, lead_minutes, cloud: bool, interval: int):
     from .data import WindowSpec
-    from .errors import ConfigurationError
+    from .errors import ConfigurationError, DataError
+    if interval < 1:
+        # NWDS files may hold interval 0 (Grad-CAM heatmaps), never a series to window
+        raise DataError(f"the series' frame interval must be >= 1 minute, got {interval}")
     if cloud:
         if in_frames != CLOUD_INPUT_FRAMES:
             raise ConfigurationError(
@@ -282,10 +285,13 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     _refuse_overwrite([out], args.force)
-    wind = tuple(float(p) for p in args.wind.split(","))
-    if len(wind) != 2:
+    try:
+        wind = tuple(float(p) for p in args.wind.split(","))
+    except ValueError:
+        wind = ()
+    if len(wind) != 2 or not np.isfinite(wind).all():
         from .errors import UsageError
-        raise UsageError(f"--wind needs DX,DY (px/frame), got {args.wind!r}")
+        raise UsageError(f"--wind needs two finite numbers DX,DY (px/frame), got {args.wind!r}")
     series = synth_generate(seed=args.seed, n_frames=args.frames,
                             height=args.size, width=args.size,
                             n_blobs=args.blobs, wind=wind, growth=args.growth,

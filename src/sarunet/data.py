@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, DimensionError, UsageError
-from .tensor import Tensor4, read_exact, read_magic, read_t4, tensor, write_t4
+from .tensor import Tensor4, read_exact, read_magic, read_t4, write_t4
 
 __all__ = [
     "FrameSeries", "WindowSpec", "SampleBatch", "Window", "WindowDataset",
@@ -71,9 +71,6 @@ class FrameSeries:
     @property
     def frame_shape(self) -> tuple[int, int]:
         return self.frames.shape[1], self.frames.shape[2]
-
-    def frame(self, i: int) -> Tensor4:
-        return tensor(self.frames[i][None, None])
 
 
 @dataclass
@@ -262,6 +259,8 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
         raise UsageError(f"synthetic frames must be at least 32x32, got {height}x{width}")
     if n_frames < 1 or n_blobs < 1:
         raise UsageError("n_frames and n_blobs must be >= 1")
+    if interval_minutes < 1:
+        raise UsageError(f"the frame interval must be >= 1 minute, got {interval_minutes}")
     rng = np.random.default_rng(seed)
     cx = rng.uniform(0.15 * width, 0.85 * width, size=n_blobs)
     cy = rng.uniform(0.15 * height, 0.85 * height, size=n_blobs)

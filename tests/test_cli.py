@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sarunet.cli import main
-from sarunet.data import load_nwds
+from sarunet.data import FrameSeries, load_nwds, save_nwds
 
 
 def run(*argv):
@@ -50,6 +50,27 @@ class TestSynth:
                    "--out", tmp_path / "x.nwds")
         assert code == 2  # UsageError carries the bound
         assert "32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("wind", ["a,b", "1", "1,2,3", "nan,0"])
+    def test_bad_wind_is_usage_error(self, tmp_path, capsys, wind):
+        code = run("synth", "--frames", 5, "--size", 32, "--wind", wind,
+                   "--out", tmp_path / "x.nwds")
+        assert code == 2
+        assert repr(wind) in capsys.readouterr().err
+
+    def test_interval_below_one_is_usage_error(self, tmp_path):
+        for interval in (0, -5):
+            assert run("synth", "--frames", 5, "--size", 32, "--interval", interval,
+                       "--out", tmp_path / "x.nwds") == 2
+        assert not (tmp_path / "x.nwds").exists()
+
+    def test_zero_interval_series_is_data_error(self, tmp_path):
+        p = tmp_path / "zero.nwds"
+        save_nwds(p, FrameSeries(np.ones((60, 32, 32), np.float32), 0, "raw"))
+        setup = ["--data", p, "--in-frames", 6, "--lead-minutes", 30]
+        assert run("train", *setup, "--out-dir", tmp_path / "train") == 3
+        assert run("evaluate", *setup, "--baseline", "persistence",
+                   "--out-dir", tmp_path / "eval") == 3
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         p = tmp_path / "x.nwds"

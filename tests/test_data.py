@@ -225,6 +225,10 @@ class TestSynthGenerate:
         assert not np.array_equal(a.frames, b.frames)
         assert a.frames.tobytes() == c.frames.tobytes()
 
+    def test_interval_bound(self):
+        with pytest.raises(UsageError, match="interval"):
+            synth_generate(seed=0, n_frames=2, height=32, width=32, interval_minutes=0)
+
     def test_size_bound(self):
         with pytest.raises(UsageError):
             synth_generate(seed=0, n_frames=2, height=16, width=32)
