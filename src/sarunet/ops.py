@@ -5,6 +5,17 @@ backward rule on the active tape. Conventions fixed here for bit-stable
 tests: relu'(0) = 0, max-pool ties break to the first index in row-major
 window order, bilinear upsampling uses the corner-aligned-false mapping
 ``src = (dst + 0.5) / 2 - 0.5`` with clamping.
+
+:func:`conv2d` runs one of three kernels, picked from the call's shape:
+
+- 1x1, stride 1, padding 0, ``groups=1`` (pointwise): one matmul over the
+  input as stored; the backward keeps only the input and the weight.
+- 3x3, stride 1, padding 1, ``groups == cin == cout`` (depthwise): nine
+  shifted multiply-adds over zero-padded flat planes; the backward keeps
+  the padded input, about one input in size.
+- every other shape (CBAM 7x7, grouped, strided, dense 3x3): im2col and a
+  batched matmul; the backward keeps the patch matrix, ``kh*kw`` times the
+  input.
 """
 
 from __future__ import annotations
@@ -170,7 +181,7 @@ def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.nda
 
 
 def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
-    n, c, h, w_in = x.shape
+    _, c, h, w_in = x.shape
     xp = _pad_planes(x.data)
     taps = weight.data.reshape(c, 9)
 
