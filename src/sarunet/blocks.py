@@ -12,7 +12,7 @@ generator in construction order.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -67,20 +67,17 @@ class BatchNorm2d:
 
 
 class Conv2dLayer:
-    """Plain convolution holder (dense or grouped), optional bias."""
+    """Plain dense convolution holder, optional bias."""
 
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
-                 dtype=np.float32, bias: bool = True, groups: int = 1, padding: int = 0):
-        fan_in = (cin // groups) * kernel * kernel
-        self.weight = _kaiming_uniform(rng, (cout, cin // groups, kernel, kernel),
-                                       fan_in, dtype)
+                 dtype=np.float32, bias: bool = True, padding: int = 0):
+        self.weight = _kaiming_uniform(rng, (cout, cin, kernel, kernel),
+                                       cin * kernel * kernel, dtype)
         self.bias = parameter(np.zeros((1, cout, 1, 1)), dtype=dtype) if bias else None
-        self.groups = groups
         self.padding = padding
 
     def forward(self, x: Tensor4) -> Tensor4:
-        return ops.conv2d(x, self.weight, self.bias,
-                          padding=self.padding, groups=self.groups)
+        return ops.conv2d(x, self.weight, self.bias, padding=self.padding)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "weight"), self.weight
@@ -90,25 +87,25 @@ class Conv2dLayer:
 
 class DscLayer:
     """Depthwise 3x3 (pad 1) then pointwise 1x1 convolution, spatial-size
-    preserving. Bias only on the pointwise stage."""
+    preserving and bias-free: every DSC stage feeds a batch norm, whose
+    ``beta`` supplies the shift and whose mean subtraction would cancel a
+    bias added here."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
         self.cout = cout
         self.depthwise = _kaiming_uniform(rng, (cin, 1, 3, 3), 9, dtype)
         self.pointwise = _kaiming_uniform(rng, (cout, cin, 1, 1), cin, dtype)
-        self.pointwise_bias = parameter(np.zeros((1, cout, 1, 1)), dtype=dtype)
 
     def forward(self, x: Tensor4) -> Tensor4:
         if x.shape[1] != self.cin:
             raise DimensionError(f"DscLayer expects {self.cin} channels, got {x.shape[1]}")
         mid = ops.conv2d(x, self.depthwise, padding=1, groups=self.cin)
-        return ops.conv2d(mid, self.pointwise, self.pointwise_bias)
+        return ops.conv2d(mid, self.pointwise)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "depthwise"), self.depthwise
         yield _join(prefix, "pointwise"), self.pointwise
-        yield _join(prefix, "pointwise_bias"), self.pointwise_bias
 
 
 class _DscStack:
@@ -139,24 +136,20 @@ class ResidualDscBlock:
     """Two DSC+BN+ReLU stages summed with a parallel 1x1-conv shortcut.
 
     The sum itself is not re-activated; the shortcut carries a bias and no
-    batch norm (``shortcut_bn`` flips that on for the ablation flag).
+    batch norm.
     """
 
     has_shortcut = True
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 dtype=np.float32, shortcut_bn: bool = False):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
         self.cout = cout
         self.stack = _DscStack(cin, cout, rng, dtype)
         self.shortcut = Conv2dLayer(cin, cout, 1, rng, dtype, bias=True)
-        self.shortcut_norm: Optional[BatchNorm2d] = BatchNorm2d(cout, dtype) if shortcut_bn else None
 
     def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
         dsc_out = self.stack.forward(x, train)
         short_out = self.shortcut.forward(x)
-        if self.shortcut_norm is not None:
-            short_out = self.shortcut_norm.forward(short_out, train)
         if tap is not None:
             dsc_out = tap.put(_join(prefix, "dsc_path"), dsc_out)
             short_out = tap.put(_join(prefix, "shortcut"), short_out)
@@ -165,13 +158,9 @@ class ResidualDscBlock:
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield from self.stack.named_parameters(prefix)
         yield from self.shortcut.named_parameters(_join(prefix, "shortcut"))
-        if self.shortcut_norm is not None:
-            yield from self.shortcut_norm.named_parameters(_join(prefix, "shortcut_bn"))
 
     def named_buffers(self, prefix: str = "") -> NamedBuffers:
         yield from self.stack.named_buffers(prefix)
-        if self.shortcut_norm is not None:
-            yield from self.shortcut_norm.named_buffers(_join(prefix, "shortcut_bn"))
 
 
 class DoubleDscBlock:
@@ -202,19 +191,16 @@ class Cbam:
     """
 
     def __init__(self, channels: int, reduction: int, rng: np.random.Generator,
-                 dtype=np.float32, spatial_kernel: int = 7):
+                 dtype=np.float32):
         if channels % reduction != 0:
             raise ConfigurationError(
                 f"CBAM reduction {reduction} must divide channel count {channels}")
-        if spatial_kernel % 2 == 0:
-            raise ConfigurationError("CBAM spatial kernel must be odd")
         hidden = channels // reduction
         self.channels = channels
         self.reduction = reduction
         self.mlp_w1 = _kaiming_uniform(rng, (hidden, channels, 1, 1), channels, dtype)
         self.mlp_w2 = _kaiming_uniform(rng, (channels, hidden, 1, 1), hidden, dtype)
-        self.spatial = Conv2dLayer(2, 1, spatial_kernel, rng, dtype, bias=False,
-                                   padding=spatial_kernel // 2)
+        self.spatial = Conv2dLayer(2, 1, 7, rng, dtype, bias=False, padding=3)
 
     def _mlp(self, descriptor: Tensor4) -> Tensor4:
         h = ops.relu(ops.conv2d(descriptor, self.mlp_w1))
@@ -238,9 +224,6 @@ class Cbam:
         yield _join(prefix, "mlp_w1"), self.mlp_w1
         yield _join(prefix, "mlp_w2"), self.mlp_w2
         yield from self.spatial.named_parameters(_join(prefix, "spatial"))
-
-    def named_buffers(self, prefix: str = "") -> NamedBuffers:
-        return iter(())
 
 
 def param_count(obj) -> int:

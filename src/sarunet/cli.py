@@ -438,11 +438,32 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    from .data import FrameSeries, load_nwds, make_windows, save_nwds, select_rainy
-    from .metrics import binarize
+def _load_window(ckpt: Path, data_path: Path, index: int, flag: str):
+    """(model, series, x, scale) for window ``index`` of the checkpoint's
+    rain-gated windows over the series; ``x`` is the normalized
+    ``[1, input_frames, H, W]`` input. An index outside the window list is a
+    usage error naming ``flag``."""
+    from .data import load_nwds, make_windows, select_rainy
+    from .errors import UsageError
     from .model import load_checkpoint
     from .tensor import Tensor4
+    import numpy as np
+    model, meta = load_checkpoint(ckpt)
+    series = load_nwds(data_path)
+    spec, scale, fraction, interval, unit = _spec_from_extras(meta)
+    _check_data_compat(interval, unit, series)
+    selected = None if fraction is None else select_rainy(series, fraction)
+    windows = make_windows(series, spec, selected, strict=True)
+    if not 0 <= index < len(windows):
+        raise UsageError(f"{flag} {index} outside [0, {len(windows)})")
+    inp_idx, _ = windows[index]
+    x = Tensor4(series.frames[list(inp_idx)][None] / np.float32(scale), _checked=True)
+    return model, series, x, scale
+
+
+def cmd_predict(args) -> int:
+    from .data import FrameSeries, save_nwds
+    from .metrics import binarize
     import numpy as np
     started = time.time()
     _require(args, ["checkpoint", "data", "out"])
@@ -450,21 +471,11 @@ def cmd_predict(args) -> int:
     data_path = Path(args.data)
     out = Path(args.out)
     _refuse_overwrite([out], args.force)
-    model, meta = load_checkpoint(ckpt)
-    series = load_nwds(data_path)
-    spec, scale, fraction, interval, unit = _spec_from_extras(meta)
-    _check_data_compat(interval, unit, series)
-    selected = None if fraction is None else select_rainy(series, fraction)
-    windows = make_windows(series, spec, selected, strict=True)
-    from .errors import UsageError
-    if not 0 <= args.window_index < len(windows):
-        raise UsageError(f"--window-index {args.window_index} outside "
-                         f"[0, {len(windows)})")
-    inp_idx, _ = windows[args.window_index]
-    x = series.frames[list(inp_idx)][None] / np.float32(scale)
-    pred, _ = model.forward(Tensor4(x, _checked=True))
-    if unit == "binary":
-        frames = binarize(pred.data[0], unit)
+    model, series, x, scale = _load_window(ckpt, data_path, args.window_index,
+                                           "--window-index")
+    pred, _ = model.forward(x)
+    if series.unit == "binary":
+        frames = binarize(pred.data[0], series.unit)
     else:
         frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -478,31 +489,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    from .data import load_nwds, make_windows, select_rainy
     from .errors import UsageError
     from .gradcam import explain_suite, save_heatmap_nwds, write_ppm
-    from .model import load_checkpoint
-    from .tensor import Tensor4
-    import numpy as np
     started = time.time()
     _require(args, ["checkpoint", "data", "out_dir"])
     ckpt = Path(args.checkpoint)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    model, meta = load_checkpoint(ckpt)
-    series = load_nwds(data_path)
-    spec, scale, fraction, interval, unit = _spec_from_extras(meta)
-    _check_data_compat(interval, unit, series)
-    selected = None if fraction is None else select_rainy(series, fraction)
-    windows = make_windows(series, spec, selected, strict=True)
-    if not 0 <= args.input_window < len(windows):
-        raise UsageError(f"--input-window {args.input_window} outside "
-                         f"[0, {len(windows)})")
-    inp_idx, _ = windows[args.input_window]
-    x = Tensor4(series.frames[list(inp_idx)][None] / np.float32(scale),
-                _checked=True)
-    klass = "cloud" if unit == "binary" else "rain"
-    kw = dict(unit=unit, scale=scale, interval_minutes=interval,
+    model, series, x, scale = _load_window(ckpt, data_path, args.input_window,
+                                           "--input-window")
+    klass = "cloud" if series.unit == "binary" else "rain"
+    kw = dict(unit=series.unit, scale=scale, interval_minutes=series.interval_minutes,
               threshold_mm_per_h=args.threshold)
 
     layers = None

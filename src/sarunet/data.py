@@ -25,10 +25,8 @@ from .tensor import Tensor4, read_exact, read_magic, read_t4, write_t4
 
 __all__ = [
     "FrameSeries", "WindowSpec", "SampleBatch", "Window", "WindowDataset",
-    "select_rainy", "crop_center", "crop_series", "make_windows",
-    "normalization_scale", "normalize_array", "denormalize_array",
-    "SPLIT_RATIOS", "split_bounds", "chronological_split", "synth_generate",
-    "save_nwds", "load_nwds", "export_window_manifest",
+    "select_rainy", "make_windows", "normalization_scale", "normalize_array",
+    "SPLIT_RATIOS", "split_bounds", "synth_generate", "save_nwds", "load_nwds",
 ]
 
 _UNIT_CODES = {"raw": 0, "binary": 1, "norm": 2}
@@ -114,26 +112,6 @@ def select_rainy(series: FrameSeries, fraction: float = 0.5) -> np.ndarray:
     return np.flatnonzero(share >= fraction)
 
 
-def crop_center(frame: Tensor4, size: int = 288) -> Tensor4:
-    """Center crop with floor((dim - size)/2) offsets."""
-    n, c, h, w = frame.shape
-    if h < size or w < size:
-        raise DimensionError(f"cannot crop {h}x{w} frame to {size}x{size}")
-    oy = (h - size) // 2
-    ox = (w - size) // 2
-    return Tensor4(frame.data[:, :, oy:oy + size, ox:ox + size].copy(), _checked=True)
-
-
-def crop_series(series: FrameSeries, size: int) -> FrameSeries:
-    t, h, w = series.frames.shape
-    if h < size or w < size:
-        raise DimensionError(f"cannot crop {h}x{w} frames to {size}x{size}")
-    oy = (h - size) // 2
-    ox = (w - size) // 2
-    return FrameSeries(series.frames[:, oy:oy + size, ox:ox + size].copy(),
-                       series.interval_minutes, series.unit, series.timestamps)
-
-
 def make_windows(series: FrameSeries, spec: WindowSpec,
                  selected: Optional[Iterable[int]] = None, *,
                  gate_inputs: bool = False, strict: bool = False) -> list[Window]:
@@ -182,10 +160,6 @@ def normalize_array(arr: np.ndarray, scale: float) -> np.ndarray:
     return (arr / np.float32(scale)).astype(np.float32)
 
 
-def denormalize_array(arr: np.ndarray, scale: float) -> np.ndarray:
-    return (arr * np.float32(scale)).astype(np.float32)
-
-
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
 
@@ -199,22 +173,6 @@ def split_bounds(n: int, ratios: tuple[float, float, float] = SPLIT_RATIOS
     n_train = int(n * ratios[0])
     n_val = int(n * ratios[1])
     return [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, n)]
-
-
-def chronological_split(series: FrameSeries,
-                        ratios: tuple[float, float, float] = SPLIT_RATIOS
-                        ) -> tuple[FrameSeries, FrameSeries, FrameSeries]:
-    """Time-ordered train/val/test split (no shuffling across time)."""
-    t = len(series)
-    bounds = split_bounds(t, ratios)
-    if any(lo == hi for lo, hi in bounds):
-        raise DataError(f"series of {t} frames is too short for a {ratios} split")
-    parts = []
-    for lo, hi in bounds:
-        ts = series.timestamps[lo:hi] if series.timestamps is not None else None
-        parts.append(FrameSeries(series.frames[lo:hi].copy(), series.interval_minutes,
-                                 series.unit, ts))
-    return tuple(parts)
 
 
 class WindowDataset:
@@ -323,11 +281,3 @@ def load_nwds(path) -> FrameSeries:
     if shape[:2] != (1, 1) or any(r.shape != shape for r in records):
         raise DataError(f"{path}: frames must be [1,1,H,W] records of one shape")
     return FrameSeries(np.stack([r[0, 0] for r in records]), interval, _CODE_UNITS[code])
-
-
-def export_window_manifest(windows: Sequence[Window], path) -> None:
-    """CSV audit listing of assembled windows."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("window,input_start,input_end,target_indices\n")
-        for i, (inp, tgt) in enumerate(windows):
-            f.write(f"{i},{inp[0]},{inp[-1]},{';'.join(str(t) for t in tgt)}\n")

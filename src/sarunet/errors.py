@@ -14,7 +14,7 @@ class DimensionError(SarunetError):
 
 
 class ConfigurationError(SarunetError):
-    """Invalid configuration value (bad variant, non-integral conv output, ...)."""
+    """Invalid configuration value (bad variant, empty conv output, ...)."""
 
 
 class UsageError(SarunetError):

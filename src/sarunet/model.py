@@ -40,15 +40,14 @@ _VARIANTS = ("sar", "smaat")
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters; ``depth`` is fixed at 4 poolings."""
+    """Architecture hyperparameters; the network always has five encoder
+    levels and four poolings."""
 
     in_channels: int
     out_channels: int
     base_channels: int = 64
-    depth: int = 4
     variant: str = "sar"
     cbam_reduction: int = 16
-    shortcut_bn: bool = False
 
     @property
     def bottleneck_channels(self) -> int:
@@ -70,8 +69,6 @@ class ModelConfig:
     def validate(self) -> None:
         if self.variant not in _VARIANTS:
             raise ConfigurationError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if self.depth != 4:
-            raise ConfigurationError(f"depth is fixed at 4 poolings, got {self.depth}")
         if self.in_channels < 1 or self.out_channels < 1 or self.base_channels < 1:
             raise ConfigurationError("channel counts must be >= 1")
         if self.cbam_reduction < 1:
@@ -133,13 +130,12 @@ class Model:
         enc_ch = config.encoder_channels()
         dec_ch = config.decoder_channels()
         block_cls = ResidualDscBlock if config.variant == "sar" else DoubleDscBlock
-        kw = {"shortcut_bn": config.shortcut_bn} if config.variant == "sar" else {}
 
         self.enc_blocks = []
         self.enc_cbams = []
         cin = config.in_channels
         for d in range(5):
-            self.enc_blocks.append(block_cls(cin, enc_ch[d], rng, dtype, **kw))
+            self.enc_blocks.append(block_cls(cin, enc_ch[d], rng, dtype))
             self.enc_cbams.append(Cbam(enc_ch[d], config.cbam_reduction, rng, dtype))
             cin = enc_ch[d]
 
@@ -153,7 +149,7 @@ class Model:
             else:
                 up_ch = x_ch
             cat_ch = enc_ch[d] + up_ch
-            self.dec_blocks[d] = block_cls(cat_ch, dec_ch[d], rng, dtype, **kw)
+            self.dec_blocks[d] = block_cls(cat_ch, dec_ch[d], rng, dtype)
             x_ch = dec_ch[d]
         self.out_conv = Conv2dLayer(dec_ch[0], config.out_channels, 1, rng, dtype)
 
@@ -284,22 +280,24 @@ def plain_unet_param_count(in_channels: int, out_channels: int, base: int) -> in
 # -- checkpoints ("SARv1") -----------------------------------------------------
 #
 # A SARv1 checkpoint is one ``write_section`` section (see sarunet.tensor)
-# with magic "SARv1": config keys come first, then any extra metadata keys
-# (for example the data normalization scale); parameters, then buffers stored
-# as [1, c, 1, 1] records. Round-trips are bitwise exact.
+# with magic "SARv1": the five config keys (in_channels, out_channels,
+# base_channels, variant, cbam_reduction) come first, then any extra metadata
+# keys (for example the data normalization scale); parameters, then buffers
+# stored as [1, c, 1, 1] records. Round-trips are bitwise exact.
+#
+# Legacy read rule: checkpoints written while the DSC stages still carried a
+# pointwise bias also hold the config keys depth=4 and shortcut_bn=False,
+# which are dropped (any other value is a DataError), and one tensor
+# <blk>.dsc{k}.pointwise_bias per stage. That bias fed <blk>.bn{k}; eval batch
+# norm of x + b is eval batch norm of x with running mean running_mean - b,
+# so each bias is folded into that running mean.
 
 _CKPT_MAGIC = b"SARv1"
 
-
-def _parse_bool(s: str) -> bool:
-    if s not in ("True", "False"):
-        raise ValueError(f"invalid bool {s!r}")
-    return s == "True"
-
-
 _CONFIG_PARSERS = {"in_channels": int, "out_channels": int, "base_channels": int,
-                   "depth": int, "variant": str, "cbam_reduction": int,
-                   "shortcut_bn": _parse_bool}
+                   "variant": str, "cbam_reduction": int}
+_LEGACY_CONFIG = {"depth": "4", "shortcut_bn": "False"}
+_LEGACY_BIAS = ".pointwise_bias"
 
 
 def _named_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
@@ -314,7 +312,7 @@ def write_checkpoint_section(f, model: Model, extra: Optional[dict[str, str]] = 
     cfg = model.config
     meta = {k: str(getattr(cfg, k)) for k in _CONFIG_PARSERS}
     if extra:
-        overlap = set(extra) & set(meta)
+        overlap = set(extra) & (set(meta) | set(_LEGACY_CONFIG))
         if overlap:
             raise UsageError(f"extra checkpoint keys shadow config keys: {sorted(overlap)}")
         meta.update({k: str(v) for k, v in extra.items()})
@@ -329,8 +327,14 @@ def save_checkpoint(path, model: Model, extra: Optional[dict[str, str]] = None) 
 def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]]:
     """Read one SARv1 section from a file object; the stream is left
     positioned just past the section. A missing or unparseable config value,
-    or a missing, extra or misshapen tensor, raises ``DataError``."""
+    or a missing, extra or misshapen tensor, raises ``DataError``. Legacy
+    keys and biases are read as the SARv1 comment above describes."""
     meta, tensors = read_section(f, _CKPT_MAGIC, f"{path}: SARv1 checkpoint")
+    for key, value in _LEGACY_CONFIG.items():
+        got = meta.pop(key, value)
+        if got != value:
+            raise DataError(f"{path}: checkpoint has {key}={got}; only {key}={value} "
+                            "can be read")
     try:
         config = ModelConfig(**{k: parse(meta.pop(k)) for k, parse in _CONFIG_PARSERS.items()})
     except KeyError as e:
@@ -347,6 +351,14 @@ def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]
             raise DimensionError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {dst.shape}")
         dst[...] = arr
+    means = dict(model.named_buffers())
+    for name in [n for n in tensors if n.endswith(_LEGACY_BIAS)]:
+        blk, _, stage = name[:-len(_LEGACY_BIAS)].rpartition(".dsc")
+        mean = means.get(f"{blk}.bn{stage}.running_mean")
+        bias = tensors.pop(name)
+        if mean is None or bias.shape != (1, mean.size, 1, 1):
+            raise DataError(f"{path}: legacy tensor {name!r} matches no batch norm")
+        mean -= bias.reshape(-1)
     if tensors:
         raise DataError(f"{path}: checkpoint holds unknown tensors {sorted(tensors)}")
     return model, meta

@@ -8,14 +8,13 @@ window order, bilinear upsampling uses the corner-aligned-false mapping
 
 :func:`conv2d` runs one of three kernels, picked from the call's shape:
 
-- 1x1, stride 1, padding 0, ``groups=1`` (pointwise): one matmul over the
-  input as stored; the backward keeps only the input and the weight.
-- 3x3, stride 1, padding 1, ``groups == cin == cout`` (depthwise): nine
-  shifted multiply-adds over zero-padded flat planes; the backward keeps
-  the padded input, about one input in size.
-- every other shape (CBAM 7x7, grouped, strided, dense 3x3): im2col and a
-  batched matmul; the backward keeps the patch matrix, ``kh*kw`` times the
-  input.
+- 1x1, padding 0, ``groups=1`` (pointwise): one matmul over the input as
+  stored; the backward keeps only the input and the weight.
+- 3x3, padding 1, ``groups == cin == cout`` (depthwise): nine shifted
+  multiply-adds over zero-padded flat planes; the backward keeps the padded
+  input, about one input in size.
+- every other shape (CBAM 7x7, grouped, dense 3x3): im2col and a batched
+  matmul; the backward keeps the patch matrix, ``kh*kw`` times the input.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from .tensor import Tensor4, make_result
 
 __all__ = [
     "conv2d", "batch_norm", "relu", "sigmoid", "add", "sub", "mul",
-    "mul_broadcast", "smul", "concat_channels", "slice_channels",
-    "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
+    "mul_broadcast", "smul", "concat_channels", "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
 ]
 
 
@@ -44,27 +42,27 @@ def _same_dtype(*tensors: Tensor4) -> np.dtype:
 
 # -- convolution -------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
     n, c, _, _ = xp.shape
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            cols[:, :, i, j] = xp[:, :, i:i + ho, j:j + wo]
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, n: int, c: int, hp: int, wp: int,
-            kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+            kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
     xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     cols6 = cols.reshape(n, c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[:, :, i, j]
+            xp[:, :, i:i + ho, j:j + wo] += cols6[:, :, i, j]
     return xp
 
 
 def _conv_shapes(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
-                 stride: int, padding: int, groups: int):
+                 padding: int, groups: int):
     n, cin, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
     if groups < 1:
@@ -75,16 +73,13 @@ def _conv_shapes(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
     if cin_g != cin // groups:
         raise DimensionError(
             f"weight expects {cin_g} input channels per group, input provides {cin // groups}")
-    if stride < 1 or padding < 0:
-        raise ConfigurationError(f"invalid stride={stride} / padding={padding}")
-    ho, rem_h = divmod(h + 2 * padding - kh, stride)
-    wo, rem_w = divmod(w + 2 * padding - kw, stride)
-    ho += 1
-    wo += 1
-    if rem_h != 0 or rem_w != 0 or ho < 1 or wo < 1:
+    if padding < 0:
+        raise ConfigurationError(f"invalid padding={padding}")
+    ho = h + 2 * padding - kh + 1
+    wo = w + 2 * padding - kw + 1
+    if ho < 1 or wo < 1:
         raise ConfigurationError(
-            f"non-integral or empty conv output for input {h}x{w}, kernel {kh}x{kw}, "
-            f"stride {stride}, padding {padding}")
+            f"empty conv output for input {h}x{w}, kernel {kh}x{kw}, padding {padding}")
     if bias is not None and bias.shape != (1, cout, 1, 1):
         raise DimensionError(f"bias must have shape (1,{cout},1,1), got {bias.shape}")
     return n, cin, h, w, cout, kh, kw, ho, wo
@@ -107,12 +102,12 @@ def _conv_grads(gout: np.ndarray, dx: np.ndarray, dw: np.ndarray,
 
 
 def _conv_im2col(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
-                 stride: int, padding: int, groups: int, ho: int, wo: int) -> Tensor4:
+                 padding: int, groups: int, ho: int, wo: int) -> Tensor4:
     n, cin, h, w_in = x.shape
     cout, _, kh, kw = weight.shape
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    cols = _im2col(xp, kh, kw, ho, wo)
     k = (cin // groups) * kh * kw
     hp, wp = h + 2 * padding, w_in + 2 * padding
     colsg = cols.reshape(n, groups, k, ho * wo)
@@ -124,7 +119,7 @@ def _conv_im2col(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
         dw = np.matmul(go, colsg.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
         dcols = np.matmul(wg.transpose(0, 2, 1)[None, :, :, :], go)
         dxp = _col2im(dcols.reshape(n, cin * kh * kw, ho * wo),
-                      n, cin, hp, wp, kh, kw, stride, ho, wo)
+                      n, cin, hp, wp, kh, kw, ho, wo)
         dx = dxp[:, :, padding:hp - padding, padding:wp - padding] if padding else dxp
         return _conv_grads(gout, dx, dw, bias)
 
@@ -200,33 +195,32 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
 
 
 def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor4:
-    """Grouped 2-d cross-correlation with zero padding.
+           padding: int = 0, groups: int = 1) -> Tensor4:
+    """Grouped stride-1 2-d cross-correlation with zero padding.
 
     ``weight`` is ``[cout, cin/groups, kh, kw]``; ``bias``, when given, is a
     per-output-channel vector stored as ``[1, cout, 1, 1]``. ``groups=cin``
     yields a depthwise convolution. The call's own shape picks one of three
     kernels, each recorded on the tape as ``conv2d``:
 
-    - **pointwise** (1x1, stride 1, padding 0, ``groups=1``): one matmul
-      over the input as stored, forward and backward. Its backward keeps
-      no array of its own, only the input and the weight.
-    - **depthwise 3x3** (3x3, stride 1, padding 1, ``groups == cin ==
-      cout``): nine shifted multiply-adds over the zero-padded input planes;
-      the backward runs the same sum over the padded gradient with the
-      kernel flipped. Its backward keeps the padded input, about one input
-      in size.
-    - **im2col**, every other shape (CBAM 7x7, grouped, strided, dense
-      3x3): a patch matrix and a batched matmul. Its backward keeps the
-      patch matrix, ``kh*kw`` times the input.
+    - **pointwise** (1x1, padding 0, ``groups=1``): one matmul over the
+      input as stored, forward and backward. Its backward keeps no array of
+      its own, only the input and the weight.
+    - **depthwise 3x3** (3x3, padding 1, ``groups == cin == cout``): nine
+      shifted multiply-adds over the zero-padded input planes; the backward
+      runs the same sum over the padded gradient with the kernel flipped.
+      Its backward keeps the padded input, about one input in size.
+    - **im2col**, every other shape (CBAM 7x7, grouped, dense 3x3): a patch
+      matrix and a batched matmul. Its backward keeps the patch matrix,
+      ``kh*kw`` times the input.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
-    _, cin, _, _, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, stride, padding, groups)
-    if kh == kw == 1 and stride == 1 and padding == 0 and groups == 1:
+    _, cin, _, _, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, padding, groups)
+    if kh == kw == 1 and padding == 0 and groups == 1:
         return _conv_pointwise(x, weight, bias)
-    if kh == kw == 3 and stride == 1 and padding == 1 and groups == cin == cout:
+    if kh == kw == 3 and padding == 1 and groups == cin == cout:
         return _conv_depthwise3(x, weight, bias)
-    return _conv_im2col(x, weight, bias, stride, padding, groups, ho, wo)
+    return _conv_im2col(x, weight, bias, padding, groups, ho, wo)
 
 
 # -- batch normalization ------------------------------------------------------
@@ -371,20 +365,6 @@ def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
         return [gout[:, :ca], gout[:, ca:]]
 
     return make_result(out, "concat_channels", (a, b), backward_fn)
-
-
-def slice_channels(x: Tensor4, start: int, stop: int) -> Tensor4:
-    n, c, h, w = x.shape
-    if not (0 <= start < stop <= c):
-        raise DimensionError(f"invalid channel slice [{start}:{stop}] for c={c}")
-    out = x.data[:, start:stop].copy()
-
-    def backward_fn(gout):
-        dx = np.zeros_like(x.data)
-        dx[:, start:stop] = gout
-        return [dx]
-
-    return make_result(out, "slice_channels", (x,), backward_fn)
 
 
 # -- pooling / resampling ------------------------------------------------------

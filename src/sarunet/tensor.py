@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import struct
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -222,11 +222,6 @@ def make_result(data: np.ndarray, name: str, inputs: Sequence[Tensor4],
     if needs:
         tape.record(name, inputs, out, backward_fn)
     return out
-
-
-def zero_grads(params: Iterable[Tensor4]) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 # -- serialization -------------------------------------------------------------

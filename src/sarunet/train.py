@@ -218,11 +218,29 @@ def _read_opt_section(f) -> tuple[TrainState, np.random.Generator]:
         rng.bit_generator.state = json.loads(meta["rng_state"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"OPTv1 optimizer section: missing or unparseable value: {e!r}") from None
+    moments = {"m": state.adam_m, "v": state.adam_v}
     for name, arr in tensors.items():
         kind, _, pname = name.partition(".")
-        target = state.adam_m if kind == "m" else state.adam_v
-        target[pname] = arr
+        if kind not in moments:
+            raise DataError(f"OPTv1 optimizer section: tensor {name!r} is not an m. or v. moment")
+        moments[kind][pname] = arr
     return state, rng
+
+
+def _check_moments(state: TrainState, model: Model, path) -> None:
+    """Refuse Adam moments that are not one per parameter with its shape,
+    naming the first offending tensor."""
+    shapes = {n: p.shape for n, p in model.named_parameters()}
+    for kind, moments in (("m", state.adam_m), ("v", state.adam_v)):
+        for name, arr in moments.items():
+            if arr.shape != shapes.get(name):
+                raise DataError(
+                    f"{path}: optimizer moment '{kind}.{name}' of shape {arr.shape} has no "
+                    "model parameter of that name and shape; cannot resume")
+        for name in shapes:
+            if name not in moments:
+                raise DataError(f"{path}: optimizer section lacks moment '{kind}.{name}'; "
+                                "cannot resume")
 
 
 def _snapshot(model: Model) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -269,6 +287,7 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
         if loaded.config != model.config:
             raise UsageError(f"resume checkpoint config {loaded.config} does not match "
                              f"the model being trained ({model.config})")
+        _check_moments(state, model, last)
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
             p.data[...] = q.data
         for (name, b), (_, c) in zip(model.named_buffers(), loaded.named_buffers()):

@@ -26,19 +26,8 @@ class TestDscLayer:
         layer.depthwise.data[...] = 0.0
         layer.depthwise.data[:, 0, 1, 1] = 1.0
         layer.pointwise.data[...] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-        _zero(layer.pointwise_bias)
         x = tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32))
         np.testing.assert_array_equal(layer.forward(x).data, x.data)
-
-    def test_zero_weights_give_bias(self):
-        rng = np.random.default_rng(1)
-        layer = DscLayer(2, 4, rng)
-        _zero(layer.depthwise)
-        _zero(layer.pointwise)
-        layer.pointwise_bias.data[...] = np.arange(4, dtype=np.float32).reshape(1, 4, 1, 1)
-        y = layer.forward(tensor(rng.normal(size=(1, 2, 5, 5)).astype(np.float32)))
-        for c in range(4):
-            assert np.all(y.data[:, c] == float(c))
 
     def test_matches_two_stage_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -46,8 +35,7 @@ class TestDscLayer:
         x = rng.normal(size=(1, 3, 8, 8))
         y = layer.forward(tensor(x, dtype=F64))
         ref = depthwise_separable_loops(
-            x, layer.depthwise.data, layer.pointwise.data,
-            layer.pointwise_bias.data.ravel())
+            x, layer.depthwise.data, layer.pointwise.data, None)
         assert np.abs(y.data - ref).max() / np.abs(ref).max() <= 1e-9
 
     def test_channel_mismatch(self):
@@ -62,7 +50,6 @@ class TestResidualDscBlock:
         blk = ResidualDscBlock(3, 3, rng)
         for stage in (blk.stack.dsc1, blk.stack.dsc2):
             _zero(stage.pointwise)
-            _zero(stage.pointwise_bias)
         blk.shortcut.weight.data[...] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
         _zero(blk.shortcut.bias)
         x = tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32))
@@ -182,15 +169,15 @@ class TestCbam:
 
 class TestParamCount:
     def test_dsc_layer_arithmetic(self):
-        assert param_count(DscLayer(3, 5, np.random.default_rng(15))) == 47
+        assert param_count(DscLayer(3, 5, np.random.default_rng(15))) == 42
 
     def test_residual_block_enumeration_oracle(self):
         blk = ResidualDscBlock(2, 4, np.random.default_rng(16))
         # independent per-field enumeration
         expected = 0
-        expected += 2 * 1 * 3 * 3 + 4 * 2 * 1 * 1 + 4      # dsc1
+        expected += 2 * 1 * 3 * 3 + 4 * 2 * 1 * 1          # dsc1
         expected += 4 + 4                                   # bn1 gamma/beta
-        expected += 4 * 1 * 3 * 3 + 4 * 4 * 1 * 1 + 4      # dsc2
+        expected += 4 * 1 * 3 * 3 + 4 * 4 * 1 * 1          # dsc2
         expected += 4 + 4                                   # bn2
         expected += 4 * 2 * 1 * 1 + 4                       # shortcut conv + bias
         assert param_count(blk) == expected

@@ -344,3 +344,15 @@ class TestExplain:
                    "--out-dir", tmp_path / "ex_smaat")
         assert code == 2
         assert "enc0.block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [-1, 1000])
+@pytest.mark.parametrize("command,flag,out_flag", [
+    ("predict", "--window-index", "--out"), ("explain", "--input-window", "--out-dir")])
+def test_window_outside_gated_windows_exits_2(synth_file, trained_dir, tmp_path, capsys,
+                                              command, flag, out_flag, index):
+    code = run(command, "--checkpoint", trained_dir / "model.ckpt", "--data", synth_file,
+               flag, index, out_flag, tmp_path / "out")
+    assert code == 2
+    assert f"{flag} {index} outside [0, " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

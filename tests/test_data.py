@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarunet import tensor
-from sarunet.data import (FrameSeries, WindowDataset, WindowSpec,
-                          chronological_split, crop_center, crop_series,
-                          denormalize_array, export_window_manifest,
-                          load_nwds, make_windows, normalization_scale,
-                          normalize_array, save_nwds, select_rainy,
-                          synth_generate)
-from sarunet.errors import DataError, DimensionError, UsageError
+from sarunet.data import (FrameSeries, WindowDataset, WindowSpec, load_nwds,
+                          make_windows, normalization_scale, normalize_array,
+                          save_nwds, select_rainy, split_bounds, synth_generate)
+from sarunet.errors import DataError, UsageError
 
 from oracles import windows_bruteforce
 
@@ -74,32 +70,6 @@ class TestSelectRainy:
         s = series_from(frames)
         lo, hi = min(f1, f2), max(f1, f2)
         assert set(select_rainy(s, hi)) <= set(select_rainy(s, lo))
-
-
-class TestCropCenter:
-    def test_identity_when_sizes_match(self):
-        x = tensor(np.zeros((1, 1, 288, 288), np.float32))
-        assert crop_center(x, 288).shape == (1, 1, 288, 288)
-
-    def test_floor_offset(self):
-        x = tensor(np.arange(290 * 290, dtype=np.float32).reshape(1, 1, 290, 290))
-        y = crop_center(x, 288)
-        np.testing.assert_array_equal(y.data[0, 0], x.data[0, 0, 1:289, 1:289])
-
-    def test_ramp_matches_slice_oracle(self):
-        ramp = np.arange(300 * 400, dtype=np.float32).reshape(1, 1, 300, 400)
-        y = crop_center(tensor(ramp), 288)
-        oy, ox = (300 - 288) // 2, (400 - 288) // 2
-        np.testing.assert_array_equal(y.data, ramp[:, :, oy:oy + 288, ox:ox + 288])
-
-    def test_too_small_rejected(self):
-        with pytest.raises(DimensionError):
-            crop_center(tensor(np.zeros((1, 1, 100, 100), np.float32)), 288)
-
-    def test_series_crop(self):
-        s = series_from(np.random.default_rng(2).random((3, 40, 50)))
-        c = crop_series(s, 32)
-        assert c.frames.shape == (3, 32, 32)
 
 
 class TestMakeWindows:
@@ -167,7 +137,7 @@ class TestNormalization:
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         arr = rng.random((3, 5, 5)).astype(np.float32) * 123.0
-        back = denormalize_array(normalize_array(arr, 123.0), 123.0)
+        back = normalize_array(arr, 123.0) * np.float32(123.0)
         np.testing.assert_allclose(back, arr, rtol=1e-6)
 
     def test_zero_max_rejected(self):
@@ -177,24 +147,20 @@ class TestNormalization:
     def test_scale_comes_from_training_split_only(self):
         rng = np.random.default_rng(5)
         frames = rng.random((20, 4, 4)).astype(np.float32) * 10
-        s = series_from(frames)
-        train, val, test = chronological_split(s)
+        (_, n_train), (_, n_val), _ = split_bounds(len(frames))
+        train = series_from(frames[:n_train].copy())
         scale = normalization_scale(train)
-        val.frames *= 7.0
-        test.frames *= 3.0
+        frames[n_train:n_train + n_val] *= 7.0
+        frames[n_train + n_val:] *= 3.0
         assert normalization_scale(train) == scale
 
 
 class TestSplit:
     def test_chronological_order_and_sizes(self):
-        s = series_from(np.arange(100, dtype=np.float32).reshape(100, 1, 1) + 0.0)
-        train, val, test = chronological_split(s)
-        assert len(train) == 70 and len(val) == 15 and len(test) == 15
-        assert train.frames[-1] < val.frames[0] < test.frames[0]
+        assert split_bounds(100) == [(0, 70), (70, 85), (85, 100)]
 
     def test_too_short_series(self):
-        with pytest.raises(DataError):
-            chronological_split(series_from(np.ones((3, 2, 2))))
+        assert split_bounds(3) == [(0, 2), (2, 2), (2, 3)]     # val comes out empty
 
 
 class TestSynthGenerate:
@@ -278,11 +244,3 @@ class TestWindowDataset:
         np.testing.assert_allclose(batch.inputs.data[0, 0],
                                    s.frames[wins[0][0][0]] / np.float32(scale),
                                    rtol=1e-6)
-
-    def test_manifest_export(self, tmp_path):
-        wins = [((0, 1), (3,)), ((1, 2), (4,))]
-        p = tmp_path / "windows.csv"
-        export_window_manifest(wins, p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "window,input_start,input_end,target_indices"
-        assert lines[1] == "0,0,1,3"

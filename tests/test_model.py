@@ -55,8 +55,6 @@ class TestTopology:
         with pytest.raises(ConfigurationError):
             build(ModelConfig(2, 1, 4, variant="nope", cbam_reduction=4), seed=0)
         with pytest.raises(ConfigurationError):
-            build(ModelConfig(2, 1, 4, depth=3, cbam_reduction=4), seed=0)
-        with pytest.raises(ConfigurationError):
             build(ModelConfig(2, 1, 4, cbam_reduction=3), seed=0)  # 3 does not divide 4
 
 
@@ -156,6 +154,23 @@ class TestRouting:
                 [a or b for a, b in zip(got_nonzero, flags)]
         assert all(got_nonzero), "some parameter never received gradient over 5 seeds"
 
+
+    @pytest.mark.parametrize("variant", ["sar", "smaat"])
+    def test_one_step_gives_every_parameter_a_real_gradient(self, variant):
+        # In float64 a gradient that is exactly zero in exact arithmetic, as
+        # that of a bias just before a training-mode batch norm, comes out
+        # near 1e-17 of the largest entry; real ones here stay above 1e-7.
+        m = build(tiny_config(variant), seed=0, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        x = tensor(rng.normal(size=(2, 2, 16, 16)), dtype=np.float64)
+        target = tensor(rng.normal(size=(2, 1, 16, 16)), dtype=np.float64)
+        with Tape() as tape:
+            y, _ = m.forward(x, train=True)
+            loss = mse_loss(y, target)
+        tape.backward(loss)
+        largest = {n: np.abs(p.grad).max() for n, p in m.named_parameters()}
+        top = max(largest.values())
+        assert [n for n, g in largest.items() if g <= 1e-12 * top] == []
 
 class TestPersistence:
     def test_replicates_last_channel(self):

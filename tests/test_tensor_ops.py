@@ -62,16 +62,15 @@ class TestConv2d:
             err = np.abs(a.data - b).max() / max(np.abs(a.data).max(), 1e-12)
             assert err <= 1e-5
 
-    def test_stride_and_bias(self):
+    def test_dense_3x3_with_bias(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 9, 9))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64),
-                       t(b.reshape(1, 3, 1, 1), dtype=np.float64),
-                       stride=2, padding=1)
-        ref = conv2d_loops(x, w, bias=b, stride=2, padding=1)
-        assert y.shape == (1, 3, 5, 5)
+                       t(b.reshape(1, 3, 1, 1), dtype=np.float64), padding=1)
+        ref = conv2d_loops(x, w, bias=b, padding=1)
+        assert y.shape == (1, 3, 9, 9)
         np.testing.assert_allclose(y.data, ref, rtol=1e-12)
 
     def test_shape_errors(self):
@@ -79,7 +78,7 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             ops.conv2d(x, t(np.ones((2, 2, 3, 3))), groups=2)  # cin 3 not divisible
         with pytest.raises(ConfigurationError):
-            ops.conv2d(x, t(np.ones((2, 3, 3, 3))), stride=2)  # non-integral output
+            ops.conv2d(x, t(np.ones((2, 3, 5, 5))))  # empty output
         with pytest.raises(DimensionError):
             ops.conv2d(x, t(np.ones((2, 1, 3, 3))), groups=1)  # cin/g mismatch
 
@@ -216,10 +215,7 @@ class TestElementwise:
         cat = ops.concat_channels(a, b)
         assert cat.shape == (1, 8, 8, 8)
         np.testing.assert_array_equal(cat.data[:, :3], a.data)
-        back_a = ops.slice_channels(cat, 0, 3)
-        back_b = ops.slice_channels(cat, 3, 8)
-        np.testing.assert_array_equal(back_a.data, a.data)
-        np.testing.assert_array_equal(back_b.data, b.data)
+        np.testing.assert_array_equal(cat.data[:, 3:], b.data)
 
     def test_mul_broadcast_shapes(self):
         rng = np.random.default_rng(9)
