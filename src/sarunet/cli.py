@@ -490,7 +490,7 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     from .errors import UsageError
-    from .gradcam import explain_suite, save_heatmap_nwds, write_ppm
+    from .gradcam import explain_suite, save_heatmap_nwds, suite_grid, write_ppm
     started = time.time()
     _require(args, ["checkpoint", "data", "out_dir"])
     ckpt = Path(args.checkpoint)
@@ -498,35 +498,35 @@ def cmd_explain(args) -> int:
     out_dir = Path(args.out_dir)
     model, series, x, scale = _load_window(ckpt, data_path, args.input_window,
                                            "--input-window")
-    klass = "cloud" if series.unit == "binary" else "rain"
-    kw = dict(unit=series.unit, scale=scale, interval_minutes=series.interval_minutes,
-              threshold_mm_per_h=args.threshold)
-
-    layers = None
-    if args.targets != "all":
+    if args.targets == "all":
+        grid = suite_grid(model)
+        layers = list(grid)
+    else:
+        grid = {}
         layers = [n.strip() for n in args.targets.split(",") if n.strip()]
         if not layers:
             raise UsageError("--targets needs 'all' or a comma-separated name list")
-    maps = explain_suite(model, x, layers, klass=klass, **kw)
+    maps = explain_suite(model, x, layers, unit=series.unit, scale=scale,
+                         interval_minutes=series.interval_minutes,
+                         threshold_mm_per_h=args.threshold)
 
     index_path = out_dir / "index.csv"
-    files = [out_dir / (hm.target.layer.replace(".", "_") + ext)
+    files = [out_dir / (hm.layer.replace(".", "_") + ext)
              for hm in maps for ext in (".nwds", ".ppm")]
     _refuse_overwrite(files + [index_path], args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _suite_grid_positions(model) if args.targets == "all" else {}
     with open(index_path, "w", encoding="utf-8") as f:
         f.write("target,section,row,col,file,raw_max\n")
         outputs = [index_path]
         for hm in maps:
-            stem = hm.target.layer.replace(".", "_")
+            stem = hm.layer.replace(".", "_")
             nwds_path = out_dir / f"{stem}.nwds"
             ppm_path = out_dir / f"{stem}.ppm"
             save_heatmap_nwds(nwds_path, hm)
             write_ppm(ppm_path, hm)
             outputs += [nwds_path, ppm_path]
-            section, row, col = grid.get(hm.target.layer, ("custom", -1, -1))
-            f.write(f"{hm.target.layer},{section},{row},{col},"
+            section, row, col = grid.get(hm.layer, ("custom", -1, -1))
+            f.write(f"{hm.layer},{section},{row},{col},"
                     f"{nwds_path.name},{hm.raw_max!r}\n")
     _write_manifest(out_dir / "manifest.json",
                     "explain", {"targets": args.targets,
@@ -536,20 +536,6 @@ def cmd_explain(args) -> int:
                     outputs, started)
     print(f"wrote {len(maps)} heatmap(s) to {out_dir}")
     return 0
-
-
-def _suite_grid_positions(model) -> dict[str, tuple[str, int, int]]:
-    """Figure layout: encoder rows are depths 0..4 with columns (block, dsc,
-    shortcut, cbam); decoder rows start at the bottom level (depth 3)."""
-    grid = {}
-    for d in range(5):
-        for col, suffix in enumerate(("block", "block.dsc_path",
-                                      "block.shortcut", "cbam")):
-            grid[f"enc{d}.{suffix}"] = ("encoder", d, col)
-    for row, d in enumerate((3, 2, 1, 0)):
-        for col, suffix in enumerate(("block", "block.dsc_path", "block.shortcut")):
-            grid[f"dec{d}.{suffix}"] = ("decoder", row, col)
-    return grid
 
 
 # -- parser ----------------------------------------------------------------------

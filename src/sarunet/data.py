@@ -15,7 +15,7 @@ throughout.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,9 @@ _CODE_UNITS = {v: k for k, v in _UNIT_CODES.items()}
 
 # background cutoff for the synthetic generator: keeps radar-like true zeros
 _SYNTH_FLOOR = 0.01
+# mean blob peak of the synthetic generator, in raw units (hundredths of a mm
+# per frame); each blob draws its peak from 0.5x to 1.5x of it
+_SYNTH_AMPLITUDE = 120.0
 
 
 @dataclass
@@ -43,7 +46,6 @@ class FrameSeries:
     frames: np.ndarray                  # [T, H, W]
     interval_minutes: int
     unit: str
-    timestamps: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
@@ -57,11 +59,6 @@ class FrameSeries:
             vals = np.unique(self.frames)
             if not np.isin(vals, (0.0, 1.0)).all():
                 raise DataError("binary series may contain only {0, 1}")
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps)
-            if ts.shape != (len(self.frames),) or np.any(np.diff(ts) <= 0):
-                raise DataError("timestamps must be one strictly increasing value per frame")
-            self.timestamps = ts
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -77,7 +74,6 @@ class WindowSpec:
 
     input_frames: int
     target_offsets: tuple[int, ...]
-    stride: int = 1
 
     def __post_init__(self):
         self.target_offsets = tuple(int(o) for o in self.target_offsets)
@@ -85,8 +81,6 @@ class WindowSpec:
             raise UsageError("input_frames must be >= 1")
         if not self.target_offsets or min(self.target_offsets) < 1:
             raise UsageError("target offsets must be positive")
-        if self.stride < 1:
-            raise UsageError("stride must be >= 1")
 
 
 Window = tuple[tuple[int, ...], tuple[int, ...]]
@@ -114,27 +108,23 @@ def select_rainy(series: FrameSeries, fraction: float = 0.5) -> np.ndarray:
 
 def make_windows(series: FrameSeries, spec: WindowSpec,
                  selected: Optional[Iterable[int]] = None, *,
-                 gate_inputs: bool = False, strict: bool = False) -> list[Window]:
-    """Enumerate (input indices, target indices) windows.
+                 strict: bool = False) -> list[Window]:
+    """Enumerate (input indices, target indices) windows, one per anchor.
 
     A window anchored at frame ``i`` consumes inputs ``i-input_frames+1 .. i``
-    and targets ``i + offset`` for each offset; anchors advance by ``stride``.
-    A window is kept iff all its target frames are selected (and, with
-    ``gate_inputs``, all input frames too). ``selected=None`` keeps everything.
-    ``strict`` raises instead of returning an empty list.
+    and targets ``i + offset`` for each offset. A window is kept iff all its
+    target frames are selected; input frames are not gated.
+    ``selected=None`` keeps everything. ``strict`` raises instead of
+    returning an empty list.
     """
     t = len(series)
     sel = None if selected is None else frozenset(int(i) for i in selected)
     max_off = max(spec.target_offsets)
     out: list[Window] = []
-    for anchor in range(spec.input_frames - 1, t - max_off, spec.stride):
+    for anchor in range(spec.input_frames - 1, t - max_off):
         targets = tuple(anchor + o for o in spec.target_offsets)
-        if sel is not None:
-            if not all(ti in sel for ti in targets):
-                continue
-            if gate_inputs and not all(ii in sel for ii in
-                                       range(anchor - spec.input_frames + 1, anchor + 1)):
-                continue
+        if sel is not None and not all(ti in sel for ti in targets):
+            continue
         inputs = tuple(range(anchor - spec.input_frames + 1, anchor + 1))
         out.append((inputs, targets))
     if strict and not out:
@@ -203,7 +193,7 @@ class WindowDataset:
 def synth_generate(seed: int, n_frames: int, height: int, width: int,
                    n_blobs: int = 3, wind: tuple[float, float] = (1.0, 0.0),
                    growth: float = 1.0, jitter: float = 0.0,
-                   amplitude: float = 120.0, interval_minutes: int = 5) -> FrameSeries:
+                   interval_minutes: int = 5) -> FrameSeries:
     """Sum of Gaussian blobs advected by ``wind`` (px/frame, toroidal wrap)
     with multiplicative intensity drift ``growth`` per frame.
 
@@ -223,7 +213,7 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
     cx = rng.uniform(0.15 * width, 0.85 * width, size=n_blobs)
     cy = rng.uniform(0.15 * height, 0.85 * height, size=n_blobs)
     sigma = rng.uniform(min(height, width) / 16.0, min(height, width) / 9.0, size=n_blobs)
-    amp = rng.uniform(0.5, 1.5, size=n_blobs) * amplitude
+    amp = rng.uniform(0.5, 1.5, size=n_blobs) * _SYNTH_AMPLITUDE
     if jitter > 0.0:
         steps = rng.normal(0.0, jitter, size=(n_frames, n_blobs, 2))
 

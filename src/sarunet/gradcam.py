@@ -27,62 +27,47 @@ from .model import Model
 from .tensor import Tape, Tensor4
 
 __all__ = [
-    "ExplainTarget", "Heatmap", "rain_score", "grad_cam", "explain_suite",
+    "Heatmap", "rain_score", "grad_cam", "explain_suite", "suite_grid",
     "suite_targets", "color_table", "write_ppm", "save_heatmap_nwds",
 ]
 
-_EXPLAINABLE_SUFFIXES = ("block", "block.dsc_path", "block.shortcut", "cbam")
-
-
-@dataclass(frozen=True)
-class ExplainTarget:
-    """A layer to explain plus the positive class of the score."""
-
-    layer: str
-    klass: str = "rain"          # rain (raw precipitation units) | cloud (binary)
+# figure-grid columns; the encoder's are also the suffixes of every layer
+# Grad-CAM explains
+_ENCODER_COLUMNS = ("block", "block.dsc_path", "block.shortcut", "cbam")
+_DECODER_COLUMNS = ("block", "block.dsc_path", "block.shortcut")
 
 
 @dataclass
 class Heatmap:
     values: Tensor4              # [1,1,H,W] in [0,1]
-    target: ExplainTarget
+    layer: str
     raw_max: float
 
 
-def _check_targets(model: Model, targets: list[ExplainTarget]) -> None:
+def _check_layers(model: Model, layers: list[str]) -> None:
     valid = {n for n in model.trace_names()
-             if any(n.endswith(s) for s in _EXPLAINABLE_SUFFIXES)}
-    unknown = [t.layer for t in targets if t.layer not in valid]
+             if any(n.endswith(s) for s in _ENCODER_COLUMNS)}
+    unknown = [n for n in layers if n not in valid]
     if unknown:
         raise UsageError(f"unknown explain target(s) {unknown}; "
                          f"valid targets: {sorted(valid)}")
 
 
 def rain_score(pred: Tensor4, unit: str, *, scale: float = 1.0,
-               interval_minutes: int = 5, threshold_mm_per_h: float = 0.5,
-               score_mode: str = "masked_sum",
-               score_scale: float = 1.0) -> tuple[Tensor4, np.ndarray]:
+               interval_minutes: int = 5,
+               threshold_mm_per_h: float = 0.5) -> tuple[Tensor4, np.ndarray]:
     """Class score for a single-sample prediction: the sum of raw prediction
     values over the pixels predicted as rain/cloud after binarization.
 
     Returns ``(score, mask)``; an empty mask yields an exact zero score (the
-    downstream heatmap is all zeros). ``masked_mean`` divides by the mask
-    cardinality instead.
+    downstream heatmap is all zeros).
     """
     if pred.shape[0] != 1:
         raise UsageError(f"rain_score expects a single-sample prediction, got {pred.shape}")
-    if score_mode not in ("masked_sum", "masked_mean"):
-        raise UsageError(f"unknown score_mode {score_mode!r}")
     mask = binarize(pred.data, unit, scale=scale, interval_minutes=interval_minutes,
                     threshold_mm_per_h=threshold_mm_per_h)
     mask_t = Tensor4(mask.astype(pred.data.dtype), _checked=True)
-    score = ops.sum_all(ops.mul(pred, mask_t))
-    n_on = int(mask.sum())
-    factor = score_scale if score_mode == "masked_sum" else \
-        (score_scale / n_on if n_on else score_scale)
-    if factor != 1.0:
-        score = ops.smul(score, factor)
-    return score, mask
+    return ops.sum_all(ops.mul(pred, mask_t)), mask
 
 
 def _resize_to(arr: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -100,7 +85,7 @@ def _resize_to(arr: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def _combine(activation: np.ndarray, grad: np.ndarray,
-             height: int, width: int, target: ExplainTarget) -> Heatmap:
+             height: int, width: int, layer: str) -> Heatmap:
     """alpha = spatial mean of the gradient; map = relu(sum_k alpha_k A_k)."""
     alpha = grad.mean(axis=(2, 3))                       # [1, k]
     combined = (alpha[0][:, None, None] * activation[0]).sum(axis=0)
@@ -109,84 +94,77 @@ def _combine(activation: np.ndarray, grad: np.ndarray,
     raw_max = float(resized.max())
     values = resized / raw_max if raw_max > 0.0 else np.zeros_like(resized)
     return Heatmap(values=Tensor4(values[None, None].astype(np.float32), _checked=True),
-                   target=target, raw_max=raw_max)
+                   layer=layer, raw_max=raw_max)
 
 
-def _zero_map(height: int, width: int, target: ExplainTarget) -> Heatmap:
+def _zero_map(height: int, width: int, layer: str) -> Heatmap:
     return Heatmap(values=Tensor4(np.zeros((1, 1, height, width), np.float32),
                                   _checked=True),
-                   target=target, raw_max=0.0)
+                   layer=layer, raw_max=0.0)
 
 
-def _score_kwargs(target_klass: str, unit: Optional[str], scale: float,
-                  interval_minutes: int, threshold_mm_per_h: float) -> dict:
-    if unit is None:
-        unit = "binary" if target_klass == "cloud" else "raw"
-    return dict(unit=unit, scale=scale, interval_minutes=interval_minutes,
-                threshold_mm_per_h=threshold_mm_per_h)
-
-
-def _sweep(model: Model, x: Tensor4, targets: list[ExplainTarget], *,
-           score_mode: str = "masked_sum", score_scale: float = 1.0,
-           **score_kw) -> list[Heatmap]:
-    """Heatmaps of all ``targets`` from one forward/backward pass: the score
-    does not depend on the target, so the traced activations share it."""
-    _check_targets(model, targets)
+def _sweep(model: Model, x: Tensor4, layers: list[str], **score_kw) -> list[Heatmap]:
+    """Heatmaps of all ``layers`` from one forward/backward pass: the score
+    does not depend on the layer, so the traced activations share it."""
+    _check_layers(model, layers)
     if x.shape[0] != 1:
         raise UsageError("Grad-CAM explains one sample at a time")
     height, width = x.shape[2], x.shape[3]
     model.zero_grad()
     with Tape() as tape:
-        pred, trace = model.forward(x, train=False,
-                                    trace_request=[t.layer for t in targets])
-        score, mask = rain_score(pred, score_mode=score_mode,
-                                 score_scale=score_scale, **score_kw)
+        pred, trace = model.forward(x, train=False, trace_request=layers)
+        score, mask = rain_score(pred, **score_kw)
     if mask.sum() == 0:
-        return [_zero_map(height, width, t) for t in targets]
+        return [_zero_map(height, width, n) for n in layers]
     tape.backward(score)
     out = []
-    for t in targets:
-        act = trace.get(t.layer)
-        out.append(_combine(act.data, act.grad, height, width, t))
+    for n in layers:
+        act = trace.get(n)
+        out.append(_combine(act.data, act.grad, height, width, n))
     return out
 
 
-def grad_cam(model: Model, x: Tensor4, target: ExplainTarget, *,
-             unit: Optional[str] = None, scale: float = 1.0,
-             interval_minutes: int = 5, threshold_mm_per_h: float = 0.5,
-             score_mode: str = "masked_sum", score_scale: float = 1.0) -> Heatmap:
+def grad_cam(model: Model, x: Tensor4, layer: str, *, unit: str, scale: float = 1.0,
+             interval_minutes: int = 5, threshold_mm_per_h: float = 0.5) -> Heatmap:
     """Heatmap of one layer's contribution to the predicted-rain score."""
-    kw = _score_kwargs(target.klass, unit, scale, interval_minutes, threshold_mm_per_h)
-    return _sweep(model, x, [target], score_mode=score_mode,
-                  score_scale=score_scale, **kw)[0]
+    return _sweep(model, x, [layer], unit=unit, scale=scale,
+                  interval_minutes=interval_minutes,
+                  threshold_mm_per_h=threshold_mm_per_h)[0]
 
 
-def suite_targets(model: Model) -> list[ExplainTarget]:
-    """Fixed figure-grid order: encoder depths 0..4 as (block, dsc_path,
-    shortcut, cbam), then decoder depths 3..0 as (block, dsc_path, shortcut)."""
+def suite_grid(model: Model) -> dict[str, tuple[str, int, int]]:
+    """Figure layout of the 32-map suite, in grid order: layer name ->
+    (section, row, col). Encoder rows are depths 0..4 with columns (block,
+    dsc_path, shortcut, cbam); decoder rows start at the bottom level
+    (depth 3) and have columns (block, dsc_path, shortcut)."""
     if model.config.variant != "sar":
         raise UsageError("the explanation suite needs the sar variant "
                          "(sub-path targets require residual blocks)")
-    names = []
+    grid = {}
     for d in range(5):
-        names += [f"enc{d}.block", f"enc{d}.block.dsc_path",
-                  f"enc{d}.block.shortcut", f"enc{d}.cbam"]
-    for d in (3, 2, 1, 0):
-        names += [f"dec{d}.block", f"dec{d}.block.dsc_path",
-                  f"dec{d}.block.shortcut"]
-    return [ExplainTarget(n) for n in names]
+        for col, suffix in enumerate(_ENCODER_COLUMNS):
+            grid[f"enc{d}.{suffix}"] = ("encoder", d, col)
+    for row, d in enumerate((3, 2, 1, 0)):
+        for col, suffix in enumerate(_DECODER_COLUMNS):
+            grid[f"dec{d}.{suffix}"] = ("decoder", row, col)
+    return grid
+
+
+def suite_targets(model: Model) -> list[str]:
+    """Layer names of the 32-map suite in figure-grid order."""
+    return list(suite_grid(model))
 
 
 def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, *,
-                  unit: Optional[str] = None, scale: float = 1.0,
-                  interval_minutes: int = 5, threshold_mm_per_h: float = 0.5,
-                  klass: str = "rain") -> list[Heatmap]:
+                  unit: str, scale: float = 1.0, interval_minutes: int = 5,
+                  threshold_mm_per_h: float = 0.5) -> list[Heatmap]:
     """Heatmaps of ``layers`` (default: the 32-map suite in grid order) from
     one forward/backward pass."""
     if layers is None:
-        layers = [t.layer for t in suite_targets(model)]
-    kw = _score_kwargs(klass, unit, scale, interval_minutes, threshold_mm_per_h)
-    return _sweep(model, x, [ExplainTarget(n, klass) for n in layers], **kw)
+        layers = suite_targets(model)
+    return _sweep(model, x, layers, unit=unit, scale=scale,
+                  interval_minutes=interval_minutes,
+                  threshold_mm_per_h=threshold_mm_per_h)
 
 
 # -- rendering -------------------------------------------------------------------

@@ -92,20 +92,19 @@ class MetricReport:
 
 
 def binarize(image, unit: Optional[str] = None, *, scale: float = 1.0,
-             threshold_mm_per_h: float = 0.5, interval_minutes: int = 5,
-             normalized: bool = True) -> np.ndarray:
+             threshold_mm_per_h: float = 0.5, interval_minutes: int = 5) -> np.ndarray:
     """Map pixels to {0,1}. ``unit`` metadata is mandatory.
 
-    raw/norm data: rain rate ``value * scale_if_normalized * 0.01 *
-    (60/interval)`` mm/h, >= threshold. Binary data: >= 0.5 directly.
+    raw/norm data: rain rate ``value * scale * 0.01 * (60/interval)`` mm/h,
+    >= threshold; ``scale`` maps normalized values back to raw units (1.0 for
+    values already in raw units). Binary data: >= 0.5 directly.
     """
     arr = image.data if isinstance(image, Tensor4) else np.asarray(image)
     if unit is None or unit not in ("raw", "binary", "norm"):
         raise UsageError(f"binarize needs unit metadata ('raw'|'binary'|'norm'), got {unit!r}")
     if unit == "binary":
         return (arr >= 0.5).astype(np.uint8)
-    values = arr * np.float64(scale) if normalized else arr.astype(np.float64)
-    rate = values * _MM_PER_RAW_UNIT * (60.0 / interval_minutes)
+    rate = arr * np.float64(scale) * _MM_PER_RAW_UNIT * (60.0 / interval_minutes)
     return (rate >= threshold_mm_per_h).astype(np.uint8)
 
 

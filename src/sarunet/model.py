@@ -24,8 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import ops
-from .blocks import (BatchNorm2d, Cbam, Conv2dLayer, DoubleDscBlock,
-                     ResidualDscBlock, param_count)
+from .blocks import Cbam, Conv2dLayer, DoubleDscBlock, ResidualDscBlock
 from .errors import ConfigurationError, DataError, DimensionError, UsageError
 from .tensor import Tensor4, read_section, write_section
 
@@ -197,10 +196,6 @@ class Model:
                 names.add(f"dec{d}.block.dsc_path")
                 names.add(f"dec{d}.block.shortcut")
         return names
-
-    def spatial_sizes(self, h: int) -> list[int]:
-        """Encoder spatial side lengths per level for an input of side ``h``."""
-        return [h // (2 ** d) for d in range(5)]
 
     # -- forward ---------------------------------------------------------------
 

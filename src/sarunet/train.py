@@ -5,8 +5,8 @@ Improvement semantics, fixed for reproducible traces: an epoch improves iff
 its validation loss is strictly below the best seen so far; the first epoch
 establishes the baseline and counts as a non-improving epoch for both the
 plateau counter and the early-stopping counter. The two counters are
-independent; dropping the learning rate resets only the plateau counter (a
-config flag keeps it running instead). Ties never update the best epoch.
+independent; dropping the learning rate resets only the plateau counter.
+Ties never update the best epoch.
 
 Training checkpoints are a SARv1 model section followed by an optimizer
 section (magic "OPTv1") holding counters, the shuffle-rng state, and the Adam
@@ -40,31 +40,30 @@ __all__ = [
 
 HISTORY_COLUMNS = ("epoch", "train_mse", "val_mse", "lr", "seconds")
 
+# The paper's recipe, inherited from SmaAt-UNet: Adam from LR0, the rate cut
+# by LR_FACTOR after PLATEAU_PATIENCE epochs without improvement.
+LR0 = 1e-3
+PLATEAU_PATIENCE = 4
+LR_FACTOR = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# a batch loss above this (in normalized units) aborts training as diverged
+DIVERGENCE_LIMIT = 1e6
+
 
 @dataclass
 class TrainConfig:
-    lr0: float = 1e-3
-    plateau_patience: int = 4
-    lr_factor: float = 0.1
     early_stop_patience: int = 15
     max_epochs: int = 200
     batch_size: int = 6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    plateau_resets_on_drop: bool = True
-    divergence_limit: float = 1e6
 
     def validate(self) -> None:
-        if not (0.0 < self.lr_factor < 1.0):
-            raise UsageError(f"lr_factor must lie in (0,1), got {self.lr_factor}")
-        if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise UsageError("patiences must be >= 1")
+        if self.early_stop_patience < 1:
+            raise UsageError("early_stop_patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise UsageError("batch_size and max_epochs must be >= 1")
-        if self.lr0 <= 0:
-            raise UsageError("lr0 must be positive")
 
 
 @dataclass
@@ -109,8 +108,7 @@ def mse_loss(pred: Tensor4, target: Tensor4) -> Tensor4:
     return ops.mean_all(ops.mul(diff, diff))
 
 
-def adam_step(named_params, state: TrainState, lr: float, *,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(named_params, state: TrainState, lr: float) -> None:
     """Bias-corrected Adam update applied in place; one shared step counter."""
     params = list(named_params)
     for name, p in params:
@@ -121,22 +119,22 @@ def adam_step(named_params, state: TrainState, lr: float, *,
             state.adam_v[name] = np.zeros_like(p.data)
     state.adam_step_count += 1
     t = state.adam_step_count
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params:
         g = p.grad
         m = state.adam_m[name]
         v = state.adam_v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
 
 
-def scheduler_step(state: TrainState, val_loss: float, config: TrainConfig) -> float:
+def scheduler_step(state: TrainState, val_loss: float) -> float:
     """Advance the plateau/early-stop bookkeeping after one validation pass.
 
     Returns the learning rate for the next epoch. Raises on NaN validation
@@ -159,10 +157,9 @@ def scheduler_step(state: TrainState, val_loss: float, config: TrainConfig) -> f
     else:
         state.since_improve += 1
         state.since_improve_lr += 1
-    if state.since_improve_lr >= config.plateau_patience:
-        state.current_lr *= config.lr_factor
-        if config.plateau_resets_on_drop:
-            state.since_improve_lr = 0
+    if state.since_improve_lr >= PLATEAU_PATIENCE:
+        state.current_lr *= LR_FACTOR
+        state.since_improve_lr = 0
     return state.current_lr
 
 
@@ -299,7 +296,7 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
             best_params = {n: t.data.copy() for n, t in best_model.named_parameters()}
             best_buffers = {n: b.copy() for n, b in best_model.named_buffers()}
     else:
-        state = TrainState(current_lr=config.lr0)
+        state = TrainState(current_lr=LR0)
         rng = np.random.default_rng(config.seed)
         best_params, best_buffers = _snapshot(model)
 
@@ -322,17 +319,16 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
                 pred, _ = model.forward(batch.inputs, train=True)
                 loss = mse_loss(pred, batch.targets)
             loss_val = loss.item()
-            if not math.isfinite(loss_val) or loss_val > config.divergence_limit:
+            if not math.isfinite(loss_val) or loss_val > DIVERGENCE_LIMIT:
                 raise NumericError(
                     f"training diverged at epoch {state.epoch}: batch loss {loss_val}")
             tape.backward(loss)
-            adam_step(named, state, lr_used, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.adam_eps)
+            adam_step(named, state, lr_used)
             sse += loss_val * batch.inputs.data.shape[0] * batch.targets.data[0].size
             count += batch.inputs.data.shape[0] * batch.targets.data[0].size
         train_mse = sse / count
         val_mse = _split_mse(model, val_data, config.batch_size)
-        scheduler_step(state, val_mse, config)
+        scheduler_step(state, val_mse)
         if state.best_epoch == state.epoch or state.epoch == 1:
             best_params, best_buffers = _snapshot(model)
             if out_path is not None:

@@ -135,7 +135,7 @@ def confusion_loops(pred, target):
     return tp, tn, fp, fn
 
 
-def windows_bruteforce(n_frames, input_frames, offsets, stride, selected):
+def windows_bruteforce(n_frames, input_frames, offsets, selected):
     """Enumerate every anchor and keep windows whose targets are all selected."""
     out = []
     sel = set(selected)
@@ -144,5 +144,5 @@ def windows_bruteforce(n_frames, input_frames, offsets, stride, selected):
         targets = [anchor + o for o in offsets]
         if all(t in sel for t in targets):
             out.append((list(range(anchor - input_frames + 1, anchor + 1)), targets))
-        anchor += stride
+        anchor += 1
     return out

@@ -18,9 +18,9 @@ from oracles import confusion_loops
 class TestBinarize:
     def test_unit_conversion_boundary(self):
         # 5 raw units = 0.05 mm per 5 min = 0.6 mm/h -> rain;
-        # 4 raw units = 0.48 mm/h -> dry
+        # 4 raw units = 0.48 mm/h -> dry; the default scale 1.0 reads raw units
         arr = np.array([5.0, 4.0]).reshape(1, 1, 1, 2)
-        out = binarize(arr, "raw", normalized=False)
+        out = binarize(arr, "raw")
         np.testing.assert_array_equal(out.ravel(), [1, 0])
 
     def test_normalized_values_rescaled_first(self):
@@ -34,7 +34,7 @@ class TestBinarize:
 
     def test_zero_threshold_marks_positive_pixels(self):
         arr = np.array([0.0, 1e-6, 2.0]).reshape(1, 1, 1, 3)
-        out = binarize(arr, "raw", threshold_mm_per_h=0.0, normalized=False)
+        out = binarize(arr, "raw", threshold_mm_per_h=0.0)
         # 0.0 rate >= 0.0 threshold is rain under the >= convention, so use
         # the documented strict reading: every strictly positive pixel maps
         # to 1 and zero pixels also satisfy >= 0. Check positives only.
@@ -53,7 +53,7 @@ class TestBinarize:
         arr = rng.random((1, 1, 16, 16)) * 10
         prev = None
         for thr in (0.0, 0.25, 0.5, 1.0, 5.0):
-            cur = binarize(arr, "raw", threshold_mm_per_h=thr, normalized=False)
+            cur = binarize(arr, "raw", threshold_mm_per_h=thr)
             if prev is not None:
                 assert (cur <= prev).all()  # recall can only fall
             prev = cur

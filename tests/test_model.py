@@ -31,7 +31,6 @@ class TestTopology:
         dec_out = [shapes[f"dec{d}.block.dsc2.pointwise"][0] for d in (3, 2, 1, 0)]
         assert dec_out == [512, 256, 128, 64]
         assert m.config.bottleneck_channels == 1024
-        assert m.spatial_sizes(288) == [288, 144, 72, 36, 18]
 
     def test_smaat_ladder(self):
         m = build(ModelConfig(in_channels=12, out_channels=1, base_channels=64,

@@ -7,7 +7,7 @@ from sarunet import Tape, ops, parameter, tensor
 from sarunet.data import WindowDataset, WindowSpec, make_windows, synth_generate
 from sarunet.errors import DataError, DimensionError, NumericError, UsageError
 from sarunet.model import ModelConfig, build
-from sarunet.train import (HISTORY_COLUMNS, TrainConfig, TrainState, adam_step,
+from sarunet.train import (HISTORY_COLUMNS, LR0, TrainConfig, TrainState, adam_step,
                            fit, load_best_into, mse_loss, scheduler_step)
 
 
@@ -81,36 +81,33 @@ class TestAdam:
 
 
 class TestSchedulerTraces:
-    def cfg(self, **kw):
-        return TrainConfig(**kw)
-
-    def run_trace(self, losses, config):
-        state = TrainState(current_lr=config.lr0)
+    def run_trace(self, losses):
+        state = TrainState(current_lr=LR0)
         lrs = []
         for i, v in enumerate(losses, start=1):
             state.epoch = i
-            lrs.append(scheduler_step(state, v, config))
+            lrs.append(scheduler_step(state, v))
         return state, lrs
 
     def test_plateau_drop_after_epoch_six(self):
-        state, lrs = self.run_trace([1.0, 0.9, 0.95, 0.96, 0.97, 0.98], self.cfg())
+        state, lrs = self.run_trace([1.0, 0.9, 0.95, 0.96, 0.97, 0.98])
         assert state.current_lr == 0.001 * 0.1
         assert lrs[:5] == [0.001] * 5
         assert lrs[5] == 0.001 * 0.1
 
     def test_strictly_decreasing_never_drops(self):
         losses = [1.0 / (i + 1) for i in range(200)]
-        state, lrs = self.run_trace(losses, self.cfg())
+        state, lrs = self.run_trace(losses)
         assert state.current_lr == 0.001
         assert all(lr == 0.001 for lr in lrs)
 
     def test_flat_losses_early_stop_at_15_best_epoch_1(self):
-        config = self.cfg()
-        state = TrainState(current_lr=config.lr0)
+        config = TrainConfig()
+        state = TrainState(current_lr=LR0)
         stop_epoch = None
         for i in range(1, 100):
             state.epoch = i
-            scheduler_step(state, 1.0, config)
+            scheduler_step(state, 1.0)
             if state.since_improve >= config.early_stop_patience:
                 stop_epoch = i
                 break
@@ -122,16 +119,10 @@ class TestSchedulerTraces:
         state = TrainState(current_lr=0.001)
         state.epoch = 1
         with pytest.raises(NumericError):
-            scheduler_step(state, float("nan"), self.cfg())
-
-    def test_counter_keeps_running_without_reset_flag(self):
-        config = self.cfg(plateau_resets_on_drop=False)
-        state, _ = self.run_trace([1.0, 0.9] + [1.5] * 6, config)
-        # counter reaches 4 at epoch 6 and keeps counting: drops at 6, 7, 8
-        assert state.current_lr == pytest.approx(0.001 * 0.1 ** 3)
+            scheduler_step(state, float("nan"))
 
     def test_tie_counts_as_non_improvement(self):
-        state, _ = self.run_trace([1.0, 0.5, 0.5, 0.5, 0.5, 0.5], self.cfg())
+        state, _ = self.run_trace([1.0, 0.5, 0.5, 0.5, 0.5, 0.5])
         assert state.best_epoch == 2
         assert state.current_lr == 0.001 * 0.1  # four ties after the best
 
