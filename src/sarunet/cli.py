@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -112,6 +113,12 @@ def _require(args, names) -> None:
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise UsageError(f"missing required option(s): {flags}")
+
+
+def _check_threshold(threshold: float) -> None:
+    from .errors import UsageError
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise UsageError(f"--threshold must be a finite rain rate >= 0 mm/h, got {threshold}")
 
 
 def _refuse_overwrite(paths, force: bool) -> None:
@@ -371,6 +378,7 @@ def cmd_evaluate(args) -> int:
     from .model import load_checkpoint
     started = time.time()
     _require(args, ["data", "out_dir"])
+    _check_threshold(args.threshold)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
     series = load_nwds(data_path)
@@ -493,6 +501,7 @@ def cmd_explain(args) -> int:
     from .gradcam import explain_suite, save_heatmap_nwds, suite_grid, write_ppm
     started = time.time()
     _require(args, ["checkpoint", "data", "out_dir"])
+    _check_threshold(args.threshold)
     ckpt = Path(args.checkpoint)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)

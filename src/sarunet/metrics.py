@@ -24,8 +24,8 @@ from .model import Model, persistence_forward
 from .tensor import Tensor4
 
 __all__ = [
-    "ConfusionCounts", "MetricReport", "EvalSetup", "binarize", "confusion",
-    "metrics", "evaluate_setup", "report_rows_sorted", "write_report_csv",
+    "ConfusionCounts", "MetricReport", "EvalSetup", "SquaredErrorSum",
+    "squared_errors", "binarize", "confusion", "metrics", "evaluate_setup", "report_rows_sorted", "write_report_csv",
     "render_report_table", "REPORT_COLUMNS", "MODEL_ORDER",
 ]
 
@@ -143,6 +143,30 @@ def metrics(counts: ConfusionCounts) -> MetricValues:
     return MetricValues(precision, recall, accuracy, f1, tuple(flags))
 
 
+def squared_errors(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Elementwise squared error in float64."""
+    diff = pred.astype(np.float64) - target.astype(np.float64)
+    return diff * diff
+
+
+class SquaredErrorSum:
+    """Mean squared error accumulated over batches: one float64 sum per
+    sample, combined by exact summation, so the mean does not depend on how
+    the samples were batched or ordered."""
+
+    def __init__(self):
+        self.parts: list[float] = []
+        self.count = 0
+
+    def add(self, sq: np.ndarray) -> None:
+        """Add the squared errors of a batch, shaped ``[n, ...]``."""
+        self.parts += [float(s.sum()) for s in sq]
+        self.count += sq.size
+
+    def mean(self) -> float:
+        return math.fsum(self.parts) / self.count
+
+
 PredictFn = Callable[[Tensor4], Tensor4]
 
 
@@ -158,29 +182,27 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
                    batch_size: int = 6) -> MetricReport:
     """Evaluate one model over one split.
 
-    ``predictor`` is a Model, the string ``"persistence"``, or a callable
-    mapping normalized inputs to normalized predictions. MSE is averaged over
-    all pixels and samples in normalized units (per-sample squared-error sums
-    in float64, combined with exact summation); confusion counts accumulate
-    over the whole split before ratios (micro-averaging). Per-lead-time rows
-    are reported alongside the overall figures.
+    ``predictor`` is a Model or the string ``"persistence"``. MSE is averaged
+    over all pixels and samples in normalized units (``SquaredErrorSum``);
+    confusion counts accumulate over the whole split before ratios
+    (micro-averaging). Per-lead-time rows are reported alongside the overall
+    figures, whose confusion counts are the sums of the per-lead ones.
     """
     if len(data) == 0:
         raise UsageError("evaluate_setup needs a non-empty split")
+    if batch_size < 1:
+        raise UsageError(f"batch size must be >= 1, got {batch_size}")
     n_leads = len(setup.lead_minutes)
     if predictor == "persistence":
         fn = _persistence_predictor(n_leads)
     elif isinstance(predictor, Model):
         fn = _model_predictor(predictor)
     else:
-        fn = predictor
+        raise UsageError(f"predictor must be a Model or 'persistence', got {predictor!r}")
 
-    sse_parts: list[float] = []
-    lead_sse = [[] for _ in range(n_leads)]
-    counts = ConfusionCounts()
+    sse = SquaredErrorSum()
+    lead_sse = [SquaredErrorSum() for _ in range(n_leads)]
     lead_counts = [ConfusionCounts() for _ in range(n_leads)]
-    total = 0
-    lead_total = [0] * n_leads
     bin_kw = dict(scale=setup.scale, threshold_mm_per_h=setup.threshold_mm_per_h,
                   interval_minutes=setup.interval_minutes)
 
@@ -190,23 +212,19 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
         if pred.shape != batch.targets.shape:
             raise UsageError(f"predictor produced shape {pred.shape}, "
                              f"targets have {batch.targets.shape}")
-        diff = pred.data.astype(np.float64) - batch.targets.data.astype(np.float64)
-        sq = diff * diff
-        for s in range(sq.shape[0]):
-            sse_parts.append(float(sq[s].sum()))
-        total += sq.size
+        sq = squared_errors(pred.data, batch.targets.data)
+        sse.add(sq)
         pbin = binarize(pred.data, setup.unit, **bin_kw)
         tbin = binarize(batch.targets.data, setup.unit, **bin_kw)
-        counts.add(confusion(pbin, tbin))
         for k in range(n_leads):
-            for s in range(sq.shape[0]):
-                lead_sse[k].append(float(sq[s, k].sum()))
-            lead_total[k] += sq[:, k].size
+            lead_sse[k].add(sq[:, k])
             lead_counts[k].add(confusion(pbin[:, k], tbin[:, k]))
 
-    mse = math.fsum(sse_parts) / total
-    per_lead = [LeadStats(setup.lead_minutes[k],
-                          math.fsum(lead_sse[k]) / lead_total[k],
+    counts = ConfusionCounts()
+    for c in lead_counts:
+        counts.add(c)
+    mse = sse.mean()
+    per_lead = [LeadStats(setup.lead_minutes[k], lead_sse[k].mean(),
                           metrics(lead_counts[k]))
                 for k in range(n_leads)]
     return MetricReport(setup=setup, mse=mse,

@@ -343,7 +343,7 @@ def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]
             raise DataError(f"{path}: checkpoint missing tensor {name!r}")
         arr = tensors.pop(name)
         if arr.shape != dst.shape:
-            raise DimensionError(
+            raise DataError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {dst.shape}")
         dst[...] = arr
     means = dict(model.named_buffers())

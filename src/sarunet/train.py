@@ -27,6 +27,7 @@ import numpy as np
 
 from . import ops
 from .data import WindowDataset
+from .metrics import SquaredErrorSum, squared_errors
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .model import (Model, load_checkpoint, read_checkpoint_section,
                     save_checkpoint, write_checkpoint_section)
@@ -164,17 +165,14 @@ def scheduler_step(state: TrainState, val_loss: float) -> float:
 
 
 def _split_mse(model: Model, data: WindowDataset, batch_size: int) -> float:
-    """Eval-mode MSE over a whole split: f64 sum of squared errors / count."""
-    sse = 0.0
-    count = 0
+    """Eval-mode MSE over a whole split, accumulated as ``evaluate_setup``
+    accumulates it."""
+    sse = SquaredErrorSum()
     for lo in range(0, len(data), batch_size):
-        idxs = range(lo, min(lo + batch_size, len(data)))
-        batch = data.batch(idxs)
+        batch = data.batch(range(lo, min(lo + batch_size, len(data))))
         pred, _ = model.forward(batch.inputs, train=False)
-        d = pred.data.astype(np.float64) - batch.targets.data.astype(np.float64)
-        sse += float((d * d).sum())
-        count += d.size
-    return sse / count
+        sse.add(squared_errors(pred.data, batch.targets.data))
+    return sse.mean()
 
 
 # -- optimizer-state section ("OPTv1") ------------------------------------------

@@ -275,6 +275,30 @@ class TestEvaluate:
         assert "interval_minutes" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_usage_error(self, synth_file, tmp_path, capsys,
+                                                 batch_size):
+        out = tmp_path / "eval_bs"
+        code = run("evaluate", "--data", synth_file, "--baseline", "persistence",
+                   "--in-frames", 6, "--lead-minutes", 30,
+                   "--batch-size", batch_size, "--out-dir", out)
+        assert code == 2
+        assert "batch size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_bad_threshold_is_usage_error(synth_file, trained_dir, tmp_path, capsys,
+                                      command, threshold):
+    out = tmp_path / "out"
+    code = run(command, "--checkpoint", trained_dir / "model.ckpt", "--data", synth_file,
+               "--threshold", threshold, "--out-dir", out)
+    assert code == 2
+    assert "--threshold must be a finite rain rate >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredict:
     def test_prediction_roundtrip(self, synth_file, trained_dir, tmp_path):
         out = tmp_path / "pred.nwds"

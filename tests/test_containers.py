@@ -27,7 +27,7 @@ from sarunet.train import (_OPT_MAGIC, TrainConfig, _read_opt_section,
 
 GOLDEN_SHA256 = {
     "model.ckpt": "a3ea5a682e5c3a85f5763784cba26b297a52b854e64cdbcc0a085854dbb64c93",
-    "last.ckpt": "c85a2fe1e648c5b547f63ee50a6a76c3dfa7ac2b672d1554b4afd002fc6b373b",
+    "last.ckpt": "be28e7616f6278b18a1ceef345a70c46664c673d7f105c606bf8c495514fbb20",
     "series.nwds": "b473582e1d387ecb835237d78ec80dab0d31ae1d3d93f216a2653c2b6d438a5b",
 }
 
@@ -171,6 +171,16 @@ def test_legacy_config_other_than_the_default_is_data_error(key, value):
     write_legacy_checkpoint(f, build(CONFIG, seed=7), **{key: value})
     f.seek(0)
     with pytest.raises(DataError, match=f"{key}={value}"):
+        read_checkpoint_section(f)
+
+
+def test_misshapen_tensor_is_data_error(tiny_files):
+    (meta, params), _ = last_ckpt_sections(tiny_files["last.ckpt"])
+    params["out.weight"] = params["out.weight"].reshape(1, 1, 1, 4)
+    f = io.BytesIO()
+    write_section(f, _CKPT_MAGIC, meta, list(params.items()))
+    f.seek(0)
+    with pytest.raises(DataError, match=r"'out.weight' has shape \(1, 1, 1, 4\)"):
         read_checkpoint_section(f)
 
 

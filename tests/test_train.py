@@ -6,9 +6,10 @@ import pytest
 from sarunet import Tape, ops, parameter, tensor
 from sarunet.data import WindowDataset, WindowSpec, make_windows, synth_generate
 from sarunet.errors import DataError, DimensionError, NumericError, UsageError
+from sarunet.metrics import EvalSetup, evaluate_setup
 from sarunet.model import ModelConfig, build
-from sarunet.train import (HISTORY_COLUMNS, LR0, TrainConfig, TrainState, adam_step,
-                           fit, load_best_into, mse_loss, scheduler_step)
+from sarunet.train import (HISTORY_COLUMNS, LR0, TrainConfig, TrainState, _split_mse,
+                           adam_step, fit, load_best_into, mse_loss, scheduler_step)
 
 
 class TestMseLoss:
@@ -140,6 +141,19 @@ def tiny_dataset(seed=0, frames=40, size=32, in_frames=2, offset=1):
 def tiny_model(seed=0):
     return build(ModelConfig(in_channels=2, out_channels=1, base_channels=4,
                              cbam_reduction=4), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_validation_mse_is_evaluate_mse(seed):
+    """Training's validation MSE and the evaluation report's MSE share one
+    accumulator: bit-equal at every batch size."""
+    _, val = tiny_dataset(seed=seed)
+    model = tiny_model(seed)
+    setup = EvalSetup(model_name="sar-unet", input_minutes=10, lead_minutes=(5,),
+                      unit="raw", scale=val.scale, interval_minutes=5)
+    for batch_size in (1, 4, len(val)):
+        assert _split_mse(model, val, batch_size) == \
+            evaluate_setup(model, val, setup, batch_size=batch_size).mse, batch_size
 
 
 class TestFit:
