@@ -28,7 +28,7 @@ from .tensor import Tape, Tensor4
 
 __all__ = [
     "Heatmap", "rain_score", "grad_cam", "explain_suite", "suite_grid",
-    "suite_targets", "color_table", "write_ppm", "save_heatmap_nwds",
+    "color_table", "write_ppm", "save_heatmap_nwds",
 ]
 
 # figure-grid columns; the encoder's are also the suffixes of every layer
@@ -150,18 +150,13 @@ def suite_grid(model: Model) -> dict[str, tuple[str, int, int]]:
     return grid
 
 
-def suite_targets(model: Model) -> list[str]:
-    """Layer names of the 32-map suite in figure-grid order."""
-    return list(suite_grid(model))
-
-
 def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, *,
                   unit: str, scale: float = 1.0, interval_minutes: int = 5,
                   threshold_mm_per_h: float = 0.5) -> list[Heatmap]:
     """Heatmaps of ``layers`` (default: the 32-map suite in grid order) from
     one forward/backward pass."""
     if layers is None:
-        layers = suite_targets(model)
+        layers = list(suite_grid(model))
     return _sweep(model, x, layers, unit=unit, scale=scale,
                   interval_minutes=interval_minutes,
                   threshold_mm_per_h=threshold_mm_per_h)

@@ -24,8 +24,8 @@ from .model import Model, persistence_forward
 from .tensor import Tensor4
 
 __all__ = [
-    "ConfusionCounts", "MetricReport", "EvalSetup", "SquaredErrorSum",
-    "squared_errors", "binarize", "confusion", "metrics", "evaluate_setup", "report_rows_sorted", "write_report_csv",
+    "ConfusionCounts", "MetricReport", "EvalSetup", "SquaredErrorSum", "binarize",
+    "confusion", "metrics", "evaluate_setup", "report_rows_sorted", "write_report_csv",
     "render_report_table", "REPORT_COLUMNS", "MODEL_ORDER",
 ]
 
@@ -143,23 +143,19 @@ def metrics(counts: ConfusionCounts) -> MetricValues:
     return MetricValues(precision, recall, accuracy, f1, tuple(flags))
 
 
-def squared_errors(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Elementwise squared error in float64."""
-    diff = pred.astype(np.float64) - target.astype(np.float64)
-    return diff * diff
-
-
 class SquaredErrorSum:
-    """Mean squared error accumulated over batches: one float64 sum per
-    sample, combined by exact summation, so the mean does not depend on how
-    the samples were batched or ordered."""
+    """Mean squared error accumulated over batches: float64 squared errors
+    summed per sample, the sums combined by exact summation, so the mean
+    does not depend on how the samples were batched or ordered."""
 
     def __init__(self):
         self.parts: list[float] = []
         self.count = 0
 
-    def add(self, sq: np.ndarray) -> None:
-        """Add the squared errors of a batch, shaped ``[n, ...]``."""
+    def add(self, pred: np.ndarray, target: np.ndarray) -> None:
+        """Add a batch of ``[n, ...]`` predictions and their targets."""
+        diff = pred.astype(np.float64) - target.astype(np.float64)
+        sq = diff * diff
         self.parts += [float(s.sum()) for s in sq]
         self.count += sq.size
 
@@ -212,12 +208,11 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
         if pred.shape != batch.targets.shape:
             raise UsageError(f"predictor produced shape {pred.shape}, "
                              f"targets have {batch.targets.shape}")
-        sq = squared_errors(pred.data, batch.targets.data)
-        sse.add(sq)
+        sse.add(pred.data, batch.targets.data)
         pbin = binarize(pred.data, setup.unit, **bin_kw)
         tbin = binarize(batch.targets.data, setup.unit, **bin_kw)
         for k in range(n_leads):
-            lead_sse[k].add(sq[:, k])
+            lead_sse[k].add(pred.data[:, k], batch.targets.data[:, k])
             lead_counts[k].add(confusion(pbin[:, k], tbin[:, k]))
 
     counts = ConfusionCounts()

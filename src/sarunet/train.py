@@ -27,8 +27,8 @@ import numpy as np
 
 from . import ops
 from .data import WindowDataset
-from .metrics import SquaredErrorSum, squared_errors
 from .errors import DataError, DimensionError, NumericError, UsageError
+from .metrics import SquaredErrorSum
 from .model import (Model, load_checkpoint, read_checkpoint_section,
                     save_checkpoint, write_checkpoint_section)
 from .tensor import Tape, Tensor4, read_section, write_section
@@ -171,7 +171,7 @@ def _split_mse(model: Model, data: WindowDataset, batch_size: int) -> float:
     for lo in range(0, len(data), batch_size):
         batch = data.batch(range(lo, min(lo + batch_size, len(data))))
         pred, _ = model.forward(batch.inputs, train=False)
-        sse.add(squared_errors(pred.data, batch.targets.data))
+        sse.add(pred.data, batch.targets.data)
     return sse.mean()
 
 

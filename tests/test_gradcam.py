@@ -8,7 +8,7 @@ from sarunet import Tape, tensor
 from sarunet.data import load_nwds
 from sarunet.errors import UsageError
 from sarunet.gradcam import (color_table, explain_suite, grad_cam, rain_score,
-                             save_heatmap_nwds, suite_targets, write_ppm)
+                             save_heatmap_nwds, suite_grid, write_ppm)
 from sarunet.model import ModelConfig, build
 
 from oracles import grad_rel_err
@@ -145,7 +145,7 @@ class TestGradCam:
 class TestSuite:
     def test_grid_order_and_size(self):
         m = tiny_model()
-        targets = suite_targets(m)
+        targets = list(suite_grid(m))
         assert len(targets) == 32
         assert targets[0] == "enc0.block"
         assert targets[3] == "enc0.cbam"
@@ -187,7 +187,7 @@ class TestSuite:
         cfg = ModelConfig(in_channels=2, out_channels=1, base_channels=2,
                           cbam_reduction=2, variant="smaat")
         with pytest.raises(UsageError):
-            suite_targets(build(cfg, seed=0))
+            suite_grid(build(cfg, seed=0))
 
 
 class TestRendering:
