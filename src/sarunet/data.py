@@ -201,7 +201,8 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
     generator; ``jitter > 0`` additionally perturbs each blob's per-frame
     displacement (and changes the draw sequence). Values below a fixed floor
     are clamped to zero so the background holds true zeros. Same seed, same
-    arguments: bitwise identical output.
+    arguments: bitwise identical output. ``growth`` must be finite and > 0,
+    ``jitter`` finite and >= 0 (``UsageError`` otherwise).
     """
     if height < 32 or width < 32:
         raise UsageError(f"synthetic frames must be at least 32x32, got {height}x{width}")
@@ -209,6 +210,10 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
         raise UsageError("n_frames and n_blobs must be >= 1")
     if interval_minutes < 1:
         raise UsageError(f"the frame interval must be >= 1 minute, got {interval_minutes}")
+    if not (np.isfinite(growth) and growth > 0.0):
+        raise UsageError(f"growth must be a finite number > 0, got {growth}")
+    if not (np.isfinite(jitter) and jitter >= 0.0):
+        raise UsageError(f"jitter must be a finite number >= 0, got {jitter}")
     rng = np.random.default_rng(seed)
     cx = rng.uniform(0.15 * width, 0.85 * width, size=n_blobs)
     cy = rng.uniform(0.15 * height, 0.85 * height, size=n_blobs)

@@ -51,6 +51,9 @@ def _check_layers(model: Model, layers: list[str]) -> None:
     if unknown:
         raise UsageError(f"unknown explain target(s) {unknown}; "
                          f"valid targets: {sorted(valid)}")
+    repeated = sorted({n for n in layers if layers.count(n) > 1})
+    if repeated:
+        raise UsageError(f"explain target(s) {repeated} given more than once")
 
 
 def rain_score(pred: Tensor4, unit: str, *, scale: float = 1.0,

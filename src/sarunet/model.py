@@ -93,7 +93,8 @@ class ActivationTrace:
 
 
 class _Tap:
-    """Collects requested activations and applies output overrides in-line."""
+    """Collects requested activations, marking each to retain its gradient,
+    and applies output overrides in-line."""
 
     def __init__(self, wanted: Iterable[str], overrides: Optional[dict[str, Tensor4]],
                  valid: set[str]):
@@ -113,6 +114,7 @@ class _Tap:
                     f"override for {name!r} has shape {o.shape}, expected {t.shape}")
             t = o
         if name in self.wanted:
+            t.retain_grad()
             self.got[name] = t
         return t
 

@@ -6,15 +6,25 @@ tests: relu'(0) = 0, max-pool ties break to the first index in row-major
 window order, bilinear upsampling uses the corner-aligned-false mapping
 ``src = (dst + 0.5) / 2 - 0.5`` with clamping.
 
+A backward rule keeps only what it reads, and nothing the tape already
+holds as an op's input or output twice: what one elementwise pass or one
+copy rebuilds, it rebuilds. Batch norm keeps its input, the per-channel
+mean, inverse deviation and ``gamma``, and recomputes the normalized input
+with the forward's own expression; relu reads its mask from its output;
+max pooling keeps the argmax indices only. Every rule captures its arrays
+directly, never through a nested function, so a count of the closure
+cells sees them all.
+
 :func:`conv2d` runs one of three kernels, picked from the call's shape:
 
 - 1x1, padding 0, ``groups=1`` (pointwise): one matmul over the input as
   stored; the backward keeps only the input and the weight.
 - 3x3, padding 1, ``groups == cin == cout`` (depthwise): nine shifted
-  multiply-adds over zero-padded flat planes; the backward keeps the padded
-  input, about one input in size.
+  multiply-adds over zero-padded flat planes; the backward keeps the input
+  and the weight, and pads the input again.
 - every other shape (CBAM 7x7, grouped, dense 3x3): im2col and a batched
-  matmul; the backward keeps the patch matrix, ``kh*kw`` times the input.
+  matmul; the backward keeps the input and the weight, and rebuilds the
+  patch matrix (``kh*kw`` times the input) while it runs.
 """
 
 from __future__ import annotations
@@ -42,13 +52,18 @@ def _same_dtype(*tensors: Tensor4) -> np.dtype:
 
 # -- convolution -------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+def _im2col(x: np.ndarray, padding: int, groups: int, kh: int, kw: int,
+            ho: int, wo: int) -> np.ndarray:
+    """The patch matrix of ``x`` zero-padded by ``padding``, split by group:
+    ``[n, groups, (c/groups)*kh*kw, ho*wo]``."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x
+    n, c, _, _ = x.shape
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + ho, j:j + wo]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    return cols.reshape(n, groups, (c // groups) * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, n: int, c: int, hp: int, wp: int,
@@ -105,18 +120,16 @@ def _conv_im2col(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
                  padding: int, groups: int, ho: int, wo: int) -> Tensor4:
     n, cin, h, w_in = x.shape
     cout, _, kh, kw = weight.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    cols = _im2col(xp, kh, kw, ho, wo)
     k = (cin // groups) * kh * kw
     hp, wp = h + 2 * padding, w_in + 2 * padding
-    colsg = cols.reshape(n, groups, k, ho * wo)
     wg = weight.data.reshape(groups, cout // groups, k)
-    out = np.matmul(wg[None, :, :, :], colsg)          # [n, g, cout/g, L]
+    out = np.matmul(wg[None, :, :, :], _im2col(x.data, padding, groups, kh, kw, ho, wo))
 
     def backward_fn(gout: np.ndarray):
         go = gout.reshape(n, groups, cout // groups, ho * wo)
-        dw = np.matmul(go, colsg.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape)
+        cols = _im2col(x.data, padding, groups, kh, kw, ho, wo).transpose(0, 1, 3, 2)
+        dw = np.matmul(go, cols).sum(axis=0).reshape(weight.shape)
+        del cols                                         # rebuilt here, not kept
         dcols = np.matmul(wg.transpose(0, 2, 1)[None, :, :, :], go)
         dxp = _col2im(dcols.reshape(n, cin * kh * kw, ho * wo),
                       n, cin, hp, wp, kh, kw, ho, wo)
@@ -177,10 +190,10 @@ def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.nda
 
 def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
     _, c, h, w_in = x.shape
-    xp = _pad_planes(x.data)
     taps = weight.data.reshape(c, 9)
 
     def backward_fn(gout: np.ndarray):
+        xp = _pad_planes(x.data)
         gp = _pad_planes(gout)
         dx = _shifted_sum(gp, taps[:, ::-1], h, w_in)   # the flipped kernel
         length = h * (w_in + 2)
@@ -191,7 +204,8 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
             dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
         return _conv_grads(gout, dx, dw.reshape(weight.shape), bias)
 
-    return _record_conv(_shifted_sum(xp, taps, h, w_in), x, weight, bias, backward_fn)
+    return _record_conv(_shifted_sum(_pad_planes(x.data), taps, h, w_in), x, weight, bias,
+                        backward_fn)
 
 
 def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
@@ -204,15 +218,17 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
     kernels, each recorded on the tape as ``conv2d``:
 
     - **pointwise** (1x1, padding 0, ``groups=1``): one matmul over the
-      input as stored, forward and backward. Its backward keeps no array of
-      its own, only the input and the weight.
+      input as stored, forward and backward.
     - **depthwise 3x3** (3x3, padding 1, ``groups == cin == cout``): nine
       shifted multiply-adds over the zero-padded input planes; the backward
-      runs the same sum over the padded gradient with the kernel flipped.
-      Its backward keeps the padded input, about one input in size.
+      runs the same sum over the padded gradient with the kernel flipped,
+      and pads the input again for the weight gradient.
     - **im2col**, every other shape (CBAM 7x7, grouped, dense 3x3): a patch
-      matrix and a batched matmul. Its backward keeps the patch matrix,
-      ``kh*kw`` times the input.
+      matrix and a batched matmul. The backward rebuilds the patch matrix,
+      ``kh*kw`` times the input, for the weight gradient.
+
+    Every kernel's backward keeps only the input and the weight (the tape
+    holds both already), never a padded copy or a patch matrix.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
     _, cin, _, _, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, padding, groups)
@@ -224,6 +240,13 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
 
 
 # -- batch normalization ------------------------------------------------------
+
+def _normalize(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """``xhat`` of batch norm; the backward rebuilds it bitwise from the same
+    call instead of keeping it."""
+    c = x.shape[1]
+    return (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+
 
 def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
                running_mean: np.ndarray, running_var: np.ndarray, *,
@@ -256,10 +279,10 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         mean = running_mean.astype(dt)
         var = running_var.astype(dt)
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = gamma.data * xhat + beta.data
+    out = gamma.data * _normalize(x.data, mean, inv_std) + beta.data
 
     def backward_fn(gout: np.ndarray):
+        xhat = _normalize(x.data, mean, inv_std)
         dgamma = (gout * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         dbeta = gout.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         dxhat = gout * gamma.data
@@ -279,10 +302,9 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
 
 def relu(x: Tensor4) -> Tensor4:
     out = np.maximum(x.data, 0)
-    mask = x.data > 0  # subgradient at 0 fixed to 0
 
     def backward_fn(gout):
-        return [gout * mask]
+        return [gout * (out > 0)]        # out > 0 iff x > 0: relu'(0) = 0
 
     return make_result(out, "relu", (x,), backward_fn)
 
@@ -383,7 +405,7 @@ def max_pool2(x: Tensor4) -> Tensor4:
     out = np.take_along_axis(windows, am[..., None], axis=-1)[..., 0]
 
     def backward_fn(gout):
-        dwin = np.zeros_like(windows)
+        dwin = np.zeros((n, c, h2, w2, 4), dtype=gout.dtype)
         np.put_along_axis(dwin, am[..., None], gout[..., None], axis=-1)
         dx = (dwin.reshape(n, c, h2, w2, 2, 2)
               .transpose(0, 1, 2, 4, 3, 5)

@@ -2,9 +2,13 @@
 
 A :class:`Tensor4` wraps a contiguous ``[n, c, h, w]`` float array. Operations
 (see :mod:`sarunet.ops`) record themselves on the currently active
-:class:`Tape`; replaying the tape in reverse propagates gradients into every
-``requires_grad`` tensor they touched. Storage is float32 by default; a
-float64 mode exists for gradient-check tests.
+:class:`Tape`; replaying the tape in reverse propagates gradients through
+every ``requires_grad`` tensor they touched. Gradients are kept only where
+they are read, as in PyTorch's ``retain_grad`` contract: in the ``grad``
+buffer of a leaf made with ``requires_grad=True`` (a :func:`parameter`), and
+of any op output on which :meth:`Tensor4.retain_grad` was called (Grad-CAM's
+traced activations). Other op outputs carry no buffer. Storage is float32 by
+default; a float64 mode exists for gradient-check tests.
 
 Tapes are thread-local: concurrent inference threads each open their own tape
 (or none) over shared read-only parameters.
@@ -19,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UsageError
+from .errors import DataError, DimensionError, NumericError, UsageError
 
 __all__ = [
     "Tensor4",
@@ -49,8 +53,11 @@ class Tensor4:
     """A ``[n, c, h, w]`` array with an optional same-shape gradient buffer.
 
     Data is immutable by convention once created (optimizer updates and grad
-    accumulation are the sanctioned exceptions). ``grad`` exists iff
-    ``requires_grad`` and accumulates across backward passes until zeroed.
+    accumulation are the sanctioned exceptions). ``requires_grad`` means a
+    gradient flows through the tensor. ``grad`` exists on a leaf built with
+    ``requires_grad=True`` and on an op output after :meth:`retain_grad`;
+    any other tensor has ``grad`` None. A buffer accumulates across
+    backward passes until zeroed.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -87,6 +94,13 @@ class Tensor4:
 
     def detach(self) -> "Tensor4":
         return Tensor4(self.data.copy(), requires_grad=False, _checked=True)
+
+    def retain_grad(self) -> None:
+        """Give this op output a zeroed ``grad`` buffer that backward passes
+        accumulate into. A no-op on a tensor that already has one, and on a
+        tensor no gradient flows through."""
+        if self.requires_grad and self.grad is None:
+            self.grad = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -168,7 +182,12 @@ class Tape:
         self.ops.append(_OpRecord(name, tuple(inputs), output, backward_fn))
 
     def backward(self, loss: Tensor4) -> None:
-        """Accumulate dLoss/dT into ``grad`` of every requires_grad tensor.
+        """Accumulate dLoss/dT into the ``grad`` buffer of every tensor the
+        loss depends on that has one: the leaves built with
+        ``requires_grad=True`` and the op outputs marked with
+        :meth:`Tensor4.retain_grad`. Other op outputs only pass their
+        gradient on. An input that is neither recorded here nor holds a
+        buffer (an op output of another tape) is skipped.
 
         Calling twice without zeroing grads accumulates. Each recorded op is
         visited exactly once, in reverse recording order.
@@ -187,19 +206,21 @@ class Tape:
             out_grad = pending.pop(id(rec.output), None)
             if out_grad is None:
                 continue
-            if rec.output.requires_grad:
+            if rec.output.grad is not None:
                 rec.output.grad += out_grad
             in_grads = rec.backward_fn(out_grad)
             for t, g in zip(rec.inputs, in_grads):
                 if g is None or not t.requires_grad:
                     continue
                 key = id(t)
+                if key not in produced:
+                    if t.grad is None:
+                        continue
+                    leaf_tensors[key] = t
                 if key in pending:
                     pending[key] = pending[key] + g
                 else:
                     pending[key] = g
-                if key not in produced:
-                    leaf_tensors[key] = t
         self.last_backward_ops = visited
         for key, t in leaf_tensors.items():
             g = pending.pop(key, None)
@@ -212,14 +233,16 @@ def make_result(data: np.ndarray, name: str, inputs: Sequence[Tensor4],
     """Wrap an op result and record it on the active tape, if any.
 
     Used by :mod:`sarunet.ops`; the output requires grad only when a tape is
-    listening and at least one input requires grad.
+    listening and at least one input requires grad. It gets no ``grad``
+    buffer (see :meth:`Tensor4.retain_grad`). With debug checks on, a
+    non-finite result raises ``NumericError`` naming the op.
     """
     if _DEBUG_CHECKS and not np.isfinite(data).all():
-        raise FloatingPointError(f"non-finite values produced by op '{name}'")
+        raise NumericError(f"non-finite values produced by op '{name}'")
+    out = Tensor4(data, _checked=True)
     tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor4(data, requires_grad=needs, _checked=True)
-    if needs:
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
         tape.record(name, inputs, out, backward_fn)
     return out
 

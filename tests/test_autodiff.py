@@ -78,6 +78,35 @@ class TestTapeMechanics:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.full_like(x.data, 2.0))
 
+    def test_grad_kept_on_leaves_and_retained_outputs_only(self):
+        x = tensor(np.array([-1.0, 2.0]).reshape(1, 1, 1, 2), requires_grad=True, dtype=F64)
+        with Tape() as tape:
+            a = ops.relu(x)
+            b = ops.smul(a, 3.0)
+            b.retain_grad()
+            loss = ops.sum_all(b)
+        assert a.requires_grad and a.grad is None and loss.grad is None
+        tape.backward(loss)
+        tape.backward(loss)                     # retained buffers accumulate too
+        assert a.grad is None and loss.grad is None
+        np.testing.assert_array_equal(b.grad, np.full_like(b.data, 2.0))
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 6.0]]]])
+
+    def test_retain_grad_is_noop_without_gradient_flow(self):
+        a = ops.relu(tensor(np.ones((1, 1, 1, 1)), requires_grad=True))   # no tape
+        a.retain_grad()
+        assert not a.requires_grad and a.grad is None
+
+    def test_output_of_another_tape_is_skipped(self):
+        w = tensor(np.ones((1, 1, 2, 2)), requires_grad=True, dtype=F64)
+        with Tape():
+            a = ops.smul(w, 2.0)
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(a, w))
+        tape.backward(loss)
+        assert a.grad is None
+        np.testing.assert_array_equal(w.grad, a.data)
+
     def test_non_scalar_loss_rejected(self):
         x = tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         with Tape() as tape:

@@ -64,6 +64,16 @@ class TestSynth:
                        "--out", tmp_path / "x.nwds") == 2
         assert not (tmp_path / "x.nwds").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--growth", "-1"), ("--growth", "0"),
+                                            ("--growth", "nan"), ("--jitter", "-3"),
+                                            ("--jitter", "inf")])
+    def test_bad_growth_or_jitter_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = run("synth", "--frames", 5, "--size", 32, flag, value,
+                   "--out", tmp_path / "x.nwds")
+        assert code == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "x.nwds").exists()
+
     def test_zero_interval_series_is_data_error(self, tmp_path):
         p = tmp_path / "zero.nwds"
         save_nwds(p, FrameSeries(np.ones((60, 32, 32), np.float32), 0, "raw"))
@@ -354,6 +364,16 @@ class TestExplain:
                     for r in rows if r.startswith("dec")}
         assert dec_rows["dec3.block"] == 0
         assert dec_rows["dec0.block"] == 3
+
+    def test_repeated_target_is_usage_error(self, synth_file, trained_dir, tmp_path,
+                                            capsys):
+        out = tmp_path / "ex_twice"
+        code = run("explain", "--checkpoint", trained_dir / "model.ckpt",
+                   "--data", synth_file, "--targets", "enc0.block,enc1.cbam,enc0.block",
+                   "--out-dir", out)
+        assert code == 2
+        assert "['enc0.block']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_smaat_subpath_target_is_clear_error(self, synth_file, tmp_path,
                                                  capsys):

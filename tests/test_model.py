@@ -1,10 +1,13 @@
 """Topology, routing, determinism, and checkpoint behavior of the assembled
 network."""
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
-from sarunet import Tape, ops, tensor
+from sarunet import Tape, Tensor4, ops, tensor
 from sarunet.blocks import param_count
 from sarunet.errors import ConfigurationError, DimensionError, UsageError
 from sarunet.model import (ModelConfig, build, load_checkpoint,
@@ -170,6 +173,76 @@ class TestRouting:
         largest = {n: np.abs(p.grad).max() for n, p in m.named_parameters()}
         top = max(largest.values())
         assert [n for n, g in largest.items() if g <= 1e-12 * top] == []
+
+def taped_step(m, x, target, trace_request=()):
+    with Tape() as tape:
+        y, trace = m.forward(x, train=True, trace_request=trace_request)
+        loss = mse_loss(y, target)
+    tape.backward(loss)
+    return tape, trace
+
+
+def _base(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+class TestTapeMemory:
+    """The tape holds what a backward pass reads, and little else."""
+
+    def test_only_parameters_and_traced_activations_hold_grad(self):
+        m = build(tiny_config(), seed=0)
+        wanted = ["enc0.block", "enc1.block.dsc_path", "enc2.cbam", "dec0.block.shortcut"]
+        tape, trace = taped_step(m, rand_input((1, 2, 32, 32), seed=1),
+                                 rand_input((1, 1, 32, 32), seed=2), wanted)
+        assert all(p.grad is not None for p in m.parameters())
+        traced = {id(trace.get(n)) for n in wanted}
+        holding = {id(rec.output) for rec in tape.ops if rec.output.grad is not None}
+        assert holding == traced
+        assert all(np.any(trace.get(n).grad != 0.0) for n in wanted)
+
+    def test_training_step_peak_memory(self):
+        """One taped step at the paper's 288x288 input peaks at a small multiple
+        of its op outputs: without gradient buffers on every output and
+        without closure copies of what the tape holds."""
+        m = build(ModelConfig(in_channels=12, out_channels=6, base_channels=4,
+                              cbam_reduction=4), seed=0)
+        x = rand_input((1, 12, 288, 288), seed=3)
+        target = rand_input((1, 6, 288, 288), seed=4)
+        tracemalloc.start()
+        try:
+            tape, _ = taped_step(m, x, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(rec.output.data.nbytes for rec in tape.ops)
+        assert peak <= 2.25 * outputs
+
+    def test_backward_closures_keep_only_tape_arrays(self):
+        """Backward closures capture their arrays directly, so a count of the
+        closure cells sees them all, and hold almost nothing beyond the
+        recorded tensors: what they need they rebuild from those."""
+        m = build(tiny_config(), seed=0)
+        tape, _ = taped_step(m, rand_input((1, 2, 64, 64), seed=5),
+                             rand_input((1, 1, 64, 64), seed=6))
+        held = {id(_base(a)) for rec in tape.ops for t in (rec.output, *rec.inputs)
+                for a in (t.data, t.grad) if a is not None}
+        extra = {}
+        for rec in tape.ops:
+            for cell in rec.backward_fn.__closure__ or ():
+                v = cell.cell_contents
+                if isinstance(v, types.FunctionType):
+                    inner = [c.cell_contents for c in v.__closure__ or ()]
+                    assert not any(isinstance(a, (np.ndarray, Tensor4)) for a in inner), \
+                        f"{rec.name} hides arrays in a nested closure"
+                for a in ((v.data, v.grad) if isinstance(v, Tensor4) else (v,)):
+                    if isinstance(a, np.ndarray) and id(_base(a)) not in held:
+                        extra[id(_base(a))] = _base(a).nbytes
+        outputs = sum(rec.output.data.nbytes for rec in tape.ops)
+        # what is left: pooling argmax indices and per-channel statistics
+        assert sum(extra.values()) <= 0.05 * outputs
+
 
 class TestPersistence:
     def test_replicates_last_channel(self):
