@@ -6,9 +6,9 @@ tests: relu'(0) = 0, max-pool ties break to the first index in row-major
 window order, bilinear upsampling uses the corner-aligned-false mapping
 ``src = (dst + 0.5) / 2 - 0.5`` with clamping.
 
-A backward rule keeps only what it reads, and nothing the tape already
-holds as an op's input or output twice: what one elementwise pass or one
-copy rebuilds, it rebuilds. Batch norm keeps its input, the per-channel
+A backward rule keeps only what it reads. It copies nothing the tape
+already holds as an op's inputs and output, and what one elementwise pass
+or one copy can rebuild, it rebuilds. Batch norm keeps its input, the per-channel
 mean, inverse deviation and ``gamma``, and recomputes the normalized input
 with the forward's own expression; relu reads its mask from its output;
 max pooling keeps the argmax indices only. Every rule captures its arrays
