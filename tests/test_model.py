@@ -174,6 +174,7 @@ class TestRouting:
         top = max(largest.values())
         assert [n for n, g in largest.items() if g <= 1e-12 * top] == []
 
+
 def taped_step(m, x, target, trace_request=()):
     with Tape() as tape:
         y, trace = m.forward(x, train=True, trace_request=trace_request)
