@@ -2,18 +2,21 @@
 
 Every public function computes forward values eagerly and registers a
 backward rule on the active tape. Conventions fixed here for bit-stable
-tests: relu'(0) = 0, max-pool ties break to the first index in row-major
-window order, bilinear upsampling uses the corner-aligned-false mapping
-``src = (dst + 0.5) / 2 - 0.5`` with clamping.
+tests: relu'(0) = 0; max-pool and global-max ties break to the first index
+(row-major within a window or plane), in the value and in the gradient;
+bilinear upsampling uses the corner-aligned-false mapping
+``src = (dst + 0.5) / 2 - 0.5`` with clamping, which on a x2 grid has the
+fixed weights 0.25 and 0.75.
 
 A backward rule keeps only what it reads. It copies nothing the tape
 already holds as an op's inputs and output, and what one elementwise pass
 or one copy can rebuild, it rebuilds. Batch norm keeps its input, the per-channel
 mean, inverse deviation and ``gamma``, and recomputes the normalized input
 with the forward's own expression; relu reads its mask from its output;
-max pooling keeps the argmax indices only. Every rule captures its arrays
-directly, never through a nested function, so a count of the closure
-cells sees them all.
+max pooling and global max find the winning entry again from
+``x == out``; bilinear upsampling keeps nothing. Every rule captures its
+arrays directly, never through a nested function, so a count of the
+closure cells sees them all.
 
 :func:`conv2d` runs one of three kernels, picked from the call's shape:
 
@@ -391,102 +394,169 @@ def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
 
 # -- pooling / resampling ------------------------------------------------------
 
+_POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))     # row-major window order
+
+
+def _route(gout: np.ndarray, hits: np.ndarray, out: np.ndarray) -> None:
+    """``out = gout`` where ``hits``, else ``+0.0``, bit for bit (a ``-0.0``
+    gradient stays ``-0.0``): the float bits times the 0/1 mask, in one
+    pass that writes every entry of ``out``."""
+    bits = np.dtype(f"u{gout.itemsize}")
+    np.multiply(gout.view(bits), hits, out=out.view(bits))
+
+
 def max_pool2(x: Tensor4) -> Tensor4:
-    """2x2 max pooling, stride 2. Ties route gradient to the first index in
-    row-major window order."""
+    """2x2 max pooling, stride 2, over the four strided tap views of ``x``.
+
+    Ties go to the first tap in row-major window order, in the value (a
+    ``-0.0``/``+0.0`` tie keeps the first tap's sign) and in the gradient.
+    The backward keeps nothing: it routes ``gout`` to the first tap equal to
+    the output, reading both from the tape.
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"max_pool2 needs even spatial dims, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    windows = (x.data.reshape(n, c, h2, 2, w2, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, h2, w2, 4))
-    am = windows.argmax(axis=-1)           # first max in (0,0),(0,1),(1,0),(1,1) order
-    out = np.take_along_axis(windows, am[..., None], axis=-1)[..., 0]
+    a, b, cc, d = (x.data[:, :, i::2, j::2] for i, j in _POOL_TAPS)
+    # np.maximum returns its second argument on a tie, so each call takes
+    # the later tap first and the earlier one wins
+    out = np.maximum(d, cc)
+    np.maximum(out, np.maximum(b, a), out=out)
 
     def backward_fn(gout):
-        dwin = np.zeros((n, c, h2, w2, 4), dtype=gout.dtype)
-        np.put_along_axis(dwin, am[..., None], gout[..., None], axis=-1)
-        dx = (dwin.reshape(n, c, h2, w2, 2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h, w))
+        dx = np.empty_like(x.data)
+        free = np.ones(out.shape, dtype=bool)       # windows not routed yet
+        hit = np.empty_like(free)
+        for i, j in _POOL_TAPS[:-1]:
+            np.equal(x.data[:, :, i::2, j::2], out, out=hit)
+            hit &= free
+            _route(gout, hit, dx[:, :, i::2, j::2])
+            free ^= hit
+        _route(gout, free, dx[:, :, 1::2, 1::2])
         return [dx]
 
     return make_result(out, "max_pool2", (x,), backward_fn)
 
 
-def _bilinear_axis(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index/weight vectors mapping an axis of length `size` to `2*size`."""
-    dst = np.arange(2 * size, dtype=np.float64)
-    src = np.clip((dst + 0.5) / 2.0 - 0.5, 0.0, size - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, size - 1)
-    w1 = src - i0
-    w0 = 1.0 - w1
-    return i0, i1, w0, w1
+def _along(axis: int, s) -> tuple:
+    """Index ``s`` on spatial ``axis`` (-2: rows, -1: columns)."""
+    return (Ellipsis, s) if axis == -1 else (Ellipsis, s, slice(None))
+
+
+def _double(a: np.ndarray, axis: int) -> np.ndarray:
+    """Bilinear x2 along spatial ``axis``: out ``2i`` is
+    ``0.25*a[i-1] + 0.75*a[i]`` and out ``2i+1`` is ``0.75*a[i] + 0.25*a[i+1]``.
+    The clamped ends are ``a[0]*1 + a[1]*0`` and ``a[-1]*1 + a[-1]*0``, kept
+    as sums, so the result is bitwise that of the general half-pixel
+    formula, ``-0.0`` included."""
+    size = a.shape[axis]
+    shape = list(a.shape)
+    shape[axis] = 2 * size
+    out = np.empty(shape, dtype=a.dtype)
+    quarter, three_q, zero = (a.dtype.type(v) for v in (0.25, 0.75, 0.0))
+    prev, cur = a[_along(axis, slice(None, -1))], a[_along(axis, slice(1, None))]
+    p, q = np.empty_like(prev), np.empty_like(prev)    # the pass's two products
+    np.add(np.multiply(prev, quarter, out=p), np.multiply(cur, three_q, out=q),
+           out=out[_along(axis, slice(2, None, 2))])    # 2i, i >= 1
+    np.add(np.multiply(prev, three_q, out=p), np.multiply(cur, quarter, out=q),
+           out=out[_along(axis, slice(1, -1, 2))])      # 2i+1, i <= size-2
+    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
+    nxt = min(1, size - 1)
+    out[first] = a[first] + a[_along(axis, slice(nxt, nxt + 1))] * zero
+    out[last] = a[last] + a[last] * zero
+    return out
+
+
+def _double_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of :func:`_double`: ``g`` has ``2*size`` entries along
+    ``axis``; input ``i`` gathers ``0.75`` of outputs ``2i`` and ``2i+1``
+    and ``0.25`` of outputs ``2i-1`` and ``2i+2``, and the clamped ends
+    carry their full weight to ``0`` and ``size-1``."""
+    quarter = g.dtype.type(0.25)
+    even, odd = g[_along(axis, slice(0, None, 2))], g[_along(axis, slice(1, None, 2))]
+    d = np.add(even, odd)
+    d *= g.dtype.type(0.75)
+    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
+    d[first] += even[first] * quarter
+    d[last] += odd[last] * quarter
+    term = np.multiply(odd[_along(axis, slice(None, -1))], quarter)   # one temporary
+    tail = d[_along(axis, slice(1, None))]
+    tail += term
+    head = d[_along(axis, slice(None, -1))]
+    head += np.multiply(even[_along(axis, slice(1, None))], quarter, out=term)
+    return d
 
 
 def upsample_bilinear2(x: Tensor4) -> Tensor4:
     """Double both spatial dims with bilinear interpolation
-    (``src = (dst+0.5)/2 - 0.5``, clamped)."""
-    n, c, h, w = x.shape
-    r0, r1, rw0, rw1 = _bilinear_axis(h)
-    c0, c1, cw0, cw1 = _bilinear_axis(w)
-    dt = x.dtype
-    rw0c = rw0.astype(dt)[None, None, :, None]
-    rw1c = rw1.astype(dt)[None, None, :, None]
-    cw0c = cw0.astype(dt)[None, None, None, :]
-    cw1c = cw1.astype(dt)[None, None, None, :]
-    rows = x.data[:, :, r0, :] * rw0c + x.data[:, :, r1, :] * rw1c   # [n,c,2h,w]
-    out = rows[:, :, :, c0] * cw0c + rows[:, :, :, c1] * cw1c        # [n,c,2h,2w]
+    (``src = (dst+0.5)/2 - 0.5``, clamped).
+
+    On a x2 grid the weights are fixed: 0.25 and 0.75 for each interior
+    output, 1 and 0 at the clamped ends. Rows, then columns, are written
+    as strided slices; the backward is the adjoint, strided reads and adds,
+    and keeps nothing.
+    """
+    out = _double(_double(x.data, -2), -1)
 
     def backward_fn(gout):
-        drows = np.zeros((n, c, 2 * h, w), dtype=gout.dtype)
-        np.add.at(drows, (slice(None), slice(None), slice(None), c0), gout * cw0c)
-        np.add.at(drows, (slice(None), slice(None), slice(None), c1), gout * cw1c)
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), slice(None), r0, slice(None)), drows * rw0c)
-        np.add.at(dx, (slice(None), slice(None), r1, slice(None)), drows * rw1c)
-        return [dx]
+        return [_double_adjoint(_double_adjoint(gout, -1), -2)]
 
     return make_result(out, "upsample_bilinear2", (x,), backward_fn)
 
 
+def _first_hits(xs: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """Where ``xs`` first equals its maximum ``m`` along ``axis``: argmax's
+    first-index rule as a bool mask, without an index array. Only slices
+    with a tie pay for the cumulative scan."""
+    hits = xs == m
+    along = np.moveaxis(hits, axis, -1)                # a view
+    tied = np.count_nonzero(along, axis=-1) > 1
+    if tied.any():
+        seen = np.logical_or.accumulate(along[tied], axis=-1)
+        seen[:, 1:] &= ~seen[:, :-1]
+        along[tied] = seen
+    return hits
+
+
+def _max_first(xs: np.ndarray, axis: int) -> np.ndarray:
+    """Maximum over ``axis``, kept, with argmax's first-index rule. Only a
+    ``-0.0``/``+0.0`` tie can tell the rules apart, and the reduction may
+    return either zero, so a zero maximum takes the first zero's sign."""
+    m = xs.max(axis=axis, keepdims=True)
+    zero = m == 0
+    if zero.any():
+        neg = np.logical_and(_first_hits(xs, m, axis), np.signbit(xs)).any(
+            axis=axis, keepdims=True)
+        m[zero] = np.where(neg[zero], -0.0, 0.0)
+    return m
+
+
 def global_pool(x: Tensor4, kind: str = "avg", axis: str = "spatial") -> Tensor4:
-    """Exact mean/max either over space (``[n,c,1,1]``) or channels (``[n,1,h,w]``)."""
+    """Exact mean/max either over space (``[n,c,1,1]``) or channels (``[n,1,h,w]``).
+
+    Max ties go to the first index (row-major over space), in the value and
+    in the gradient; the max backward finds it again from ``x == out`` and
+    keeps nothing.
+    """
     if kind not in ("avg", "max") or axis not in ("spatial", "channel"):
         raise UsageError(f"global_pool kind must be avg|max and axis spatial|channel, "
                          f"got {kind}/{axis}")
     n, c, h, w = x.shape
-    if axis == "spatial":
-        if kind == "avg":
-            out = x.data.mean(axis=(2, 3), keepdims=True)
+    if kind == "avg":
+        size = h * w if axis == "spatial" else c
+        out = x.data.mean(axis=(2, 3) if axis == "spatial" else 1, keepdims=True)
 
-            def backward_fn(gout):
-                return [np.broadcast_to(gout / (h * w), x.shape).astype(gout.dtype).copy()]
-        else:
-            flat = x.data.reshape(n, c, h * w)
-            am = flat.argmax(axis=-1)
-            out = np.take_along_axis(flat, am[..., None], axis=-1).reshape(n, c, 1, 1)
-
-            def backward_fn(gout):
-                dflat = np.zeros_like(flat)
-                np.put_along_axis(dflat, am[..., None], gout.reshape(n, c, 1), axis=-1)
-                return [dflat.reshape(x.shape)]
+        def backward_fn(gout):
+            return [np.broadcast_to(gout / size, x.shape).astype(gout.dtype)]
     else:
-        if kind == "avg":
-            out = x.data.mean(axis=1, keepdims=True)
+        # one reduced axis: the flattened plane, or the channels
+        xs, ax = (x.data.reshape(n, c, h * w), 2) if axis == "spatial" else (x.data, 1)
+        m = _max_first(xs, ax)
+        out = m.reshape(n, c, 1, 1) if axis == "spatial" else m
 
-            def backward_fn(gout):
-                return [np.broadcast_to(gout / c, x.shape).astype(gout.dtype).copy()]
-        else:
-            am = x.data.argmax(axis=1)
-            out = np.take_along_axis(x.data, am[:, None], axis=1)
-
-            def backward_fn(gout):
-                dx = np.zeros_like(x.data)
-                np.put_along_axis(dx, am[:, None], gout, axis=1)
-                return [dx]
+        def backward_fn(gout):
+            dx = np.empty_like(xs)
+            _route(gout.reshape(m.shape), _first_hits(xs, m, ax), dx)
+            return [dx.reshape(x.shape)]
 
     return make_result(out, f"global_pool_{kind}_{axis}", (x,), backward_fn)
 
@@ -497,7 +567,7 @@ def sum_all(x: Tensor4) -> Tensor4:
     out = np.array(x.data.sum(dtype=np.float64), dtype=x.dtype).reshape(1, 1, 1, 1)
 
     def backward_fn(gout):
-        return [np.broadcast_to(gout.reshape(()), x.shape).astype(gout.dtype).copy()]
+        return [np.broadcast_to(gout.reshape(()), x.shape).astype(gout.dtype)]
 
     return make_result(out, "sum_all", (x,), backward_fn)
 
@@ -508,6 +578,6 @@ def mean_all(x: Tensor4) -> Tensor4:
 
     def backward_fn(gout):
         g = gout.reshape(()) / x.dtype.type(size)
-        return [np.broadcast_to(g, x.shape).astype(gout.dtype).copy()]
+        return [np.broadcast_to(g, x.shape).astype(gout.dtype)]
 
     return make_result(out, "mean_all", (x,), backward_fn)

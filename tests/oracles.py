@@ -51,25 +51,46 @@ def max_pool2_windows(x):
     return out
 
 
+def _half_pixel_source(dst, size):
+    """Source taps of output ``dst`` on a doubled axis of ``size`` inputs,
+    ``src = (dst+0.5)/2 - 0.5`` clamped: ``(i0, i1, weight of i1)``."""
+    s = min(max((dst + 0.5) / 2 - 0.5, 0.0), size - 1.0)
+    i0 = int(np.floor(s))
+    return i0, min(i0 + 1, size - 1), s - i0
+
+
 def bilinear_double(x):
     """Doubling bilinear resample, src = (dst+0.5)/2 - 0.5 with clamping."""
     n, c, h, w = x.shape
     out = np.empty((n, c, 2 * h, 2 * w), dtype=np.float64)
     for oy in range(2 * h):
-        sy = min(max((oy + 0.5) / 2 - 0.5, 0.0), h - 1.0)
-        y0 = int(np.floor(sy))
-        y1 = min(y0 + 1, h - 1)
-        wy = sy - y0
+        y0, y1, wy = _half_pixel_source(oy, h)
         for ox in range(2 * w):
-            sx = min(max((ox + 0.5) / 2 - 0.5, 0.0), w - 1.0)
-            x0 = int(np.floor(sx))
-            x1 = min(x0 + 1, w - 1)
-            wx = sx - x0
+            x0, x1, wx = _half_pixel_source(ox, w)
             out[:, :, oy, ox] = ((1 - wy) * (1 - wx) * x[:, :, y0, x0]
                                  + (1 - wy) * wx * x[:, :, y0, x1]
                                  + wy * (1 - wx) * x[:, :, y1, x0]
                                  + wy * wx * x[:, :, y1, x1])
     return out
+
+
+def bilinear_double_adjoint(g):
+    """Adjoint of :func:`bilinear_double` in float64: each output's
+    gradient is scattered onto its four source pixels with the forward's
+    weights."""
+    n, c, h2, w2 = g.shape
+    h, w = h2 // 2, w2 // 2
+    dx = np.zeros((n, c, h, w), dtype=np.float64)
+    for oy in range(h2):
+        y0, y1, wy = _half_pixel_source(oy, h)
+        for ox in range(w2):
+            x0, x1, wx = _half_pixel_source(ox, w)
+            go = g[:, :, oy, ox].astype(np.float64)
+            dx[:, :, y0, x0] += (1 - wy) * (1 - wx) * go
+            dx[:, :, y0, x1] += (1 - wy) * wx * go
+            dx[:, :, y1, x0] += wy * (1 - wx) * go
+            dx[:, :, y1, x1] += wy * wx * go
+    return dx
 
 
 def cbam_reference(x, w1, w2, sw):

@@ -21,13 +21,15 @@ from sarunet.errors import DataError, SarunetError
 from sarunet.model import (_CKPT_MAGIC, ModelConfig, build, load_checkpoint,
                            read_checkpoint_section, save_checkpoint,
                            write_checkpoint_section)
-from sarunet.tensor import Tape, read_section, tensor, write_section
+from sarunet.tensor import Tape, make_result, read_section, tensor, write_section
 from sarunet.train import (_OPT_MAGIC, TrainConfig, _read_opt_section,
                            _write_opt_section, fit)
 
+from oracles import bilinear_double, bilinear_double_adjoint
+
 GOLDEN_SHA256 = {
     "model.ckpt": "a3ea5a682e5c3a85f5763784cba26b297a52b854e64cdbcc0a085854dbb64c93",
-    "last.ckpt": "be28e7616f6278b18a1ceef345a70c46664c673d7f105c606bf8c495514fbb20",
+    "last.ckpt": "d14674a27b5d70b6db41ccea84b716893e103299c79e93a160cf23f057f01eab",
     "series.nwds": "b473582e1d387ecb835237d78ec80dab0d31ae1d3d93f216a2653c2b6d438a5b",
 }
 
@@ -97,20 +99,27 @@ def last_ckpt_sections(path):
 
 
 def test_last_ckpt_moves_by_rounding_only(tiny_files, tmp_path, monkeypatch):
-    """With every depthwise conv sent through the general im2col path, the
-    one-epoch ``last.ckpt`` agrees with the shipped one in every tensor and
-    in ``best_val_loss`` to 1e-3: the two depthwise kernels differ in
-    summation order only, and no trainable tensor steps on rounding noise."""
+    """With every depthwise conv sent through the general im2col path and
+    every bilinear upsample through the float64 loop oracles, the one-epoch
+    ``last.ckpt`` agrees with the shipped one in every tensor and in
+    ``best_val_loss`` to 1e-3: the kernels differ from those references in
+    rounding only, and no trainable tensor steps on rounding noise."""
     calls = []
 
     def depthwise_as_im2col(x, weight, bias):
-        calls.append(x.shape)
+        calls.append("depthwise")
         _, c, h, w = x.shape
         return ops._conv_im2col(x, weight, bias, 1, c, h, w)
 
+    def upsample_by_oracle(x):
+        calls.append("upsample")
+        return make_result(bilinear_double(x.data).astype(x.dtype), "upsample_bilinear2", (x,),
+                           lambda g: [bilinear_double_adjoint(g).astype(g.dtype)])
+
     monkeypatch.setattr(ops, "_conv_depthwise3", depthwise_as_im2col)
+    monkeypatch.setattr(ops, "upsample_bilinear2", upsample_by_oracle)
     reference = write_tiny_files(tmp_path)["last.ckpt"]
-    assert calls
+    assert set(calls) == {"depthwise", "upsample"}
     shipped = last_ckpt_sections(tiny_files["last.ckpt"])
     for (meta, tensors), (ref_meta, ref_tensors) in zip(shipped, last_ckpt_sections(reference)):
         assert meta.keys() == ref_meta.keys() and tensors.keys() == ref_tensors.keys()

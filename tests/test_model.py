@@ -241,8 +241,8 @@ class TestTapeMemory:
                     if isinstance(a, np.ndarray) and id(_base(a)) not in held:
                         extra[id(_base(a))] = _base(a).nbytes
         outputs = sum(rec.output.data.nbytes for rec in tape.ops)
-        # what is left: pooling argmax indices and per-channel statistics
-        assert sum(extra.values()) <= 0.05 * outputs
+        # what is left: batch norm's per-channel statistics
+        assert sum(extra.values()) <= 0.005 * outputs
 
 
 class TestPersistence:

@@ -1,6 +1,7 @@
 """Forward semantics of the tensor core, checked against independent oracles."""
 
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,17 @@ from sarunet.errors import (ConfigurationError, DataError, DimensionError, Numer
                             UsageError)
 from sarunet.tensor import read_t4, set_debug_checks, write_t4
 
-from oracles import (bilinear_double, conv2d_loops, finite_diff, grad_rel_err,
-                     max_pool2_windows)
+from oracles import (bilinear_double, bilinear_double_adjoint, conv2d_loops, finite_diff,
+                     grad_rel_err, max_pool2_windows)
 
 
 def t(arr, **kw):
     return tensor(np.asarray(arr), **kw)
+
+
+def bits(a):
+    """The raw bits of a float array, so -0.0 and +0.0 compare unequal."""
+    return a.view(np.dtype(f"u{a.itemsize}"))
 
 
 class TestConv2d:
@@ -268,6 +274,39 @@ class TestPooling:
         with pytest.raises(DimensionError):
             ops.max_pool2(t(np.ones((1, 1, 3, 4))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tie_goes_to_the_first_tap(self, dtype):
+        """All 256 windows over {-1, -0.0, +0.0, 1}: all-equal windows, every
+        pair and triple of equal taps, and -0.0/+0.0 ties. The value carries
+        the first maximal tap's bits; the backward hands that tap the
+        gradient bit for bit, -0.0 included, and the other taps +0.0."""
+        windows = list(itertools.product([-1.0, -0.0, 0.0, 1.0], repeat=4))
+        x = np.empty((1, 1, 2, 2 * len(windows)), dtype=dtype)
+        for k, win in enumerate(windows):
+            x[0, 0, :, 2 * k:2 * k + 2] = np.reshape(win, (2, 2))
+        rng = np.random.default_rng(9)
+        gout = rng.normal(size=(1, 1, 1, len(windows))).astype(dtype)
+        gout[..., ::3] = -0.0
+        with Tape() as tape:
+            y = ops.max_pool2(t(x, dtype=dtype, requires_grad=True))
+        (dx,) = tape.ops[-1].backward_fn(gout)
+        want = np.zeros_like(x)
+        for k, win in enumerate(windows):
+            first = win.index(max(win))
+            want[0, 0, first // 2, 2 * k + first % 2] = gout[0, 0, 0, k]
+            assert np.signbit(y.data[0, 0, 0, k]) == np.signbit(win[first]), win
+        np.testing.assert_array_equal(bits(dx), bits(want))
+
+
+def interpolation_matrix(h, w):
+    """``[4hw, hw]`` float64 matrix of :func:`oracles.bilinear_double`: column
+    ``k`` is the doubled image of basis pixel ``k``."""
+    basis = np.eye(h * w).reshape(h * w, 1, h, w)
+    return bilinear_double(basis).reshape(h * w, 4 * h * w).T
+
+
+UPSAMPLE_PLANES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 4), (4, 4), (5, 7)]
+
 
 class TestUpsample:
     def test_constant_preserved(self):
@@ -295,6 +334,50 @@ class TestUpsample:
         y = ops.upsample_bilinear2(ops.max_pool2(x))
         np.testing.assert_array_equal(y.data, x.data)
 
+    def test_clamped_ends_keep_the_gather_sums(self):
+        # the end outputs are x[0]*1 + x[1]*0 and x[-1]*1 + x[-1]*0: a -0.0
+        # end survives next to a -0.0, not next to a positive value
+        y = ops.upsample_bilinear2(t(np.array([-0.0, 1.0, -0.0]).reshape(1, 1, 1, 3)))
+        for row in y.data[0, 0]:
+            assert not np.signbit(row[0]) and np.signbit(row[-1])
+
+    @pytest.mark.parametrize("plane", UPSAMPLE_PLANES)
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_forward_and_backward_match_interpolation_matrix(self, plane, dtype, tol):
+        """The backward is the transpose of the float64 interpolation matrix,
+        as is the loop adjoint in the oracles."""
+        h, w = plane
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+        g = rng.normal(size=(2, 3, 2 * h, 2 * w)).astype(dtype)
+        m = interpolation_matrix(h, w)
+        want_y = (x.reshape(6, h * w) @ m.T).reshape(g.shape)
+        want_dx = (g.reshape(6, 4 * h * w) @ m).reshape(x.shape)
+        np.testing.assert_allclose(bilinear_double_adjoint(g), want_dx, rtol=0, atol=1e-12)
+        xt = t(x, dtype=dtype, requires_grad=True)
+        with Tape() as tape:
+            y = ops.upsample_bilinear2(xt)
+            loss = ops.sum_all(ops.mul(y, t(g, dtype=dtype)))
+        tape.backward(loss)
+        assert grad_rel_err(y.data, want_y) <= tol
+        assert grad_rel_err(xt.grad, want_dx) <= tol
+        assert grad_rel_err(xt.grad, bilinear_double_adjoint(g)) <= tol
+
+    @pytest.mark.parametrize("plane", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    def test_gradient_matches_finite_differences(self, plane):
+        rng = np.random.default_rng(15)
+        x = t(rng.normal(size=(2, 2) + plane), dtype=np.float64, requires_grad=True)
+
+        def loss():
+            y = ops.upsample_bilinear2(x)
+            return ops.sum_all(ops.mul(y, y))
+
+        with Tape() as tape:
+            out = loss()
+        tape.backward(out)
+        num = finite_diff(lambda: loss().item(), x.data, h=1e-5)
+        assert grad_rel_err(x.grad, num) <= 1e-7
+
 
 class TestGlobalPool:
     def test_avg_spatial_constant(self):
@@ -315,6 +398,35 @@ class TestGlobalPool:
         y = ops.global_pool(t(x), "avg", "spatial")
         np.testing.assert_allclose(
             y.data.reshape(2, 3), x.reshape(2, 3, 16).sum(axis=-1) / 16, atol=1e-7)
+
+    @pytest.mark.parametrize("axis", ["spatial", "channel"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_ties_go_to_the_first_index(self, axis, dtype):
+        """Every arrangement of {-1, -0.0, +0.0, 1} over four entries, pooled
+        over a 2x2 plane (row-major) or four channels: the value carries the
+        first maximal entry's bits, and the gradient goes to it alone."""
+        combos = np.array(list(itertools.product([-1.0, -0.0, 0.0, 1.0], repeat=4)))
+        if axis == "spatial":
+            x = combos.reshape(1, -1, 2, 2).astype(dtype)          # one plane per channel
+            pooled = x.reshape(1, -1, 4)
+        else:
+            x = combos.T.reshape(1, 4, 16, 16).astype(dtype)       # one pixel per combo
+            pooled = x.reshape(1, 4, 256).transpose(0, 2, 1)
+        rng = np.random.default_rng(16)
+        shape = (1, 256, 1, 1) if axis == "spatial" else (1, 1, 16, 16)
+        gout = rng.normal(size=shape).astype(dtype)
+        gout.reshape(-1)[::3] = -0.0
+        with Tape() as tape:
+            y = ops.global_pool(t(x, dtype=dtype, requires_grad=True), "max", axis)
+        (dx,) = tape.ops[-1].backward_fn(gout)
+        grad = dx.reshape(1, 256, 4) if axis == "spatial" else \
+            dx.reshape(1, 4, 256).transpose(0, 2, 1)
+        first = [list(row).index(row.max()) for row in pooled[0]]
+        for k, i in enumerate(first):
+            assert np.signbit(y.data.reshape(-1)[k]) == np.signbit(pooled[0, k, i])
+            want = np.zeros(4, dtype=dtype)
+            want[i] = gout.reshape(-1)[k]
+            np.testing.assert_array_equal(bits(grad[0, k]), bits(want))
 
 
 class TestSerialization:
