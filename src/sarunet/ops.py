@@ -504,9 +504,9 @@ def upsample_bilinear2(x: Tensor4) -> Tensor4:
 
 
 def _first_hits(xs: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    """Where ``xs`` first equals its maximum ``m`` along ``axis``: argmax's
-    first-index rule as a bool mask, without an index array. Only slices
-    with a tie pay for the cumulative scan."""
+    """Where ``xs`` first equals its maximum ``m`` along ``axis``: the
+    first-index tie rule as a bool mask, without an index array. Only
+    slices with a tie pay for the cumulative scan."""
     hits = xs == m
     along = np.moveaxis(hits, axis, -1)                # a view
     tied = np.count_nonzero(along, axis=-1) > 1
@@ -518,8 +518,8 @@ def _first_hits(xs: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _max_first(xs: np.ndarray, axis: int) -> np.ndarray:
-    """Maximum over ``axis``, kept, with argmax's first-index rule. Only a
-    ``-0.0``/``+0.0`` tie can tell the rules apart, and the reduction may
+    """Maximum over ``axis``, kept, with the first-index tie rule. Only a
+    ``-0.0``/``+0.0`` tie can break that rule, and the reduction may
     return either zero, so a zero maximum takes the first zero's sign."""
     m = xs.max(axis=axis, keepdims=True)
     zero = m == 0
