@@ -28,6 +28,9 @@ __all__ = [
 NamedParams = Iterator[tuple[str, Tensor4]]
 NamedBuffers = Iterator[tuple[str, np.ndarray]]
 
+# batch norm's variance epsilon and running-statistics momentum
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def _join(prefix: str, name: str) -> str:
@@ -42,11 +45,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 class BatchNorm2d:
     """Per-channel batch norm: trainable gamma/beta plus running buffers."""
 
-    def __init__(self, channels: int, dtype=np.float32, eps: float = 1e-5,
-                 momentum: float = 0.1):
+    def __init__(self, channels: int, dtype=np.float32):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = parameter(np.ones((1, channels, 1, 1)), dtype=dtype)
         self.beta = parameter(np.zeros((1, channels, 1, 1)), dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -55,7 +55,7 @@ class BatchNorm2d:
     def forward(self, x: Tensor4, train: bool) -> Tensor4:
         return ops.batch_norm(x, self.gamma, self.beta,
                               self.running_mean, self.running_var,
-                              train=train, eps=self.eps, momentum=self.momentum)
+                              train=train, eps=BN_EPS, momentum=BN_MOMENTUM)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "gamma"), self.gamma
@@ -67,14 +67,15 @@ class BatchNorm2d:
 
 
 class Conv2dLayer:
-    """Plain dense convolution holder, optional bias."""
+    """Plain dense convolution holder, optional bias; an odd ``kernel`` is
+    padded by ``kernel // 2``, so the spatial size is kept."""
 
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
-                 dtype=np.float32, bias: bool = True, padding: int = 0):
+                 dtype=np.float32, bias: bool = True):
         self.weight = _kaiming_uniform(rng, (cout, cin, kernel, kernel),
                                        cin * kernel * kernel, dtype)
         self.bias = parameter(np.zeros((1, cout, 1, 1)), dtype=dtype) if bias else None
-        self.padding = padding
+        self.padding = kernel // 2
 
     def forward(self, x: Tensor4) -> Tensor4:
         return ops.conv2d(x, self.weight, self.bias, padding=self.padding)
@@ -139,8 +140,6 @@ class ResidualDscBlock:
     batch norm.
     """
 
-    has_shortcut = True
-
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
         self.cout = cout
@@ -165,8 +164,6 @@ class ResidualDscBlock:
 
 class DoubleDscBlock:
     """Shortcut-free double DSC stage (the smaat-config ablation block)."""
-
-    has_shortcut = False
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
@@ -200,7 +197,7 @@ class Cbam:
         self.reduction = reduction
         self.mlp_w1 = _kaiming_uniform(rng, (hidden, channels, 1, 1), channels, dtype)
         self.mlp_w2 = _kaiming_uniform(rng, (channels, hidden, 1, 1), hidden, dtype)
-        self.spatial = Conv2dLayer(2, 1, 7, rng, dtype, bias=False, padding=3)
+        self.spatial = Conv2dLayer(2, 1, 7, rng, dtype, bias=False)
 
     def _mlp(self, descriptor: Tensor4) -> Tensor4:
         h = ops.relu(ops.conv2d(descriptor, self.mlp_w1))

@@ -4,11 +4,15 @@ Exit codes are a stable contract: 0 success, 2 usage error, 3 data or
 configuration error, 4 numeric failure. An input file of the wrong format
 (another magic) exits 2; a truncated or corrupt container or checkpoint, and
 a malformed config file line or value, exit 3. Configuration precedence is flags >
-config file (``key=value`` lines, ``#`` comments) > built-in defaults. Every
+config file (``key=value`` lines, ``#`` comments) > built-in defaults. A config
+key is an option name, with ``-`` or ``_``; ``force`` is one. A key that no
+command takes exits 3 naming it; a key that only another command takes is
+ignored unparsed, so one file can serve ``train`` and ``evaluate``. Every
 artifact-producing command writes one JSON manifest (config snapshot, seed,
-sha256 hashes of input files, output paths, wall-clock timings); manifest
-timing fields and the ``seconds`` history column are the only outputs that
-vary between identical reruns.
+sha256 hashes of input files, output paths, wall-clock timings); its
+``config`` record holds every option except the paths and ``--force``, plus
+values the run derived. Manifest timing fields and the ``seconds`` history
+column are the only outputs that vary between identical reruns.
 
 ``train`` and ``evaluate`` build rain-gated windows over the whole series
 and split the window list chronologically by anchor (70/15/15); the
@@ -84,27 +88,47 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _apply_config_file(args: argparse.Namespace, converters: dict) -> None:
-    """Fill argparse Namespace holes (None) from the --config file."""
-    if not getattr(args, "config", None):
-        return
+def _from_text(kind, raw: str):
+    """A config-file value as an option of type ``kind``; KeyError or
+    ValueError when it is not one."""
+    if kind is bool:
+        return _BOOLS[raw.lower()]
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(raw)
+        return raw
+    return kind(raw)
+
+
+def _config_values(path: Path, command: str) -> dict:
+    """``command``'s option values from the --config file at ``path``. A key
+    no command takes, or a value that does not convert, is a
+    ConfigurationError; a key that only another command takes is skipped
+    unparsed."""
     from .errors import ConfigurationError
-    path = Path(args.config)
+    kinds = {name: kind for name, kind, _, _ in _options(command)}
+    known = {name for other in _COMMANDS for name, *_ in _options(other)}
+    values = {}
     for key, raw in _parse_config_file(path).items():
-        if key not in converters or getattr(args, key, None) is not None:
-            continue
-        conv = converters[key]
-        try:
-            setattr(args, key, _BOOLS[raw.lower()] if conv is bool else conv(raw))
-        except (KeyError, ValueError):
-            raise ConfigurationError(f"config file {path}: invalid value {raw!r} "
-                                     f"for key {key!r}") from None
+        if key not in known:
+            raise ConfigurationError(f"config file {path}: unknown key {key!r} "
+                                     f"(= {raw!r}); no command takes it")
+        if key in kinds:
+            try:
+                values[key] = _from_text(kinds[key], raw)
+            except (KeyError, ValueError):
+                raise ConfigurationError(f"config file {path}: invalid value {raw!r} "
+                                         f"for key {key!r}") from None
+    return values
 
 
-def _fill_defaults(args: argparse.Namespace, defaults: dict) -> None:
-    for key, val in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Fill each option the flags left unset (None) from the --config file,
+    else from its table default."""
+    values = _config_values(Path(args.config), args.command) if args.config else {}
+    for name, _, default, _ in _options(args.command):
+        if getattr(args, name) is None:
+            setattr(args, name, values.get(name, default))
 
 
 def _require(args, names) -> None:
@@ -129,11 +153,15 @@ def _refuse_overwrite(paths, force: bool) -> None:
                         f"{existing}; pass --force to replace them")
 
 
-def _write_manifest(path: Path, command: str, snapshot: dict, inputs: dict,
-                    outputs: list, started: float, splits=None) -> None:
+def _write_manifest(path: Path, args, inputs: dict, outputs: list, started: float,
+                    splits=None, **derived) -> None:
+    """The command's manifest. Its ``config`` record holds every option but
+    the paths and --force, plus the ``derived`` values the run worked out."""
+    config = {name: getattr(args, name)
+              for name, kind, _, _ in _COMMANDS[args.command][2] if kind is not Path}
     manifest = {
-        "command": command,
-        "config": snapshot,
+        "command": args.command,
+        "config": {**config, **derived},
         "inputs_sha256": inputs,
         "outputs": [str(o) for o in outputs],
         "seconds": round(time.time() - started, 3),
@@ -175,6 +203,21 @@ def _window_spec(in_frames: int, lead_minutes, cloud: bool, interval: int):
             f"lead of {lead_minutes} min is not a whole number of "
             f"{interval}-min frames")
     return WindowSpec(in_frames, (lead_minutes // interval,))
+
+
+def _window_setup(args, series):
+    """Window spec and rain-gate fraction of the --in-frames, --lead-minutes,
+    --cloud and --select-fraction setup over ``series``. A cloud setup sets
+    an unset ``args.in_frames`` to 4, which the manifest then records, and
+    has no gate by default; precipitation gates at 0.5 by default."""
+    if args.cloud and args.in_frames is None:
+        args.in_frames = CLOUD_INPUT_FRAMES
+    _require(args, ["in_frames"] if args.cloud else ["in_frames", "lead_minutes"])
+    spec = _window_spec(args.in_frames, args.lead_minutes, args.cloud,
+                        series.interval_minutes)
+    if args.select_fraction is None and not args.cloud:
+        return spec, 0.5
+    return spec, args.select_fraction
 
 
 def _lead_minutes_tuple(spec, interval: int) -> tuple[int, ...]:
@@ -312,10 +355,7 @@ def cmd_synth(args) -> int:
                              args.interval, "binary")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_nwds(out, series)
-    snapshot = {k: getattr(args, k) for k in
-                ("seed", "frames", "size", "blobs", "wind", "growth", "jitter",
-                 "interval", "binary")}
-    _write_manifest(manifest_path, "synth", snapshot, {}, [out], started)
+    _write_manifest(manifest_path, args, {}, [out], started)
     print(f"wrote {out} ({args.frames} frames, {args.size}x{args.size})")
     return 0
 
@@ -329,14 +369,7 @@ def cmd_train(args) -> int:
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
     series = load_nwds(data_path)
-    cloud = bool(args.cloud)
-    if cloud and args.in_frames is None:
-        args.in_frames = CLOUD_INPUT_FRAMES
-    _require(args, ["in_frames"] if cloud else ["in_frames", "lead_minutes"])
-    spec = _window_spec(args.in_frames, args.lead_minutes, cloud,
-                        series.interval_minutes)
-    fraction = None if cloud and args.select_fraction is None else \
-        (0.5 if args.select_fraction is None else args.select_fraction)
+    spec, fraction = _window_setup(args, series)
     artifacts = [out_dir / "model.ckpt", out_dir / "history.csv",
                  out_dir / "manifest.json"]
     _refuse_overwrite(artifacts, args.force)
@@ -351,19 +384,12 @@ def cmd_train(args) -> int:
                      seed=args.seed, early_stop_patience=args.early_stop_patience)
     result = fit(model, train_ds, val_ds, tc, out_dir=out_dir)
     load_best_into(model, result)
-    extras = _checkpoint_extras(spec, series, scale, fraction, cloud)
+    extras = _checkpoint_extras(spec, series, scale, fraction, args.cloud)
     save_checkpoint(out_dir / "model.ckpt", model, extras)
-    snapshot = {k: getattr(args, k) for k in
-                ("variant", "in_frames", "lead_minutes", "cloud", "base_channels",
-                 "cbam_reduction", "seed", "max_epochs", "batch_size",
-                 "early_stop_patience", "select_fraction")}
-    snapshot["norm_scale"] = scale
-    snapshot["best_epoch"] = result.best_epoch
-    snapshot["best_val_mse"] = result.best_val_loss
-    _write_manifest(out_dir / "manifest.json", "train", snapshot,
-                    {str(data_path): _sha256(data_path)},
+    _write_manifest(out_dir / "manifest.json", args, {str(data_path): _sha256(data_path)},
                     [out_dir / "model.ckpt", out_dir / "history.csv"], started,
-                    splits=_split_summary(datasets))
+                    splits=_split_summary(datasets), norm_scale=scale,
+                    best_epoch=result.best_epoch, best_val_mse=result.best_val_loss)
     print(f"trained {_model_display_name(args.variant)}: best epoch "
           f"{result.best_epoch}, val MSE {result.best_val_loss:.6g}")
     print(f"wrote {out_dir / 'model.ckpt'}")
@@ -395,14 +421,7 @@ def cmd_evaluate(args) -> int:
         if args.baseline != "persistence":
             raise UsageError("evaluation without --checkpoint needs "
                              "--baseline persistence")
-        cloud = bool(args.cloud)
-        if cloud and args.in_frames is None:
-            args.in_frames = CLOUD_INPUT_FRAMES
-        _require(args, ["in_frames"] if cloud else ["in_frames", "lead_minutes"])
-        spec = _window_spec(args.in_frames, args.lead_minutes, cloud,
-                            series.interval_minutes)
-        fraction = None if cloud and args.select_fraction is None else \
-            (0.5 if args.select_fraction is None else args.select_fraction)
+        spec, fraction = _window_setup(args, series)
         scale = None
         unit = series.unit
 
@@ -438,10 +457,8 @@ def cmd_evaluate(args) -> int:
     write_per_lead_csv(out_dir / "per_lead.csv", reports)
     table = render_report_table(reports)
     (out_dir / "report.txt").write_text(table, encoding="utf-8")
-    snapshot = {"threshold": args.threshold, "batch_size": args.batch_size,
-                "baseline": args.baseline, "norm_scale": scale}
-    _write_manifest(out_dir / "manifest.json", "evaluate", snapshot, inputs,
-                    artifacts[:3], started, splits=_split_summary(datasets))
+    _write_manifest(out_dir / "manifest.json", args, inputs, artifacts[:3], started,
+                    splits=_split_summary(datasets), norm_scale=scale)
     sys.stdout.write(table)
     return 0
 
@@ -488,8 +505,7 @@ def cmd_predict(args) -> int:
         frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
     out.parent.mkdir(parents=True, exist_ok=True)
     save_nwds(out, FrameSeries(frames, series.interval_minutes, series.unit))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "predict",
-                    {"window_index": args.window_index},
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args,
                     {str(ckpt): _sha256(ckpt), str(data_path): _sha256(data_path)},
                     [out], started)
     print(f"wrote {out} ({frames.shape[0]} predicted frame(s))")
@@ -537,39 +553,74 @@ def cmd_explain(args) -> int:
             section, row, col = grid.get(hm.layer, ("custom", -1, -1))
             f.write(f"{hm.layer},{section},{row},{col},"
                     f"{nwds_path.name},{hm.raw_max!r}\n")
-    _write_manifest(out_dir / "manifest.json",
-                    "explain", {"targets": args.targets,
-                                "input_window": args.input_window,
-                                "threshold": args.threshold},
+    _write_manifest(out_dir / "manifest.json", args,
                     {str(ckpt): _sha256(ckpt), str(data_path): _sha256(data_path)},
                     outputs, started)
     print(f"wrote {len(maps)} heatmap(s) to {out_dir}")
     return 0
 
 
-# -- parser ----------------------------------------------------------------------
+# -- options ---------------------------------------------------------------------
 
-_SYNTH_DEFAULTS = dict(seed=0, frames=200, size=96, blobs=3, wind="1,0",
-                       growth=1.0, jitter=0.0, interval=5, binary=False,
-                       force=False)
-_TRAIN_DEFAULTS = dict(variant="sar", base_channels=4, cbam_reduction=4,
-                       seed=0, max_epochs=200, batch_size=6,
-                       early_stop_patience=15, cloud=False, force=False)
-_EVAL_DEFAULTS = dict(baseline=None, threshold=0.5, batch_size=6, cloud=False,
-                      force=False)
-_EXPLAIN_DEFAULTS = dict(targets="all", input_window=0, threshold=0.5, force=False)
-_PREDICT_DEFAULTS = dict(window_index=0, force=False)
-
-_CONVERTERS = {
-    "seed": int, "frames": int, "size": int, "blobs": int, "wind": str,
-    "growth": float, "jitter": float, "interval": int, "binary": bool,
-    "variant": str, "in_frames": int, "lead_minutes": int, "cloud": bool,
-    "base_channels": int, "cbam_reduction": int, "max_epochs": int,
-    "batch_size": int, "early_stop_patience": int, "select_fraction": float,
-    "baseline": str, "threshold": float, "targets": str, "input_window": int,
-    "window_index": int, "out": str, "out_dir": str, "data": str,
-    "checkpoint": str,
+# One declaration per option: (name, type, default, help). A bool type is an
+# on/off flag, a tuple lists the allowed values, and a Path type marks a path,
+# which manifests record by hash instead of under "config". ``build_parser``
+# adds --config and _FORCE to every command.
+_SETUP = (
+    ("in_frames", int, None, "input frames: 6, 12 or 18 (cloud: 4)"),
+    ("lead_minutes", int, None, "precipitation lead: 30, 60, 90, 120 or 180"),
+    ("cloud", bool, False, "binary cloud setup: 4 input frames, the next 6 as targets"),
+    ("select_fraction", float, None, "rain-gate fraction (default 0.5; cloud: no gate)"),
+)
+_FORCE = ("force", bool, False, "overwrite existing outputs")
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic NWDS dataset", (
+        ("seed", int, 0, None),
+        ("frames", int, 200, None),
+        ("size", int, 96, "square frame side, >= 32"),
+        ("blobs", int, 3, None),
+        ("wind", str, "1,0", "DX,DY in px/frame"),
+        ("growth", float, 1.0, None),
+        ("jitter", float, 0.0, "per-frame displacement noise"),
+        ("interval", int, 5, "minutes between frames"),
+        ("binary", bool, False, "threshold to a binary cloud-style dataset"),
+        ("out", Path, None, None))),
+    "train": (cmd_train, "train a model on an NWDS dataset", (
+        ("data", Path, None, None),
+        ("variant", ("sar", "smaat"), "sar", None),
+        *_SETUP,
+        ("base_channels", int, 4, None),
+        ("cbam_reduction", int, 4, None),
+        ("seed", int, 0, None),
+        ("max_epochs", int, 200, None),
+        ("batch_size", int, 6, None),
+        ("early_stop_patience", int, 15, None),
+        ("out_dir", Path, None, None))),
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint and/or persistence", (
+        ("checkpoint", Path, None, None),
+        ("data", Path, None, None),
+        ("baseline", ("persistence",), None, None),
+        ("threshold", float, 0.5, "binarization threshold, mm/h"),
+        ("batch_size", int, 6, None),
+        *_SETUP,
+        ("out_dir", Path, None, None))),
+    "predict": (cmd_predict, "write model predictions for one window", (
+        ("checkpoint", Path, None, None),
+        ("data", Path, None, None),
+        ("window_index", int, 0, None),
+        ("out", Path, None, None))),
+    "explain": (cmd_explain, "Grad-CAM heatmaps for a checkpoint", (
+        ("checkpoint", Path, None, None),
+        ("data", Path, None, None),
+        ("input_window", int, 0, None),
+        ("targets", str, "all", "'all' or comma-separated layer names"),
+        ("threshold", float, 0.5, "binarization threshold, mm/h"),
+        ("out_dir", Path, None, None))),
 }
+
+
+def _options(command: str):
+    return _COMMANDS[command][2] + (_FORCE,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,76 +629,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nowcasting toolkit: synthetic data, training, evaluation, "
                     "prediction, and Grad-CAM heatmaps.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (func, text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="key=value config file (flags win)")
-        p.add_argument("--force", action="store_const", const=True, default=None,
-                       help="overwrite existing outputs")
-
-    p = sub.add_parser("synth", help="generate a synthetic NWDS dataset")
-    add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--size", type=int, help="square frame side, >= 32")
-    p.add_argument("--blobs", type=int)
-    p.add_argument("--wind", help="DX,DY in px/frame")
-    p.add_argument("--growth", type=float)
-    p.add_argument("--jitter", type=float, help="per-frame displacement noise")
-    p.add_argument("--interval", type=int, help="minutes between frames")
-    p.add_argument("--binary", action="store_const", const=True, default=None,
-                   help="threshold to a binary cloud-style dataset")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_synth, _defaults=_SYNTH_DEFAULTS)
-
-    p = sub.add_parser("train", help="train a model on an NWDS dataset")
-    add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--variant", choices=("sar", "smaat"))
-    p.add_argument("--in-frames", type=int, dest="in_frames")
-    p.add_argument("--lead-minutes", type=int, dest="lead_minutes")
-    p.add_argument("--cloud", action="store_const", const=True, default=None)
-    p.add_argument("--base-channels", type=int, dest="base_channels")
-    p.add_argument("--cbam-reduction", type=int, dest="cbam_reduction")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--early-stop-patience", type=int, dest="early_stop_patience")
-    p.add_argument("--select-fraction", type=float, dest="select_fraction")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_train, _defaults=_TRAIN_DEFAULTS)
-
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint and/or persistence")
-    add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--baseline", choices=("persistence",))
-    p.add_argument("--threshold", type=float, help="binarization threshold, mm/h")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--in-frames", type=int, dest="in_frames")
-    p.add_argument("--lead-minutes", type=int, dest="lead_minutes")
-    p.add_argument("--cloud", action="store_const", const=True, default=None)
-    p.add_argument("--select-fraction", type=float, dest="select_fraction")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_evaluate, _defaults=_EVAL_DEFAULTS)
-
-    p = sub.add_parser("predict", help="write model predictions for one window")
-    add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--window-index", type=int, dest="window_index")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict, _defaults=_PREDICT_DEFAULTS)
-
-    p = sub.add_parser("explain", help="Grad-CAM heatmaps for a checkpoint")
-    add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--input-window", type=int, dest="input_window")
-    p.add_argument("--targets", help="'all' or comma-separated layer names")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_explain, _defaults=_EXPLAIN_DEFAULTS)
-
+        for name, kind, _default, text in _options(command):
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:  # unset stays None, so a config file can fill it
+                p.add_argument(flag, dest=name, action="store_const", const=True, help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, dest=name, choices=kind, help=text)
+            else:
+                p.add_argument(flag, dest=name, type=kind, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -661,8 +654,7 @@ def main(argv=None) -> int:
     from .errors import (ConfigurationError, DataError, DimensionError,
                          NumericError, UsageError)
     try:
-        _apply_config_file(args, _CONVERTERS)
-        _fill_defaults(args, args._defaults)
+        _resolve_options(args)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -244,6 +244,15 @@ def _snapshot(model: Model) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray
     return params, buffers
 
 
+def _restore(model: Model, params: dict[str, np.ndarray],
+             buffers: dict[str, np.ndarray]) -> None:
+    """Copy ``_snapshot``'s arrays back into ``model`` in place, by name."""
+    for name, p in model.named_parameters():
+        p.data[...] = params[name]
+    for name, b in model.named_buffers():
+        b[...] = buffers[name]
+
+
 def write_history_csv(path, history: list[EpochStats]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(HISTORY_COLUMNS) + "\n")
@@ -283,16 +292,10 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
             raise UsageError(f"resume checkpoint config {loaded.config} does not match "
                              f"the model being trained ({model.config})")
         _check_moments(state, model, last)
-        for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
-            p.data[...] = q.data
-        for (name, b), (_, c) in zip(model.named_buffers(), loaded.named_buffers()):
-            b[...] = c
-        best_params, best_buffers = _snapshot(model)
+        _restore(model, *_snapshot(loaded))
         best_file = out_path / "best.ckpt"
-        if best_file.exists():
-            best_model, _ = load_checkpoint(best_file)
-            best_params = {n: t.data.copy() for n, t in best_model.named_parameters()}
-            best_buffers = {n: b.copy() for n, b in best_model.named_buffers()}
+        best_params, best_buffers = _snapshot(
+            load_checkpoint(best_file)[0] if best_file.exists() else model)
     else:
         state = TrainState(current_lr=LR0)
         rng = np.random.default_rng(config.seed)
@@ -307,8 +310,7 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
         state.epoch += 1
         lr_used = state.current_lr
         perm = rng.permutation(len(train_data))
-        sse = 0.0
-        count = 0
+        sse = SquaredErrorSum()
         for lo in range(0, len(perm), config.batch_size):
             idxs = perm[lo:lo + config.batch_size]
             batch = train_data.batch(idxs)
@@ -320,11 +322,10 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
             if not math.isfinite(loss_val) or loss_val > DIVERGENCE_LIMIT:
                 raise NumericError(
                     f"training diverged at epoch {state.epoch}: batch loss {loss_val}")
+            sse.add(pred.data, batch.targets.data)
             tape.backward(loss)
             adam_step(named, state, lr_used)
-            sse += loss_val * batch.inputs.data.shape[0] * batch.targets.data[0].size
-            count += batch.inputs.data.shape[0] * batch.targets.data[0].size
-        train_mse = sse / count
+        train_mse = sse.mean()
         val_mse = _split_mse(model, val_data, config.batch_size)
         scheduler_step(state, val_mse)
         if state.best_epoch == state.epoch or state.epoch == 1:
@@ -350,8 +351,5 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
 
 def load_best_into(model: Model, result: FitResult) -> Model:
     """Copy the best-epoch snapshot back into ``model`` in place."""
-    for name, p in model.named_parameters():
-        p.data[...] = result.best_params[name]
-    for name, b in model.named_buffers():
-        b[...] = result.best_buffers[name]
+    _restore(model, result.best_params, result.best_buffers)
     return model

@@ -89,6 +89,15 @@ class TestSynth:
         assert run("synth", "--frames", 5, "--size", 32, "--out", p,
                    "--force") == 0
 
+    def test_force_in_config_file_overwrites(self, tmp_path):
+        p, cfg = tmp_path / "x.nwds", tmp_path / "force.cfg"
+        cfg.write_text("force=true\n")
+        assert run("synth", "--frames", 5, "--size", 32, "--out", p) == 0
+        first = p.read_bytes()
+        assert run("synth", "--seed", 1, "--frames", 5, "--size", 32, "--out", p,
+                   "--config", cfg) == 0
+        assert p.read_bytes() != first
+
     def test_manifest_written(self, tmp_path):
         p = tmp_path / "m.nwds"
         assert run("synth", "--frames", 5, "--size", 32, "--out", p) == 0
@@ -166,7 +175,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line,key", [
         ("max-epochs", "max-epochs"), ("max-epochs=abc", "max_epochs"),
-        ("cloud=maybe", "cloud")])
+        ("cloud=maybe", "cloud"), ("max-epoch=1", "max_epoch"),
+        ("variant=foo", "variant")])
     def test_bad_config_line_is_configuration_error(self, synth_file, tmp_path,
                                                     capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -177,6 +187,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err
         assert line.partition("=")[2] in err
+
+    def test_other_commands_config_keys_are_ignored(self, synth_file, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("in-frames=6\nlead-minutes=30\nmax-epochs=1\nbatch-size=4\n"
+                       "threshold=abc\n")
+        assert run("train", "--data", synth_file, "--config", cfg,
+                   "--out-dir", tmp_path / "x") == 0
 
 
 class TestSplitRule:
@@ -264,6 +281,16 @@ class TestEvaluate:
         assert code == 0
         lines = (out / "report.csv").read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["persistence"]
+
+    def test_persistence_manifest_records_setup(self, synth_file, tmp_path):
+        out = tmp_path / "eval_p"
+        assert run("evaluate", "--data", synth_file, "--baseline", "persistence",
+                   "--in-frames", 6, "--lead-minutes", 30, "--out-dir", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert sorted(config) == ["baseline", "batch_size", "cloud", "in_frames",
+                                  "lead_minutes", "norm_scale", "select_fraction",
+                                  "threshold"]
+        assert (config["in_frames"], config["lead_minutes"]) == (6, 30)
 
     def test_rerun_identical_csv_bytes(self, synth_file, trained_dir, tmp_path):
         outs = []
@@ -400,3 +427,29 @@ def test_window_outside_gated_windows_exits_2(synth_file, trained_dir, tmp_path,
     assert code == 2
     assert f"{flag} {index} outside [0, " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_the_parser_flags(tmp_path):
+    """Each command's config keys are exactly its flags (bar --config), and a
+    config value converts as the flag's text does."""
+    from sarunet.cli import _config_values, build_parser
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    actions = {name: {a.dest: a for a in p._actions
+                      if a.option_strings and a.dest not in ("help", "config")}
+               for name, p in commands.items()}
+
+    def text(a):
+        if a.choices:
+            return a.choices[0]
+        return {None: "true", int: "1", float: "0.5"}.get(a.type, "x")
+
+    texts = {dest: text(a) for acts in actions.values() for dest, a in acts.items()}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k.replace('_', '-')}={v}\n" for k, v in texts.items()))
+    for name, acts in actions.items():
+        values = _config_values(cfg, name)
+        assert set(values) == set(acts)
+        for dest, a in acts.items():
+            argv = [name, a.option_strings[0]] + ([] if a.const else [texts[dest]])
+            assert values[dest] == getattr(parser.parse_args(argv), dest)
