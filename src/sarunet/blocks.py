@@ -28,11 +28,6 @@ __all__ = [
 NamedParams = Iterator[tuple[str, Tensor4]]
 NamedBuffers = Iterator[tuple[str, np.ndarray]]
 
-# batch norm's variance epsilon and running-statistics momentum
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
-
-
 def _join(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
@@ -55,7 +50,7 @@ class BatchNorm2d:
     def forward(self, x: Tensor4, train: bool) -> Tensor4:
         return ops.batch_norm(x, self.gamma, self.beta,
                               self.running_mean, self.running_var,
-                              train=train, eps=BN_EPS, momentum=BN_MOMENTUM)
+                              train=train)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "gamma"), self.gamma
@@ -67,18 +62,19 @@ class BatchNorm2d:
 
 
 class Conv2dLayer:
-    """Plain dense convolution holder, optional bias; an odd ``kernel`` is
-    padded by ``kernel // 2``, so the spatial size is kept."""
+    """Plain convolution holder, optional bias: a ``[cout, cin, kernel,
+    kernel]`` weight, which :func:`~sarunet.ops.conv2d` runs as pointwise
+    for ``kernel`` 1 and as dense otherwise. An odd ``kernel`` is padded by
+    ``kernel // 2``, so the spatial size is kept."""
 
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
                  dtype=np.float32, bias: bool = True):
         self.weight = _kaiming_uniform(rng, (cout, cin, kernel, kernel),
                                        cin * kernel * kernel, dtype)
         self.bias = parameter(np.zeros((1, cout, 1, 1)), dtype=dtype) if bias else None
-        self.padding = kernel // 2
 
     def forward(self, x: Tensor4) -> Tensor4:
-        return ops.conv2d(x, self.weight, self.bias, padding=self.padding)
+        return ops.conv2d(x, self.weight, self.bias)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "weight"), self.weight
@@ -87,10 +83,10 @@ class Conv2dLayer:
 
 
 class DscLayer:
-    """Depthwise 3x3 (pad 1) then pointwise 1x1 convolution, spatial-size
-    preserving and bias-free: every DSC stage feeds a batch norm, whose
-    ``beta`` supplies the shift and whose mean subtraction would cancel a
-    bias added here."""
+    """Depthwise 3x3 (a ``[cin, 1, 3, 3]`` weight, pad 1) then pointwise 1x1
+    convolution, spatial-size preserving and bias-free: every DSC stage
+    feeds a batch norm, whose ``beta`` supplies the shift and whose mean
+    subtraction would cancel a bias added here."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
@@ -101,7 +97,7 @@ class DscLayer:
     def forward(self, x: Tensor4) -> Tensor4:
         if x.shape[1] != self.cin:
             raise DimensionError(f"DscLayer expects {self.cin} channels, got {x.shape[1]}")
-        mid = ops.conv2d(x, self.depthwise, padding=1, groups=self.cin)
+        mid = ops.conv2d(x, self.depthwise)
         return ops.conv2d(mid, self.pointwise)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
@@ -213,7 +209,7 @@ class Cbam:
         mx = ops.global_pool(x, "max", "channel")
         return ops.sigmoid(self.spatial.forward(ops.concat_channels(avg, mx)))
 
-    def forward(self, x: Tensor4, train: bool = False) -> Tensor4:
+    def forward(self, x: Tensor4) -> Tensor4:
         gated = ops.mul_broadcast(x, self.channel_attention(x))
         return ops.mul_broadcast(gated, self.spatial_attention(gated))
 

@@ -208,16 +208,38 @@ def _window_spec(in_frames: int, lead_minutes, cloud: bool, interval: int):
 def _window_setup(args, series):
     """Window spec and rain-gate fraction of the --in-frames, --lead-minutes,
     --cloud and --select-fraction setup over ``series``. A cloud setup sets
-    an unset ``args.in_frames`` to 4, which the manifest then records, and
-    has no gate by default; precipitation gates at 0.5 by default."""
+    an unset ``args.in_frames`` to 4 and has no gate by default;
+    precipitation sets an unset ``args.select_fraction`` to 0.5. The
+    manifest then records the values used."""
     if args.cloud and args.in_frames is None:
         args.in_frames = CLOUD_INPUT_FRAMES
+    if not args.cloud and args.select_fraction is None:
+        args.select_fraction = 0.5
     _require(args, ["in_frames"] if args.cloud else ["in_frames", "lead_minutes"])
     spec = _window_spec(args.in_frames, args.lead_minutes, args.cloud,
                         series.interval_minutes)
-    if args.select_fraction is None and not args.cloud:
-        return spec, 0.5
     return spec, args.select_fraction
+
+
+def _checkpoint_setup(args, spec, fraction, interval: int) -> None:
+    """Fill each unset --in-frames, --lead-minutes, --cloud and
+    --select-fraction (None; --cloud: false) with the setup the checkpoint
+    was trained on, so the manifest records the setup scored. A set option
+    that disagrees is a UsageError naming it and both values."""
+    from .errors import UsageError
+    cloud = len(spec.target_offsets) == CLOUD_LEAD_COUNT   # precipitation has one lead
+    trained = {"in_frames": spec.input_frames,
+               "lead_minutes": None if cloud else spec.target_offsets[0] * interval,
+               "cloud": cloud, "select_fraction": fraction}
+    clashes = []
+    for name, value in trained.items():
+        given = getattr(args, name)
+        if given is None or given is False:
+            setattr(args, name, value)
+        elif given != value:
+            clashes.append(f"--{name.replace('_', '-')} {given} (checkpoint: {value})")
+    if clashes:
+        raise UsageError("setup option(s) disagree with the checkpoint: " + ", ".join(clashes))
 
 
 def _lead_minutes_tuple(spec, interval: int) -> tuple[int, ...]:
@@ -415,6 +437,7 @@ def cmd_evaluate(args) -> int:
         ckpt = Path(args.checkpoint)
         model, meta = load_checkpoint(ckpt)
         spec, scale, fraction, interval, unit = _spec_from_extras(meta)
+        _checkpoint_setup(args, spec, fraction, interval)
         _check_data_compat(interval, unit, series)
         inputs[str(ckpt)] = _sha256(ckpt)
     else:

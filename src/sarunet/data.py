@@ -92,8 +92,6 @@ class SampleBatch:
 
     inputs: Tensor4                     # [n, input_frames, H, W]
     targets: Tensor4                    # [n, len(offsets), H, W]
-    scale: float
-    unit: str
 
 
 def select_rainy(series: FrameSeries, fraction: float = 0.5) -> np.ndarray:
@@ -184,8 +182,7 @@ class WindowDataset:
         ys = np.stack([frames[list(self.windows[i][1])] for i in idxs])
         return SampleBatch(
             inputs=Tensor4(normalize_array(xs, self.scale), _checked=True),
-            targets=Tensor4(normalize_array(ys, self.scale), _checked=True),
-            scale=self.scale, unit=self.series.unit)
+            targets=Tensor4(normalize_array(ys, self.scale), _checked=True))
 
 
 # -- synthetic generator -------------------------------------------------------

@@ -27,7 +27,7 @@ from .model import Model
 from .tensor import Tape, Tensor4
 
 __all__ = [
-    "Heatmap", "rain_score", "grad_cam", "explain_suite", "suite_grid",
+    "Heatmap", "rain_score", "explain_suite", "suite_grid",
     "color_table", "write_ppm", "save_heatmap_nwds",
 ]
 
@@ -106,35 +106,6 @@ def _zero_map(height: int, width: int, layer: str) -> Heatmap:
                    layer=layer, raw_max=0.0)
 
 
-def _sweep(model: Model, x: Tensor4, layers: list[str], **score_kw) -> list[Heatmap]:
-    """Heatmaps of all ``layers`` from one forward/backward pass: the score
-    does not depend on the layer, so the traced activations share it."""
-    _check_layers(model, layers)
-    if x.shape[0] != 1:
-        raise UsageError("Grad-CAM explains one sample at a time")
-    height, width = x.shape[2], x.shape[3]
-    model.zero_grad()
-    with Tape() as tape:
-        pred, trace = model.forward(x, train=False, trace_request=layers)
-        score, mask = rain_score(pred, **score_kw)
-    if mask.sum() == 0:
-        return [_zero_map(height, width, n) for n in layers]
-    tape.backward(score)
-    out = []
-    for n in layers:
-        act = trace.get(n)
-        out.append(_combine(act.data, act.grad, height, width, n))
-    return out
-
-
-def grad_cam(model: Model, x: Tensor4, layer: str, *, unit: str, scale: float = 1.0,
-             interval_minutes: int = 5, threshold_mm_per_h: float = 0.5) -> Heatmap:
-    """Heatmap of one layer's contribution to the predicted-rain score."""
-    return _sweep(model, x, [layer], unit=unit, scale=scale,
-                  interval_minutes=interval_minutes,
-                  threshold_mm_per_h=threshold_mm_per_h)[0]
-
-
 def suite_grid(model: Model) -> dict[str, tuple[str, int, int]]:
     """Figure layout of the 32-map suite, in grid order: layer name ->
     (section, row, col). Encoder rows are depths 0..4 with columns (block,
@@ -156,13 +127,29 @@ def suite_grid(model: Model) -> dict[str, tuple[str, int, int]]:
 def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, *,
                   unit: str, scale: float = 1.0, interval_minutes: int = 5,
                   threshold_mm_per_h: float = 0.5) -> list[Heatmap]:
-    """Heatmaps of ``layers`` (default: the 32-map suite in grid order) from
-    one forward/backward pass."""
+    """Heatmaps of ``layers`` (default: the 32-map suite in grid order), each
+    a layer's contribution to the predicted-rain score, from one
+    forward/backward pass: the score does not depend on the layer, so the
+    traced activations share it."""
     if layers is None:
         layers = list(suite_grid(model))
-    return _sweep(model, x, layers, unit=unit, scale=scale,
-                  interval_minutes=interval_minutes,
-                  threshold_mm_per_h=threshold_mm_per_h)
+    _check_layers(model, layers)
+    if x.shape[0] != 1:
+        raise UsageError("Grad-CAM explains one sample at a time")
+    height, width = x.shape[2], x.shape[3]
+    model.zero_grad()
+    with Tape() as tape:
+        pred, trace = model.forward(x, train=False, trace_request=layers)
+        score, mask = rain_score(pred, unit, scale=scale, interval_minutes=interval_minutes,
+                                 threshold_mm_per_h=threshold_mm_per_h)
+    if mask.sum() == 0:
+        return [_zero_map(height, width, n) for n in layers]
+    tape.backward(score)
+    out = []
+    for n in layers:
+        act = trace.get(n)
+        out.append(_combine(act.data, act.grad, height, width, n))
+    return out
 
 
 # -- rendering -------------------------------------------------------------------

@@ -48,10 +48,6 @@ class ModelConfig:
     variant: str = "sar"
     cbam_reduction: int = 16
 
-    @property
-    def bottleneck_channels(self) -> int:
-        return self.base_channels * (16 if self.variant == "sar" else 8)
-
     def encoder_channels(self) -> list[int]:
         b = self.base_channels
         if self.variant == "sar":
@@ -221,7 +217,7 @@ class Model:
         for d in range(5):
             blk = self.enc_blocks[d].forward(cur, train, tap, f"enc{d}.block")
             blk = tap.put(f"enc{d}.block", blk)
-            att = tap.put(f"enc{d}.cbam", self.enc_cbams[d].forward(blk, train))
+            att = tap.put(f"enc{d}.cbam", self.enc_cbams[d].forward(blk))
             if d < 4:
                 skips.append(att)
                 pool_in = tap.put(f"enc{d}.pool_in", att if sar else blk)

@@ -18,16 +18,20 @@ max pooling and global max find the winning entry again from
 arrays directly, never through a nested function, so a count of the
 closure cells sees them all.
 
-:func:`conv2d` runs one of three kernels, picked from the call's shape:
+:func:`conv2d` is stride-1 and always pads by ``k // 2`` (a "same"
+convolution, the only kind the network runs); the weight's shape picks one
+of three kernels:
 
-- 1x1, padding 0, ``groups=1`` (pointwise): one matmul over the input as
-  stored; the backward keeps only the input and the weight.
-- 3x3, padding 1, ``groups == cin == cout`` (depthwise): nine shifted
+- ``[cout, cin, 1, 1]`` (pointwise): one matmul over the input as stored;
+  the backward keeps only the input and the weight.
+- ``[c, 1, 3, 3]`` over ``c`` channels (depthwise): nine shifted
   multiply-adds over zero-padded flat planes; the backward keeps the input
   and the weight, and pads the input again.
-- every other shape (CBAM 7x7, grouped, dense 3x3): im2col and a batched
-  matmul; the backward keeps the input and the weight, and rebuilds the
-  patch matrix (``kh*kw`` times the input) while it runs.
+- ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): im2col and a matmul;
+  the backward keeps the input and the weight, and rebuilds the patch
+  matrix (``k*k`` times the input) while it runs.
+
+:func:`batch_norm` uses the fixed :data:`BN_EPS` and :data:`BN_MOMENTUM`.
 """
 
 from __future__ import annotations
@@ -40,9 +44,14 @@ from .errors import ConfigurationError, DimensionError, UsageError
 from .tensor import Tensor4, make_result
 
 __all__ = [
-    "conv2d", "batch_norm", "relu", "sigmoid", "add", "sub", "mul",
-    "mul_broadcast", "smul", "concat_channels", "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
+    "conv2d", "batch_norm", "relu", "sigmoid", "add", "sub", "mul", "mul_broadcast",
+    "concat_channels", "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
 ]
+
+
+# batch norm's variance epsilon and running-statistics momentum
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def _same_dtype(*tensors: Tensor4) -> np.dtype:
@@ -55,52 +64,30 @@ def _same_dtype(*tensors: Tensor4) -> np.dtype:
 
 # -- convolution -------------------------------------------------------------
 
-def _im2col(x: np.ndarray, padding: int, groups: int, kh: int, kw: int,
-            ho: int, wo: int) -> np.ndarray:
-    """The patch matrix of ``x`` zero-padded by ``padding``, split by group:
-    ``[n, groups, (c/groups)*kh*kw, ho*wo]``."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x
-    n, c, _, _ = x.shape
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + ho, j:j + wo]
-    return cols.reshape(n, groups, (c // groups) * kh * kw, ho * wo)
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The patch matrix of ``x`` zero-padded by ``k // 2``:
+    ``[n, c*k*k, h*w]``."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((n, c, k, k, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+    return cols.reshape(n, c * k * k, h * w)
 
 
-def _col2im(cols: np.ndarray, n: int, c: int, hp: int, wp: int,
-            kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + ho, j:j + wo] += cols6[:, :, i, j]
-    return xp
-
-
-def _conv_shapes(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
-                 padding: int, groups: int):
-    n, cin, h, w = x.shape
-    cout, cin_g, kh, kw = weight.shape
-    if groups < 1:
-        raise ConfigurationError(f"groups must be >= 1, got {groups}")
-    if cin % groups != 0 or cout % groups != 0:
-        raise DimensionError(
-            f"channels not divisible by groups: cin={cin}, cout={cout}, groups={groups}")
-    if cin_g != cin // groups:
-        raise DimensionError(
-            f"weight expects {cin_g} input channels per group, input provides {cin // groups}")
-    if padding < 0:
-        raise ConfigurationError(f"invalid padding={padding}")
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    if ho < 1 or wo < 1:
-        raise ConfigurationError(
-            f"empty conv output for input {h}x{w}, kernel {kh}x{kw}, padding {padding}")
-    if bias is not None and bias.shape != (1, cout, 1, 1):
-        raise DimensionError(f"bias must have shape (1,{cout},1,1), got {bias.shape}")
-    return n, cin, h, w, cout, kh, kw, ho, wo
+def _col2im(cols: np.ndarray, shape: tuple, k: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: the patch matrix summed back onto the
+    ``shape`` planes, without the padding."""
+    n, c, h, w = shape
+    p = k // 2
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, k, k, h, w)
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i:i + h, j:j + w] += cols6[:, :, i, j]
+    return xp[:, :, p:p + h, p:p + w]
 
 
 def _record_conv(out: np.ndarray, x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
@@ -119,27 +106,21 @@ def _conv_grads(gout: np.ndarray, dx: np.ndarray, dw: np.ndarray,
     return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias.shape)]
 
 
-def _conv_im2col(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
-                 padding: int, groups: int, ho: int, wo: int) -> Tensor4:
+def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
     n, cin, h, w_in = x.shape
-    cout, _, kh, kw = weight.shape
-    k = (cin // groups) * kh * kw
-    hp, wp = h + 2 * padding, w_in + 2 * padding
-    wg = weight.data.reshape(groups, cout // groups, k)
-    out = np.matmul(wg[None, :, :, :], _im2col(x.data, padding, groups, kh, kw, ho, wo))
+    cout, _, k, _ = weight.shape
+    w2 = weight.data.reshape(cout, cin * k * k)
+    out = np.matmul(w2, _im2col(x.data, k))
 
     def backward_fn(gout: np.ndarray):
-        go = gout.reshape(n, groups, cout // groups, ho * wo)
-        cols = _im2col(x.data, padding, groups, kh, kw, ho, wo).transpose(0, 1, 3, 2)
+        go = gout.reshape(n, cout, h * w_in)
+        cols = _im2col(x.data, k).transpose(0, 2, 1)
         dw = np.matmul(go, cols).sum(axis=0).reshape(weight.shape)
         del cols                                         # rebuilt here, not kept
-        dcols = np.matmul(wg.transpose(0, 2, 1)[None, :, :, :], go)
-        dxp = _col2im(dcols.reshape(n, cin * kh * kw, ho * wo),
-                      n, cin, hp, wp, kh, kw, ho, wo)
-        dx = dxp[:, :, padding:hp - padding, padding:wp - padding] if padding else dxp
+        dx = _col2im(np.matmul(w2.T, go), x.shape, k)
         return _conv_grads(gout, dx, dw, bias)
 
-    return _record_conv(out.reshape(n, cout, ho, wo), x, weight, bias, backward_fn)
+    return _record_conv(out.reshape(n, cout, h, w_in), x, weight, bias, backward_fn)
 
 
 def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
@@ -211,35 +192,46 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
                         backward_fn)
 
 
-def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None, *,
-           padding: int = 0, groups: int = 1) -> Tensor4:
-    """Grouped stride-1 2-d cross-correlation with zero padding.
+def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tensor4:
+    """Stride-1 2-d cross-correlation, zero-padded by ``k // 2`` so the
+    output keeps the input's spatial size.
 
-    ``weight`` is ``[cout, cin/groups, kh, kw]``; ``bias``, when given, is a
-    per-output-channel vector stored as ``[1, cout, 1, 1]``. ``groups=cin``
-    yields a depthwise convolution. The call's own shape picks one of three
-    kernels, each recorded on the tape as ``conv2d``:
+    ``bias``, when given, is a per-output-channel vector stored as
+    ``[1, cout, 1, 1]``. The kernel ``k x k`` must be square and odd, else
+    ``ConfigurationError``. The weight's shape over ``x``'s ``cin`` channels
+    picks one of three kernels, each recorded on the tape as ``conv2d``:
 
-    - **pointwise** (1x1, padding 0, ``groups=1``): one matmul over the
-      input as stored, forward and backward.
-    - **depthwise 3x3** (3x3, padding 1, ``groups == cin == cout``): nine
-      shifted multiply-adds over the zero-padded input planes; the backward
-      runs the same sum over the padded gradient with the kernel flipped,
-      and pads the input again for the weight gradient.
-    - **im2col**, every other shape (CBAM 7x7, grouped, dense 3x3): a patch
-      matrix and a batched matmul. The backward rebuilds the patch matrix,
-      ``kh*kw`` times the input, for the weight gradient.
+    - **pointwise**, ``[cout, cin, 1, 1]``: one matmul over the input as
+      stored, forward and backward.
+    - **depthwise 3x3**, ``[cin, 1, 3, 3]`` (tested before dense, so
+      ``[1, 1, 3, 3]`` over one channel is depthwise): nine shifted
+      multiply-adds over the zero-padded input planes; the backward runs the
+      same sum over the padded gradient with the kernel flipped, and pads
+      the input again for the weight gradient.
+    - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): a patch matrix and a
+      matmul. The backward rebuilds the patch matrix, ``k*k`` times the
+      input, for the weight gradient.
 
-    Every kernel's backward keeps only the input and the weight (the tape
-    holds both already), never a padded copy or a patch matrix.
+    Any other weight shape is a ``DimensionError``. Every kernel's backward
+    keeps only the input and the weight (the tape holds both already), never
+    a padded copy or a patch matrix.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
-    _, cin, _, _, cout, kh, kw, ho, wo = _conv_shapes(x, weight, bias, padding, groups)
-    if kh == kw == 1 and padding == 0 and groups == 1:
+    cin = x.shape[1]
+    cout, wcin, kh, kw = weight.shape
+    if kh != kw or kh % 2 == 0:
+        raise ConfigurationError(f"conv2d needs a square, odd kernel, got {kh}x{kw}")
+    if bias is not None and bias.shape != (1, cout, 1, 1):
+        raise DimensionError(f"bias must have shape (1,{cout},1,1), got {bias.shape}")
+    if kh == 1 and wcin == cin:
         return _conv_pointwise(x, weight, bias)
-    if kh == kw == 3 and padding == 1 and groups == cin == cout:
+    if kh == 3 and wcin == 1 and cout == cin:
         return _conv_depthwise3(x, weight, bias)
-    return _conv_im2col(x, weight, bias, padding, groups, ho, wo)
+    if wcin == cin:
+        return _conv_dense(x, weight, bias)
+    raise DimensionError(
+        f"conv2d weight {weight.shape} over {cin} input channels is none of "
+        f"pointwise [cout,{cin},1,1], depthwise [{cin},1,3,3] or dense [cout,{cin},k,k]")
 
 
 # -- batch normalization ------------------------------------------------------
@@ -253,13 +245,14 @@ def _normalize(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarr
 
 def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
                running_mean: np.ndarray, running_var: np.ndarray, *,
-               train: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor4:
-    """Per-channel normalization over ``(n, h, w)``.
+               train: bool) -> Tensor4:
+    """Per-channel normalization over ``(n, h, w)``, with the variance
+    epsilon :data:`BN_EPS`.
 
     Train mode uses biased batch statistics and folds them into the running
-    buffers in place (``running = (1-momentum)*running + momentum*batch``);
-    eval mode normalizes with the running buffers. Differentiable w.r.t.
-    input, gamma and beta in both modes.
+    buffers in place (``running = (1-m)*running + m*batch``, with ``m`` the
+    fixed :data:`BN_MOMENTUM`); eval mode normalizes with the running
+    buffers. Differentiable w.r.t. input, gamma and beta in both modes.
     """
     _same_dtype(x, gamma, beta)
     n, c, h, w = x.shape
@@ -274,14 +267,14 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
     if train:
         mean = x.data.mean(axis=(0, 2, 3), dtype=dt)
         var = x.data.var(axis=(0, 2, 3), dtype=dt)     # biased
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= (1.0 - BN_MOMENTUM)
+        running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= (1.0 - BN_MOMENTUM)
+        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
     else:
         mean = running_mean.astype(dt)
         var = running_var.astype(dt)
-    inv_std = 1.0 / np.sqrt(var + dt.type(eps))
+    inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
     out = gamma.data * _normalize(x.data, mean, inv_std) + beta.data
 
     def backward_fn(gout: np.ndarray):
@@ -350,12 +343,6 @@ def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     _check_same_shape(a, b, "mul")
     return make_result(a.data * b.data, "mul", (a, b),
                        lambda g: [g * b.data, g * a.data])
-
-
-def smul(x: Tensor4, scalar: float) -> Tensor4:
-    """Multiply by a python scalar constant."""
-    s = x.dtype.type(scalar)
-    return make_result(x.data * s, "smul", (x,), lambda g: [g * s])
 
 
 def mul_broadcast(a: Tensor4, b: Tensor4) -> Tensor4:

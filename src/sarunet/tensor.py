@@ -92,9 +92,6 @@ class Tensor4:
             raise UsageError(f"item() needs a scalar-shaped tensor, got {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor4":
-        return Tensor4(self.data.copy(), requires_grad=False, _checked=True)
-
     def retain_grad(self) -> None:
         """Give this op output a zeroed ``grad`` buffer that backward passes
         accumulate into. A no-op on a tensor that already has one, and on a
@@ -159,14 +156,10 @@ class Tape:
             y = model.forward(x, train=True)
             loss = mse_loss(y, target)
         tape.backward(loss)
-
-    ``last_backward_ops`` reports how many recorded ops the most recent
-    backward sweep visited (always all of them, exactly once).
     """
 
     def __init__(self):
         self.ops: list[_OpRecord] = []
-        self.last_backward_ops = 0
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -189,8 +182,9 @@ class Tape:
         gradient on. An input that is neither recorded here nor holds a
         buffer (an op output of another tape) is skipped.
 
-        Calling twice without zeroing grads accumulates. Each recorded op is
-        visited exactly once, in reverse recording order.
+        Calling twice without zeroing grads accumulates. Ops run their
+        backward rules in reverse recording order, each at most once: once
+        if the loss depends on its output, else never.
         """
         if loss.shape != (1, 1, 1, 1):
             raise UsageError(f"backward needs a scalar-shaped [1,1,1,1] loss, got {loss.shape}")
@@ -200,9 +194,7 @@ class Tape:
                              "run the forward pass inside `with Tape() as tape:`")
         pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         leaf_tensors: dict[int, Tensor4] = {}
-        visited = 0
         for rec in reversed(self.ops):
-            visited += 1
             out_grad = pending.pop(id(rec.output), None)
             if out_grad is None:
                 continue
@@ -221,7 +213,6 @@ class Tape:
                     pending[key] = pending[key] + g
                 else:
                     pending[key] = g
-        self.last_backward_ops = visited
         for key, t in leaf_tensors.items():
             g = pending.pop(key, None)
             if g is not None:

@@ -165,7 +165,7 @@ class TestTrain:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["max_epochs"] == 1
-        # flag베 beats config file
+        # a flag beats the config file
         out2 = tmp_path / "cfg_run2"
         code = run("train", "--data", synth_file, "--config", cfg,
                    "--max-epochs", 2, "--out-dir", out2)
@@ -310,6 +310,68 @@ class TestEvaluate:
                    "--data", other, "--out-dir", tmp_path / "bad")
         assert code == 3
         assert "interval_minutes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setup,named", [
+        (["--in-frames", 18], ["--in-frames 18 (checkpoint: 6)"]),
+        (["--lead-minutes", 180, "--cloud"],
+         ["--lead-minutes 180 (checkpoint: 30)", "--cloud True (checkpoint: False)"]),
+        (["--select-fraction", 0.0], ["--select-fraction 0.0 (checkpoint: 0.5)"]),
+        (["--config", "in-frames=12\n"], ["--in-frames 12 (checkpoint: 6)"])])
+    def test_setup_disagreeing_with_checkpoint_exits_2(self, synth_file, trained_dir,
+                                                       tmp_path, capsys, setup, named):
+        if setup[0] == "--config":
+            (tmp_path / "run.cfg").write_text(setup[1])
+            setup = ["--config", tmp_path / "run.cfg"]
+        out = tmp_path / "eval"
+        code = run("evaluate", "--checkpoint", trained_dir / "model.ckpt",
+                   "--data", synth_file, *setup, "--out-dir", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(text in err for text in named), err
+        assert not out.exists()
+
+    def test_checkpoint_setup_fills_unset_options(self, synth_file, trained_dir, tmp_path):
+        """The manifest records the setup the checkpoint was scored on; a
+        config file shared with ``train`` and flags that agree change no
+        output byte."""
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("in-frames=6\nlead-minutes=30\nmax-epochs=1\nbatch-size=4\n")
+        runs = {"bare": [], "flags": ["--in-frames", 6, "--lead-minutes", 30,
+                                      "--select-fraction", 0.5],
+                "config": ["--config", cfg]}
+        for name, setup in runs.items():
+            assert run("evaluate", "--checkpoint", trained_dir / "model.ckpt",
+                       "--data", synth_file, *setup, "--out-dir", tmp_path / name) == 0
+            config = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+            assert {k: config[k] for k in ("in_frames", "lead_minutes", "cloud",
+                                           "select_fraction")} == \
+                {"in_frames": 6, "lead_minutes": 30, "cloud": False, "select_fraction": 0.5}
+        for report in ("report.csv", "per_lead.csv", "report.txt"):
+            assert len({(tmp_path / name / report).read_bytes() for name in runs}) == 1
+
+    def test_cloud_checkpoint_setup_has_no_lead(self, tmp_path):
+        cloud = tmp_path / "cloud.nwds"
+        assert run("synth", "--frames", 40, "--size", 32, "--binary",
+                   "--interval", 15, "--out", cloud) == 0
+        assert run("train", "--data", cloud, "--cloud", "--base-channels", 4,
+                   "--cbam-reduction", 4, "--max-epochs", 1, "--batch-size", 4,
+                   "--out-dir", tmp_path / "run") == 0
+        assert run("evaluate", "--checkpoint", tmp_path / "run" / "model.ckpt",
+                   "--data", cloud, "--out-dir", tmp_path / "eval") == 0
+        config = json.loads((tmp_path / "eval" / "manifest.json").read_text())["config"]
+        assert (config["in_frames"], config["lead_minutes"], config["cloud"],
+                config["select_fraction"]) == (4, None, True, None)
+
+    def test_manifests_record_the_default_gate(self, synth_file, trained_dir, tmp_path):
+        """A precipitation run without --select-fraction gates at 0.5, and
+        its manifest says so."""
+        train_config = json.loads((trained_dir / "manifest.json").read_text())["config"]
+        assert train_config["select_fraction"] == 0.5
+        out = tmp_path / "eval_p"
+        assert run("evaluate", "--data", synth_file, "--baseline", "persistence",
+                   "--in-frames", 6, "--lead-minutes", 30, "--out-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"][
+            "select_fraction"] == 0.5
 
 
     @pytest.mark.parametrize("batch_size", [0, -1])

@@ -99,24 +99,36 @@ def last_ckpt_sections(path):
 
 
 def test_last_ckpt_moves_by_rounding_only(tiny_files, tmp_path, monkeypatch):
-    """With every depthwise conv sent through the general im2col path and
+    """With every depthwise conv sent through the dense im2col kernel and
     every bilinear upsample through the float64 loop oracles, the one-epoch
     ``last.ckpt`` agrees with the shipped one in every tensor and in
     ``best_val_loss`` to 1e-3: the kernels differ from those references in
     rounding only, and no trainable tensor steps on rounding noise."""
     calls = []
 
-    def depthwise_as_im2col(x, weight, bias):
+    def depthwise_as_dense(x, weight, bias):
+        """The dense kernel over the block-diagonal ``[c, c, 3, 3]`` weight;
+        the depthwise weight's gradient is that weight's diagonal."""
         calls.append("depthwise")
-        _, c, h, w = x.shape
-        return ops._conv_im2col(x, weight, bias, 1, c, h, w)
+        c = weight.shape[0]
+        diag = np.arange(c)
+        full = np.zeros((c, c, 3, 3), dtype=weight.dtype)
+        full[diag, diag] = weight.data[:, 0]
+        with Tape() as inner:
+            out = ops._conv_dense(x, tensor(full, requires_grad=True, dtype=full.dtype), bias)
+        (rec,) = inner.ops
+
+        def backward_fn(gout):
+            dx, dfull = rec.backward_fn(gout)
+            return [dx, dfull[diag, diag][:, None]]
+        return make_result(out.data, "conv2d", (x, weight), backward_fn)
 
     def upsample_by_oracle(x):
         calls.append("upsample")
         return make_result(bilinear_double(x.data).astype(x.dtype), "upsample_bilinear2", (x,),
                            lambda g: [bilinear_double_adjoint(g).astype(g.dtype)])
 
-    monkeypatch.setattr(ops, "_conv_depthwise3", depthwise_as_im2col)
+    monkeypatch.setattr(ops, "_conv_depthwise3", depthwise_as_dense)
     monkeypatch.setattr(ops, "upsample_bilinear2", upsample_by_oracle)
     reference = write_tiny_files(tmp_path)["last.ckpt"]
     assert set(calls) == {"depthwise", "upsample"}

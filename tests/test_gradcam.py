@@ -7,13 +7,18 @@ import pytest
 from sarunet import Tape, tensor
 from sarunet.data import load_nwds
 from sarunet.errors import UsageError
-from sarunet.gradcam import (color_table, explain_suite, grad_cam, rain_score,
-                             save_heatmap_nwds, suite_grid, write_ppm)
+from sarunet.gradcam import (color_table, explain_suite, rain_score, save_heatmap_nwds,
+                             suite_grid, write_ppm)
 from sarunet.model import ModelConfig, build
 
 from oracles import grad_rel_err
 
 F64 = np.float64
+
+
+def one_map(model, x, layer, **score_kw):
+    """The heatmap of one layer."""
+    return explain_suite(model, x, [layer], **score_kw)[0]
 
 
 def tiny_model(base=2, in_ch=2, seed=0, dtype=np.float32):
@@ -52,8 +57,7 @@ class TestGradCam:
     def test_zero_gradient_target_yields_zero_map(self):
         m = tiny_model()
         x = tensor(np.zeros((1, 2, 16, 16), np.float32))
-        hm = grad_cam(m, x, "enc0.block", unit="raw",
-                      threshold_mm_per_h=1e9)
+        hm = one_map(m, x, "enc0.block", unit="raw", threshold_mm_per_h=1e9)
         assert hm.raw_max == 0.0
         assert np.all(hm.values.data == 0.0)
 
@@ -71,8 +75,7 @@ class TestGradCam:
         tape.backward(score)
         act = trace.get("enc0.block")
         alpha = act.grad.mean()
-        hm = grad_cam(m, x, "enc0.block", unit="raw",
-                      threshold_mm_per_h=0.0)
+        hm = one_map(m, x, "enc0.block", unit="raw", threshold_mm_per_h=0.0)
         if alpha > 0:
             ref = np.maximum(act.data[0, 0] * alpha, 0.0)
             np.testing.assert_allclose(hm.values.data[0, 0], ref / ref.max(),
@@ -120,7 +123,7 @@ class TestGradCam:
         combined_fd = (alpha_fd[0][:, None, None] * base[0]).sum(axis=0)
         assert grad_rel_err(np.maximum(combined, 0), np.maximum(combined_fd, 0)) <= 1e-3
 
-        hm = grad_cam(m, x, layer, unit="raw", threshold_mm_per_h=0.0)
+        hm = one_map(m, x, layer, unit="raw", threshold_mm_per_h=0.0)
         rect = np.maximum(combined, 0)
         if rect.max() > 0:
             assert hm.raw_max > 0
@@ -130,15 +133,15 @@ class TestGradCam:
         rng = np.random.default_rng(9)
         x = tensor(rng.random((1, 2, 16, 16)).astype(np.float32) * 25.0)
         t = "dec0.block"
-        a = grad_cam(m, x, t, unit="raw", threshold_mm_per_h=0.0)
-        b = grad_cam(m, x, t, unit="raw", threshold_mm_per_h=0.0)
+        a = one_map(m, x, t, unit="raw", threshold_mm_per_h=0.0)
+        b = one_map(m, x, t, unit="raw", threshold_mm_per_h=0.0)
         assert a.values.data.tobytes() == b.values.data.tobytes()
 
     def test_unknown_target_lists_valid(self):
         m = tiny_model()
         x = tensor(np.zeros((1, 2, 16, 16), np.float32))
         with pytest.raises(UsageError) as err:
-            grad_cam(m, x, "enc0.pool_in", unit="raw")
+            one_map(m, x, "enc0.pool_in", unit="raw")
         assert "enc0.block" in str(err.value)
 
 
@@ -170,7 +173,7 @@ class TestSuite:
         x = tensor(rng.random((1, 2, 16, 16)).astype(np.float32) * 30.0)
         maps = explain_suite(m, x, unit="raw", threshold_mm_per_h=0.0)
         for hm in (maps[0], maps[7], maps[25]):
-            single = grad_cam(m, x, hm.layer, unit="raw", threshold_mm_per_h=0.0)
+            single = one_map(m, x, hm.layer, unit="raw", threshold_mm_per_h=0.0)
             assert single.values.data.tobytes() == hm.values.data.tobytes()
 
     def test_block_activation_is_sum_of_subpaths(self):

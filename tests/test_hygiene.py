@@ -29,3 +29,19 @@ def test_no_unused_module_imports(path):
     unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_public_op_is_used_by_the_program():
+    """Each name in ``ops.__all__`` is read by another program module: an op
+    that only tests call is dead code (and the benchmark's tracer wraps
+    every listed name as an op kind)."""
+    from sarunet import ops
+    used = set()
+    for path in MODULES:
+        if path.name == "ops.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [name for name in ops.__all__ if name not in used]
+    assert not unused, f"ops.__all__ names no program module uses: {unused}"

@@ -15,6 +15,8 @@ from sarunet.model import (ModelConfig, build, load_checkpoint,
                            save_checkpoint)
 from sarunet.train import mse_loss
 
+from oracles import finite_diff
+
 
 def tiny_config(variant="sar", in_ch=2, out_ch=1, base=4, reduction=4):
     return ModelConfig(in_channels=in_ch, out_channels=out_ch, base_channels=base,
@@ -33,7 +35,7 @@ class TestTopology:
         assert enc_out == [64, 128, 256, 512, 1024]
         dec_out = [shapes[f"dec{d}.block.dsc2.pointwise"][0] for d in (3, 2, 1, 0)]
         assert dec_out == [512, 256, 128, 64]
-        assert m.config.bottleneck_channels == 1024
+        assert m.config.encoder_channels()[-1] == 1024
 
     def test_smaat_ladder(self):
         m = build(ModelConfig(in_channels=12, out_channels=1, base_channels=64,
@@ -41,7 +43,7 @@ class TestTopology:
         shapes = {n: t.shape for n, t in m.named_parameters()}
         enc_out = [shapes[f"enc{d}.block.dsc2.pointwise"][0] for d in range(5)]
         assert enc_out == [64, 128, 256, 512, 512]
-        assert m.config.bottleneck_channels == 512
+        assert m.config.encoder_channels()[-1] == 512
         assert not any(n.endswith(".reduce.weight") for n in shapes)
         assert not any(".shortcut." in n for n in shapes)
 
@@ -137,7 +139,7 @@ class TestRouting:
         bump = tensor(tr.get("enc4.cbam").data + 1.0)
         y1, _ = m.forward(x, overrides={"enc4.cbam": bump})
         assert not np.array_equal(y0.data, y1.data)
-        y2, _ = m.forward(x, overrides={"enc4.cbam": tr.get("enc4.cbam").detach()})
+        y2, _ = m.forward(x, overrides={"enc4.cbam": tensor(tr.get("enc4.cbam").data.copy())})
         np.testing.assert_array_equal(y0.data, y2.data)
 
     def test_gradient_flow_reaches_every_parameter(self):
@@ -173,6 +175,33 @@ class TestRouting:
         largest = {n: np.abs(p.grad).max() for n, p in m.named_parameters()}
         top = max(largest.values())
         assert [n for n, g in largest.items() if g <= 1e-12 * top] == []
+
+    def test_whole_model_gradient_matches_finite_differences(self):
+        """The training loss's gradient, through the whole float64 network
+        in train mode, against central differences at two sampled entries of
+        every parameter tensor. Every conv picks its kernel from its weight's
+        shape, so this checks all three kernels in their places."""
+        m = build(tiny_config("sar"), seed=0, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        x = tensor(rng.normal(size=(2, 2, 32, 32)), dtype=np.float64)
+        target = tensor(rng.normal(size=(2, 1, 32, 32)), dtype=np.float64)
+
+        def loss():
+            y, _ = m.forward(x, train=True)    # batch statistics: the running
+            return mse_loss(y, target)          # buffers do not reach the loss
+
+        with Tape() as tape:
+            out = loss()
+        tape.backward(out)
+        for name, p in m.named_parameters():
+            scale = np.abs(p.grad).max()
+            assert scale > 0.0, name              # a dead path would check nothing
+            picks = rng.choice(p.data.size, size=min(2, p.data.size), replace=False)
+            idx = [np.unravel_index(i, p.shape) for i in picks]
+            num = finite_diff(lambda: loss().item(), p.data, h=1e-6, indices=idx)
+            rows = tuple(np.array(idx).T)
+            # the loss's own float64 rounding puts ~1e-8 on each difference
+            assert np.abs(p.grad[rows] - num[rows]).max() <= 1e-5 * scale, name
 
 
 def taped_step(m, x, target, trace_request=()):

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ class TestConv2d:
     def test_all_ones_3x3(self):
         x = t(np.ones((1, 1, 3, 3)))
         w = t(np.ones((1, 1, 3, 3)))
-        y = ops.conv2d(x, w, padding=1)
+        y = ops.conv2d(x, w)
         assert y.data[0, 0, 1, 1] == 9.0
         for corner in [(0, 0), (0, 2), (2, 0), (2, 2)]:
             assert y.data[0, 0][corner] == 4.0
@@ -40,32 +41,34 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3), dtype=np.float32)
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        y = ops.conv2d(x, t(w), padding=1)
+        y = ops.conv2d(x, t(w))
         np.testing.assert_array_equal(y.data, x.data)
 
-    def test_grouped_conv_matches_loop_oracle(self):
+    def test_cbam_7x7_matches_loop_oracle(self):
+        """CBAM's spatial conv: two maps in, one out, planes as small as
+        the kernel's half-width, padded by 3 on every side."""
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 4, 7, 7))
-        w = rng.normal(size=(6, 2, 3, 3))
-        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64),
-                       padding=1, groups=2)
-        ref = conv2d_loops(x, w, padding=1, groups=2)
-        err = np.abs(y.data - ref).max() / np.abs(ref).max()
-        assert err <= 1e-6
+        for h, w in [(7, 7), (4, 6), (1, 1), (2, 9)]:
+            x = rng.normal(size=(2, 2, h, w))
+            k = rng.normal(size=(1, 2, 7, 7))
+            y = ops.conv2d(t(x, dtype=np.float64), t(k, dtype=np.float64))
+            ref = conv2d_loops(x, k, padding=3)
+            np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
 
     def test_random_shapes_match_loop_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            n, cin, g = rng.integers(1, 3), int(rng.integers(1, 5)), 1
-            if cin % 2 == 0 and rng.random() < 0.5:
-                g = cin
-            cout = int(rng.integers(1, 4)) * g
-            k = int(rng.choice([1, 3]))
-            h = int(rng.integers(k, 9))
+            n, cin = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            kind = rng.choice(["pointwise", "depthwise", "dense"])
+            if kind == "depthwise":
+                w, groups = rng.normal(size=(cin, 1, 3, 3)), cin
+            else:
+                k = 1 if kind == "pointwise" else int(rng.choice([3, 5, 7]))
+                w, groups = rng.normal(size=(int(rng.integers(1, 4)), cin, k, k)), 1
+            h = int(rng.integers(1, 9))
             x = rng.normal(size=(n, cin, h, h)).astype(np.float32)
-            w = rng.normal(size=(cout, cin // g, k, k)).astype(np.float32)
-            a = ops.conv2d(t(x), t(w), padding=k // 2, groups=g)
-            b = conv2d_loops(x, w, padding=k // 2, groups=g)
+            a = ops.conv2d(t(x), t(w.astype(np.float32)))
+            b = conv2d_loops(x, w, padding=w.shape[2] // 2, groups=groups)
             err = np.abs(a.data - b).max() / max(np.abs(a.data).max(), 1e-12)
             assert err <= 1e-5
 
@@ -75,19 +78,38 @@ class TestConv2d:
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64),
-                       t(b.reshape(1, 3, 1, 1), dtype=np.float64), padding=1)
+                       t(b.reshape(1, 3, 1, 1), dtype=np.float64))
         ref = conv2d_loops(x, w, bias=b, padding=1)
         assert y.shape == (1, 3, 9, 9)
         np.testing.assert_allclose(y.data, ref, rtol=1e-12)
 
     def test_shape_errors(self):
         x = t(np.ones((1, 3, 4, 4)))
-        with pytest.raises(DimensionError):
-            ops.conv2d(x, t(np.ones((2, 2, 3, 3))), groups=2)  # cin 3 not divisible
-        with pytest.raises(ConfigurationError):
-            ops.conv2d(x, t(np.ones((2, 3, 5, 5))))  # empty output
-        with pytest.raises(DimensionError):
-            ops.conv2d(x, t(np.ones((2, 1, 3, 3))), groups=1)  # cin/g mismatch
+        for kernel in [(2, 3, 2, 2), (2, 3, 3, 5), (3, 1, 3, 1)]:   # even, not square
+            with pytest.raises(ConfigurationError, match="square, odd kernel"):
+                ops.conv2d(x, t(np.ones(kernel)))
+        for weight in [(2, 2, 3, 3), (2, 1, 3, 3), (3, 1, 5, 5), (6, 1, 3, 3), (2, 4, 1, 1)]:
+            with pytest.raises(DimensionError, match=re.escape(str(weight))):
+                ops.conv2d(x, t(np.ones(weight)))
+        with pytest.raises(DimensionError, match="bias"):
+            ops.conv2d(x, t(np.ones((2, 3, 1, 1))), t(np.ones((1, 3, 1, 1))))
+
+
+@pytest.mark.parametrize("weight,cin,kernel", [
+    ((4, 3, 1, 1), 3, "_conv_pointwise"),
+    ((1, 1, 1, 1), 1, "_conv_pointwise"),
+    ((3, 1, 3, 3), 3, "_conv_depthwise3"),
+    ((1, 1, 3, 3), 1, "_conv_depthwise3"),    # depthwise is tested before dense
+    ((3, 3, 3, 3), 3, "_conv_dense"),
+    ((4, 1, 3, 3), 1, "_conv_dense"),         # one channel in, four out
+    ((1, 2, 7, 7), 2, "_conv_dense"),
+])
+def test_weight_shape_picks_kernel(monkeypatch, weight, cin, kernel):
+    ran = []
+    for name in ("_conv_pointwise", "_conv_depthwise3", "_conv_dense"):
+        monkeypatch.setattr(ops, name, lambda *a, name=name: ran.append(name))
+    ops.conv2d(t(np.ones((1, cin, 5, 5))), t(np.ones(weight)))
+    assert ran == [kernel]
 
 
 # Planes for the specialised kernels: one sample and a batch, non-square, a
@@ -96,24 +118,24 @@ KERNEL_SHAPES = [(1, 3, 5, 7), (3, 2, 6, 4), (3, 2, 1, 6), (1, 3, 5, 1)]
 
 
 def kernel_case(kind, shape, with_bias, seed=0):
-    """Float64 input, weight, optional bias and conv2d keywords that take
-    the ``kind`` kernel."""
+    """Float64 input, weight and optional bias that take the ``kind``
+    kernel, and the loop oracle's keywords for the same conv."""
     rng = np.random.default_rng(seed)
     n, c, h, w = shape
     if kind == "pointwise":
-        weight, kwargs = rng.normal(size=(4, c, 1, 1)), {}
+        weight, oracle_kw = rng.normal(size=(4, c, 1, 1)), {}
     else:
-        weight, kwargs = rng.normal(size=(c, 1, 3, 3)), {"padding": 1, "groups": c}
+        weight, oracle_kw = rng.normal(size=(c, 1, 3, 3)), {"padding": 1, "groups": c}
     bias = rng.normal(size=weight.shape[0]) if with_bias else None
-    return rng.normal(size=shape), weight, bias, kwargs
+    return rng.normal(size=shape), weight, bias, oracle_kw
 
 
 @pytest.fixture
 def no_im2col(monkeypatch):
-    """Fail any conv that falls back to the general im2col path."""
+    """Fail any conv that takes the dense im2col kernel."""
     def refuse(*args):
-        raise AssertionError("conv2d took the im2col path")
-    monkeypatch.setattr(ops, "_conv_im2col", refuse)
+        raise AssertionError("conv2d took the dense im2col kernel")
+    monkeypatch.setattr(ops, "_conv_dense", refuse)
 
 
 @pytest.mark.usefixtures("no_im2col")
@@ -122,20 +144,20 @@ class TestConvKernels:
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("with_bias", [False, True])
     def test_matches_loop_oracle(self, kind, shape, with_bias):
-        x, w, b, kwargs = kernel_case(kind, shape, with_bias)
+        x, w, b, oracle_kw = kernel_case(kind, shape, with_bias)
         bt = None if b is None else t(b.reshape(1, -1, 1, 1), dtype=np.float64)
-        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64), bt, **kwargs)
-        ref = conv2d_loops(x, w, bias=b, **kwargs)
+        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64), bt)
+        ref = conv2d_loops(x, w, bias=b, **oracle_kw)
         np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_gradients_match_finite_differences(self, kind, shape):
-        x, w, b, kwargs = kernel_case(kind, shape, True, seed=1)
+        x, w, b, _ = kernel_case(kind, shape, True, seed=1)
         params = [t(a, dtype=np.float64, requires_grad=True)
                   for a in (x, w, b.reshape(1, -1, 1, 1))]
 
         def loss():
-            y = ops.conv2d(*params, **kwargs)
+            y = ops.conv2d(*params)
             return ops.sum_all(ops.mul(y, y))
 
         with Tape() as tape:
@@ -156,7 +178,7 @@ def test_depthwise_forward_peak_memory():
     tracemalloc.start()
     try:
         with Tape():
-            ops.conv2d(x, w, padding=1, groups=8)
+            ops.conv2d(x, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,10 +216,10 @@ class TestBatchNorm:
         gamma = t(np.ones((1, 2, 1, 1)))
         beta = t(np.zeros((1, 2, 1, 1)))
         rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
-        ops.batch_norm(t(x), gamma, beta, rm, rv, train=True, momentum=0.1)
-        np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-5)
+        ops.batch_norm(t(x), gamma, beta, rm, rv, train=True)
+        np.testing.assert_allclose(rm, ops.BN_MOMENTUM * x.mean(axis=(0, 2, 3)), rtol=1e-5)
         y = ops.batch_norm(t(x), gamma, beta, rm, rv, train=False)
-        expect = (x - rm[None, :, None, None]) / np.sqrt(rv[None, :, None, None] + 1e-5)
+        expect = (x - rm[None, :, None, None]) / np.sqrt(rv[None, :, None, None] + ops.BN_EPS)
         np.testing.assert_allclose(y.data, expect, rtol=1e-5)
 
     def test_channel_mismatch(self):
