@@ -55,10 +55,8 @@ class FrameSeries:
             raise UsageError(f"unit must be one of {sorted(_UNIT_CODES)}, got {self.unit!r}")
         if self.frames.size and not self.frames.min() >= 0:
             raise DataError("frame values must be >= 0 (NaN is rejected)")
-        if self.unit == "binary":
-            vals = np.unique(self.frames)
-            if not np.isin(vals, (0.0, 1.0)).all():
-                raise DataError("binary series may contain only {0, 1}")
+        if self.unit == "binary" and not ((self.frames == 0) | (self.frames == 1)).all():
+            raise DataError("binary series may contain only {0, 1}")
 
     def __len__(self) -> int:
         return self.frames.shape[0]

@@ -130,21 +130,37 @@ def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, 
     """Heatmaps of ``layers`` (default: the 32-map suite in grid order), each
     a layer's contribution to the predicted-rain score, from one
     forward/backward pass: the score does not depend on the layer, so the
-    traced activations share it."""
+    traced activations share it.
+
+    The pass runs over frozen parameters: every ``requires_grad`` flag is
+    off for the length of the call and restored on return, also when the
+    call raises. The traced activations are the gradient roots, so the tape
+    holds only the ops downstream of the first of them, and no parameter's
+    ``grad`` buffer is written."""
     if layers is None:
         layers = list(suite_grid(model))
     _check_layers(model, layers)
     if x.shape[0] != 1:
         raise UsageError("Grad-CAM explains one sample at a time")
+    if not layers:
+        return []
     height, width = x.shape[2], x.shape[3]
-    model.zero_grad()
-    with Tape() as tape:
-        pred, trace = model.forward(x, train=False, trace_request=layers)
-        score, mask = rain_score(pred, unit, scale=scale, interval_minutes=interval_minutes,
-                                 threshold_mm_per_h=threshold_mm_per_h)
-    if mask.sum() == 0:
-        return [_zero_map(height, width, n) for n in layers]
-    tape.backward(score)
+    params = model.parameters()
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        with Tape() as tape:
+            pred, trace = model.forward(x, train=False, trace_request=layers)
+            score, mask = rain_score(pred, unit, scale=scale,
+                                     interval_minutes=interval_minutes,
+                                     threshold_mm_per_h=threshold_mm_per_h)
+        if mask.sum() == 0:
+            return [_zero_map(height, width, n) for n in layers]
+        tape.backward(score)
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     out = []
     for n in layers:
         act = trace.get(n)
@@ -172,12 +188,14 @@ def color_table() -> np.ndarray:
     return np.rint(table).astype(np.uint8)
 
 
+_COLOR_TABLE = color_table()
+
+
 def write_ppm(path, heatmap: Heatmap) -> None:
     """Binary P6 image of a heatmap under the documented color table."""
-    table = color_table()
     vals = heatmap.values.data[0, 0]
     idx = np.rint(np.clip(vals, 0.0, 1.0) * 255).astype(np.intp)
-    rgb = table[idx]
+    rgb = np.take(_COLOR_TABLE, idx, axis=0)
     h, w = vals.shape
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

@@ -26,7 +26,7 @@ import numpy as np
 from . import ops
 from .blocks import Cbam, Conv2dLayer, DoubleDscBlock, ResidualDscBlock
 from .errors import ConfigurationError, DataError, DimensionError, UsageError
-from .tensor import Tensor4, read_section, write_section
+from .tensor import Tensor4, active_tape, read_section, write_section
 
 __all__ = [
     "ModelConfig", "Model", "ActivationTrace", "build", "persistence_forward",
@@ -90,7 +90,12 @@ class ActivationTrace:
 
 class _Tap:
     """Collects requested activations, marking each to retain its gradient,
-    and applies output overrides in-line."""
+    and applies output overrides in-line.
+
+    Under a tape, a requested activation that nothing upstream makes
+    differentiable (all parameters frozen, as in Grad-CAM) becomes a
+    gradient root: it is marked ``requires_grad``, so the tape records only
+    the ops downstream of the first requested layer."""
 
     def __init__(self, wanted: Iterable[str], overrides: Optional[dict[str, Tensor4]],
                  valid: set[str]):
@@ -110,6 +115,8 @@ class _Tap:
                     f"override for {name!r} has shape {o.shape}, expected {t.shape}")
             t = o
         if name in self.wanted:
+            if not t.requires_grad and active_tape() is not None:
+                t.requires_grad = True
             t.retain_grad()
             self.got[name] = t
         return t

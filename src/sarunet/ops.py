@@ -18,6 +18,16 @@ max pooling and global max find the winning entry again from
 arrays directly, never through a nested function, so a count of the
 closure cells sees them all.
 
+A backward rule computes only the gradients something reads, as PyTorch's
+``needs_input_grad`` does. The three conv kernels, batch norm, :func:`mul`
+and :func:`mul_broadcast` read each input's ``requires_grad`` at forward
+time and keep the flags in the closure as booleans. A ``None`` gradient
+means no gradient is needed: the rule returns ``None`` in the slot of an
+input that needs none and skips that input's work. So a frozen weight costs
+no weight gradient, and the model input costs no ``dx``. The other rules
+compute every input gradient, and :meth:`~sarunet.tensor.Tape.backward`
+drops the ones nothing needs.
+
 :func:`conv2d` is stride-1 and always pads by ``k // 2`` (a "same"
 convolution, the only kind the network runs); the weight's shape picks one
 of three kernels:
@@ -26,10 +36,10 @@ of three kernels:
   the backward keeps only the input and the weight.
 - ``[c, 1, 3, 3]`` over ``c`` channels (depthwise): nine shifted
   multiply-adds over zero-padded flat planes; the backward keeps the input
-  and the weight, and pads the input again.
+  and the weight, and pads the input again for the weight gradient.
 - ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): im2col and a matmul;
   the backward keeps the input and the weight, and rebuilds the patch
-  matrix (``k*k`` times the input) while it runs.
+  matrix (``k*k`` times the input) for the weight gradient.
 
 :func:`batch_norm` uses the fixed :data:`BN_EPS` and :data:`BN_MOMENTUM`.
 """
@@ -99,11 +109,17 @@ def _record_conv(out: np.ndarray, x: Tensor4, weight: Tensor4, bias: Optional[Te
     return make_result(out + bias.data, "conv2d", (x, weight, bias), backward_fn)
 
 
-def _conv_grads(gout: np.ndarray, dx: np.ndarray, dw: np.ndarray,
-                bias: Optional[Tensor4]) -> list[np.ndarray]:
+def _needs(*tensors: Optional[Tensor4]) -> tuple[bool, ...]:
+    """Each input's ``requires_grad`` as read at forward time; an absent
+    bias needs nothing."""
+    return tuple(t is not None and t.requires_grad for t in tensors)
+
+
+def _conv_grads(gout: np.ndarray, dx: Optional[np.ndarray], dw: Optional[np.ndarray],
+                bias: Optional[Tensor4], need_b: bool) -> list[Optional[np.ndarray]]:
     if bias is None:
         return [dx, dw]
-    return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias.shape)]
+    return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias.shape) if need_b else None]
 
 
 def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
@@ -111,14 +127,18 @@ def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4
     cout, _, k, _ = weight.shape
     w2 = weight.data.reshape(cout, cin * k * k)
     out = np.matmul(w2, _im2col(x.data, k))
+    need_x, need_w, need_b = _needs(x, weight, bias)
 
     def backward_fn(gout: np.ndarray):
         go = gout.reshape(n, cout, h * w_in)
-        cols = _im2col(x.data, k).transpose(0, 2, 1)
-        dw = np.matmul(go, cols).sum(axis=0).reshape(weight.shape)
-        del cols                                         # rebuilt here, not kept
-        dx = _col2im(np.matmul(w2.T, go), x.shape, k)
-        return _conv_grads(gout, dx, dw, bias)
+        dx = dw = None
+        if need_w:
+            cols = _im2col(x.data, k).transpose(0, 2, 1)
+            dw = np.matmul(go, cols).sum(axis=0).reshape(weight.shape)
+            del cols                                     # rebuilt here, not kept
+        if need_x:
+            dx = _col2im(np.matmul(w2.T, go), x.shape, k)
+        return _conv_grads(gout, dx, dw, bias, need_b)
 
     return _record_conv(out.reshape(n, cout, h, w_in), x, weight, bias, backward_fn)
 
@@ -128,12 +148,16 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     cout = weight.shape[0]
     x3 = x.data.reshape(n, cin, h * w_in)              # a view: Tensor4 data is contiguous
     w2 = weight.data.reshape(cout, cin)
+    need_x, need_w, need_b = _needs(x, weight, bias)
 
     def backward_fn(gout: np.ndarray):
         go = gout.reshape(n, cout, h * w_in)
-        dw = np.matmul(go, x3.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        dx = np.matmul(w2.T, go).reshape(x.shape)
-        return _conv_grads(gout, dx, dw, bias)
+        dx = dw = None
+        if need_w:
+            dw = np.matmul(go, x3.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        if need_x:
+            dx = np.matmul(w2.T, go).reshape(x.shape)
+        return _conv_grads(gout, dx, dw, bias, need_b)
 
     out = np.matmul(w2, x3).reshape(n, cout, h, w_in)
     return _record_conv(out, x, weight, bias, backward_fn)
@@ -175,18 +199,23 @@ def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.nda
 def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
     _, c, h, w_in = x.shape
     taps = weight.data.reshape(c, 9)
+    need_x, need_w, need_b = _needs(x, weight, bias)
 
     def backward_fn(gout: np.ndarray):
-        xp = _pad_planes(x.data)
         gp = _pad_planes(gout)
-        dx = _shifted_sum(gp, taps[:, ::-1], h, w_in)   # the flipped kernel
-        length = h * (w_in + 2)
-        centre = _tap_offsets(w_in)[4]
-        g = gp[:, :, centre:centre + length]             # gout, zero in the padding columns
-        dw = np.empty((c, 9), dtype=taps.dtype)
-        for t, off in enumerate(_tap_offsets(w_in)):
-            dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
-        return _conv_grads(gout, dx, dw.reshape(weight.shape), bias)
+        dx = dw = None
+        if need_x:
+            dx = _shifted_sum(gp, taps[:, ::-1], h, w_in)   # the flipped kernel
+        if need_w:
+            xp = _pad_planes(x.data)
+            length = h * (w_in + 2)
+            centre = _tap_offsets(w_in)[4]
+            g = gp[:, :, centre:centre + length]         # gout, zero in the padding columns
+            dw = np.empty((c, 9), dtype=taps.dtype)
+            for t, off in enumerate(_tap_offsets(w_in)):
+                dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
+            dw = dw.reshape(weight.shape)
+        return _conv_grads(gout, dx, dw, bias, need_b)
 
     return _record_conv(_shifted_sum(_pad_planes(x.data), taps, h, w_in), x, weight, bias,
                         backward_fn)
@@ -276,19 +305,25 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         var = running_var.astype(dt)
     inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
     out = gamma.data * _normalize(x.data, mean, inv_std) + beta.data
+    need_x, need_gamma, need_beta = _needs(x, gamma, beta)
 
     def backward_fn(gout: np.ndarray):
-        xhat = _normalize(x.data, mean, inv_std)
-        dgamma = (gout * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        dbeta = gout.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        dxhat = gout * gamma.data
-        istd = inv_std.reshape(1, c, 1, 1)
-        if train:
-            mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            dx = istd * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-        else:
-            dx = istd * dxhat
+        dx = dgamma = dbeta = None
+        if need_gamma or (need_x and train):
+            xhat = _normalize(x.data, mean, inv_std)
+        if need_gamma:
+            dgamma = (gout * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+        if need_beta:
+            dbeta = gout.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+        if need_x:
+            dxhat = gout * gamma.data
+            istd = inv_std.reshape(1, c, 1, 1)
+            if train:
+                mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
+                mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+                dx = istd * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+            else:
+                dx = istd * dxhat
         return [dx, dgamma, dbeta]
 
     return make_result(out, "batch_norm", (x, gamma, beta), backward_fn)
@@ -341,8 +376,12 @@ def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     """Elementwise product of equal shapes."""
     _same_dtype(a, b)
     _check_same_shape(a, b, "mul")
-    return make_result(a.data * b.data, "mul", (a, b),
-                       lambda g: [g * b.data, g * a.data])
+    need_a, need_b = _needs(a, b)
+
+    def backward_fn(gout):
+        return [gout * b.data if need_a else None, gout * a.data if need_b else None]
+
+    return make_result(a.data * b.data, "mul", (a, b), backward_fn)
 
 
 def mul_broadcast(a: Tensor4, b: Tensor4) -> Tensor4:
@@ -357,9 +396,11 @@ def mul_broadcast(a: Tensor4, b: Tensor4) -> Tensor4:
         raise DimensionError(
             f"mul_broadcast factor must be ({n},{c},1,1) or ({n},1,{h},{w}), got {b.shape}")
 
+    need_a, need_b = _needs(a, b)
+
     def backward_fn(gout):
-        da = gout * b.data
-        db = (gout * a.data).sum(axis=reduce_axes, keepdims=True)
+        da = gout * b.data if need_a else None
+        db = (gout * a.data).sum(axis=reduce_axes, keepdims=True) if need_b else None
         return [da, db]
 
     return make_result(a.data * b.data, "mul_broadcast", (a, b), backward_fn)

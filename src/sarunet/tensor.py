@@ -11,7 +11,10 @@ traced activations). Other op outputs carry no buffer. Storage is float32 by
 default; a float64 mode exists for gradient-check tests.
 
 Tapes are thread-local: concurrent inference threads each open their own tape
-(or none) over shared read-only parameters.
+(or none) over shared read-only parameters. The parameters' ``requires_grad``
+flags are shared, though: :func:`sarunet.gradcam.explain_suite` turns them
+off for the length of its call, so one ``Model`` must not be trained in
+another thread while it is being explained.
 """
 
 from __future__ import annotations
@@ -178,9 +181,12 @@ class Tape:
         """Accumulate dLoss/dT into the ``grad`` buffer of every tensor the
         loss depends on that has one: the leaves built with
         ``requires_grad=True`` and the op outputs marked with
-        :meth:`Tensor4.retain_grad`. Other op outputs only pass their
-        gradient on. An input that is neither recorded here nor holds a
-        buffer (an op output of another tape) is skipped.
+        :meth:`Tensor4.retain_grad`. A buffer is filled only when its tensor
+        requires grad, so a frozen parameter's buffer is left as it is.
+        Other op outputs only pass their gradient on. An input that is
+        neither recorded here nor holds a buffer (an op output of another
+        tape) is skipped, and so is a ``None`` gradient, which a rule
+        returns for an input that needs none.
 
         Calling twice without zeroing grads accumulates. Ops run their
         backward rules in reverse recording order, each at most once: once

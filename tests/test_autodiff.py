@@ -8,6 +8,7 @@ magnitude (see oracles.grad_rel_err).
 import gc
 import threading
 import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -308,3 +309,95 @@ class TestDepthwiseSeparableProperty:
         ref = depthwise_separable_loops(x, dw, pw, pb)
         err = np.abs(out.data - ref).max() / np.abs(ref).max()
         assert err <= 1e-6
+
+
+def _f32(rng, shape, scale=1.0):
+    return (rng.normal(size=shape) * scale).astype(np.float32)
+
+
+def _rule_grads(apply_op, arrays, frozen, gout):
+    """The recorded rule's input gradients for ``gout``, with the inputs at
+    the indices in ``frozen`` built without ``requires_grad``."""
+    tensors = [tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+    with Tape() as tape:
+        apply_op(*tensors)
+    (rec,) = tape.ops
+    return rec.backward_fn(gout)
+
+
+def _bn(train):
+    def apply(x, g, b):
+        return ops.batch_norm(x, g, b, np.full(3, 0.2, np.float32), np.full(3, 1.5, np.float32),
+                              train=train)
+    return apply
+
+
+_SKIP_CASES = {
+    "pointwise": (ops.conv2d, [(2, 3, 5, 4), (4, 3, 1, 1)]),
+    "pointwise_bias": (ops.conv2d, [(2, 3, 5, 4), (4, 3, 1, 1), (1, 4, 1, 1)]),
+    "depthwise": (ops.conv2d, [(2, 3, 5, 4), (3, 1, 3, 3)]),
+    "depthwise_bias": (ops.conv2d, [(2, 3, 5, 4), (3, 1, 3, 3), (1, 3, 1, 1)]),
+    "dense": (ops.conv2d, [(2, 3, 5, 4), (4, 3, 3, 3)]),
+    "dense_bias": (ops.conv2d, [(2, 3, 5, 4), (4, 3, 3, 3), (1, 4, 1, 1)]),
+    "dense_7x7": (ops.conv2d, [(1, 2, 6, 5), (1, 2, 7, 7)]),
+    "batch_norm_train": (_bn(True), [(2, 3, 4, 4), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    "batch_norm_eval": (_bn(False), [(2, 3, 4, 4), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    "mul": (ops.mul, [(2, 3, 4, 4), (2, 3, 4, 4)]),
+    "mul_broadcast_channel": (ops.mul_broadcast, [(2, 3, 4, 4), (2, 3, 1, 1)]),
+    "mul_broadcast_pixel": (ops.mul_broadcast, [(2, 3, 4, 4), (2, 1, 4, 4)]),
+}
+
+
+class TestSkipRules:
+    """A rule returns ``None`` for an input that needed no gradient at
+    forward time, and the gradients it still computes are bitwise those of
+    the run in which every input needs one."""
+
+    @pytest.mark.parametrize("case", sorted(_SKIP_CASES))
+    def test_frozen_inputs_get_none_and_the_rest_is_unchanged(self, case):
+        apply_op, shapes = _SKIP_CASES[case]
+        rng = np.random.default_rng(31)
+        arrays = [_f32(rng, s) for s in shapes]
+        with Tape():
+            out_shape = apply_op(*[tensor(a) for a in arrays]).shape
+        gout = _f32(rng, out_shape)
+        full = _rule_grads(apply_op, arrays, (), gout)
+        assert all(g is not None for g in full)
+        n = len(arrays)
+        for frozen in (set(c) for k in range(1, n) for c in combinations(range(n), k)):
+            got = _rule_grads(apply_op, arrays, frozen, gout)
+            assert len(got) == n
+            for i in range(n):
+                if i in frozen:
+                    assert got[i] is None, f"input {i} frozen with {sorted(frozen)}"
+                else:
+                    assert got[i].tobytes() == full[i].tobytes(), \
+                        f"input {i} with {sorted(frozen)} frozen"
+
+    @pytest.mark.parametrize("weight_shape, helper, calls", [
+        ((2, 1, 3, 3), "_pad_planes", 1),          # the gradient's planes only
+        ((1, 2, 7, 7), "_im2col", 0),              # no rebuilt patch matrix
+    ], ids=["depthwise", "dense"])
+    def test_frozen_weight_skips_its_work(self, monkeypatch, weight_shape, helper, calls):
+        rng = np.random.default_rng(32)
+        x = tensor(_f32(rng, (1, 2, 6, 6)), requires_grad=True)
+        with Tape() as tape:
+            out = ops.conv2d(x, tensor(_f32(rng, weight_shape)))
+        seen = []
+        real = getattr(ops, helper)
+        monkeypatch.setattr(ops, helper, lambda *a: seen.append(1) or real(*a))
+        tape.ops[0].backward_fn(np.ones_like(out.data))
+        assert len(seen) == calls
+
+    def test_model_input_gets_no_gradient_in_training(self):
+        """The first convolutions over the model input compute no ``dx``."""
+        from sarunet.model import ModelConfig, build
+        m = build(ModelConfig(in_channels=2, out_channels=1, base_channels=2,
+                              cbam_reduction=2), seed=0)
+        x = tensor(np.random.default_rng(33).normal(size=(1, 2, 32, 32)))
+        with Tape() as tape:
+            y, _ = m.forward(x, train=True)
+        readers = [rec for rec in tape.ops if any(t is x for t in rec.inputs)]
+        assert len(readers) == 2            # enc0's depthwise conv and its shortcut
+        for rec in readers:
+            assert rec.backward_fn(np.ones_like(rec.output.data))[0] is None

@@ -28,6 +28,19 @@ class TestFrameSeries:
             series_from(np.full((1, 4, 4), 0.5), unit="binary")
         series_from(np.ones((1, 4, 4)), unit="binary")  # ok
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.inf])
+    def test_binary_rejects_values_outside_zero_one(self, bad):
+        frames = np.ones((2, 4, 4))
+        frames[1, 2, 3] = bad
+        with pytest.raises(DataError):
+            series_from(frames, unit="binary")
+
+    def test_binary_accepts_negative_zero(self):
+        frames = np.zeros((2, 4, 4))
+        frames[0, 0, 0] = -0.0
+        frames[1] = 1.0
+        assert np.signbit(series_from(frames, unit="binary").frames[0, 0, 0])
+
 
 class TestSelectRainy:
     def test_all_zero_frame_excluded(self):

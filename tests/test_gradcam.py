@@ -137,6 +137,11 @@ class TestGradCam:
         b = one_map(m, x, t, unit="raw", threshold_mm_per_h=0.0)
         assert a.values.data.tobytes() == b.values.data.tobytes()
 
+    def test_empty_target_list_gives_no_maps(self):
+        m = tiny_model()
+        x = tensor(np.ones((1, 2, 16, 16), np.float32))
+        assert explain_suite(m, x, [], unit="raw", threshold_mm_per_h=0.0) == []
+
     def test_unknown_target_lists_valid(self):
         m = tiny_model()
         x = tensor(np.zeros((1, 2, 16, 16), np.float32))
@@ -211,6 +216,15 @@ class TestRendering:
         assert raw.startswith(b"P6\n4 4\n255\n")
         assert len(raw) == len(b"P6\n4 4\n255\n") + 4 * 4 * 3
 
+    def test_ppm_pixels_index_the_color_table(self, tmp_path):
+        from sarunet.gradcam import Heatmap
+        from sarunet.tensor import Tensor4
+        vals = (np.arange(256, dtype=np.float32) / 255).reshape(1, 1, 16, 16)
+        p = tmp_path / "ramp.ppm"
+        write_ppm(p, Heatmap(Tensor4(vals, _checked=True), "enc0.block", 1.0))
+        header = b"P6\n16 16\n255\n"
+        assert p.read_bytes() == header + color_table().tobytes()
+
     def test_heatmap_nwds_roundtrip(self, tmp_path):
         from sarunet.gradcam import Heatmap
         from sarunet.tensor import Tensor4
@@ -221,3 +235,84 @@ class TestRendering:
         back = load_nwds(p)
         assert back.unit == "norm"
         assert back.frames[0].tobytes() == vals[0, 0].tobytes()
+
+
+def _explain_input(channels=2, size=32, seed=21):
+    rng = np.random.default_rng(seed)
+    return tensor(rng.random((1, channels, size, size)).astype(np.float32) * 30.0)
+
+
+class TestExplainLeavesModelAlone:
+    """Grad-CAM runs over frozen parameters: it reads only the traced
+    activations' gradients and leaves the model as it found it."""
+
+    def test_parameter_grads_and_flags_are_untouched(self):
+        m = tiny_model(base=4, seed=20)
+        params = m.parameters()
+        for i, p in enumerate(params):
+            p.grad.fill(7.25)
+            p.requires_grad = i % 3 != 0           # a mix, to see each flag come back
+        flags = [p.requires_grad for p in params]
+        maps = explain_suite(m, _explain_input(), unit="raw", threshold_mm_per_h=0.0)
+        assert any(hm.raw_max > 0 for hm in maps)
+        assert [p.requires_grad for p in params] == flags
+        for p in params:
+            assert np.all(p.grad == np.float32(7.25))
+
+    def test_flags_come_back_when_explain_raises(self):
+        m = tiny_model(base=4, seed=20)
+        with pytest.raises(UsageError):
+            explain_suite(m, _explain_input(), unit="furlongs")
+        assert all(p.requires_grad for p in m.parameters())
+
+    def test_activation_gradients_match_an_unfrozen_pass(self, monkeypatch):
+        m = tiny_model(base=4, seed=22)
+        x = _explain_input(seed=23)
+        layers = list(suite_grid(m))
+        with Tape() as tape:
+            pred, ref = m.forward(x, train=False, trace_request=layers)
+            score, mask = rain_score(pred, "raw", threshold_mm_per_h=0.0)
+        assert mask.sum() > 0
+        tape.backward(score)
+
+        traces = []
+        forward = m.forward
+
+        def traced_forward(*args, **kwargs):
+            pred, trace = forward(*args, **kwargs)
+            traces.append(trace)
+            return pred, trace
+        monkeypatch.setattr(m, "forward", traced_forward)
+        explain_suite(m, x, layers, unit="raw", threshold_mm_per_h=0.0)
+        (trace,) = traces
+        for n in layers:
+            assert trace.get(n).grad.tobytes() == ref.get(n).grad.tobytes(), n
+
+    def test_tape_starts_at_the_first_traced_layer(self, monkeypatch):
+        """The suite's tape records 185 ops, against 194 for a pass with
+        trainable parameters: enc0's two DSC stages (two convs, a batch norm
+        and a relu each) and its shortcut conv lie upstream of every target
+        and are not recorded."""
+        lengths = []
+        backward = Tape.backward
+
+        def counted(tape, loss):
+            lengths.append(len(tape.ops))
+            return backward(tape, loss)
+        monkeypatch.setattr(Tape, "backward", counted)
+        m = tiny_model(base=4, seed=24)
+        x = _explain_input(seed=25)
+        explain_suite(m, x, unit="raw", threshold_mm_per_h=0.0)
+        with Tape() as tape:
+            pred, _ = m.forward(x, train=False, trace_request=list(suite_grid(m)))
+            rain_score(pred, "raw", threshold_mm_per_h=0.0)
+        assert lengths == [185]
+        assert len(tape.ops) == 194
+
+    def test_no_gradient_root_without_a_tape(self):
+        m = tiny_model(base=4, seed=26)
+        for p in m.parameters():
+            p.requires_grad = False
+        _, trace = m.forward(_explain_input(seed=27), trace_request=["enc1.block"])
+        act = trace.get("enc1.block")
+        assert not act.requires_grad and act.grad is None
