@@ -332,6 +332,8 @@ def _spec_from_extras(meta: dict):
         raise UsageError(f"checkpoint is missing training metadata key {e}") from None
     except ValueError as e:
         raise DataError(f"checkpoint training metadata is unparseable: {e}") from None
+    if not 0.0 < scale < float("inf"):
+        raise DataError(f"checkpoint norm_scale must be finite and > 0, got {scale!r}")
     return spec, scale, fraction, interval, unit
 
 

@@ -9,11 +9,13 @@ hundredths of a millimeter), ``binary`` (cloud masks in {0, 1}), ``norm``
 The on-disk container ("NWDS") is bit-exact: magic ``NWDS``, u32
 interval_minutes, u8 unit code (0=raw, 1=binary, 2=norm), u64 frame count,
 then one T4v1 record of shape ``[1,1,H,W]`` per frame. Little-endian
-throughout.
+throughout. All records share one T4v1 header, so one shape and one dtype;
+bytes after the last record are ignored.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -245,6 +247,7 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
 # -- NWDS container --------------------------------------------------------------
 
 _NWDS_MAGIC = b"NWDS"
+_ONE_SHAPE = "frames must be [1,1,H,W] records of one shape and dtype"
 
 
 def save_nwds(path, series: FrameSeries) -> None:
@@ -257,17 +260,49 @@ def save_nwds(path, series: FrameSeries) -> None:
 
 
 def load_nwds(path) -> FrameSeries:
-    """Read an NWDS file. Another format raises ``UsageError``; a truncated or
-    corrupt container raises ``DataError``."""
+    """Read an NWDS file into one frame array, allocated once.
+
+    Another format raises ``UsageError``; a truncated or corrupt container
+    raises ``DataError``. The first record sets the header every record must
+    repeat (shape ``[1,1,H,W]`` and dtype). The frame count is checked
+    against the file length before anything is allocated, and the first
+    faulty record raises its own ``read_t4`` error (or, if it parses, the
+    one-shape error). Bytes after the last record are ignored."""
     with open(path, "rb") as f:
         read_magic(f, _NWDS_MAGIC, f"{path}: NWDS container")
         interval, code, count = struct.unpack("<IBQ", read_exact(f, 13, f"{path}: NWDS header"))
         if code not in _CODE_UNITS:
             raise DataError(f"{path}: unknown unit code {code}")
-        records = [read_t4(f) for _ in range(count)]
-    if not records:
-        raise DataError(f"{path}: container holds no frames")
-    shape = records[0].shape
-    if shape[:2] != (1, 1) or any(r.shape != shape for r in records):
-        raise DataError(f"{path}: frames must be [1,1,H,W] records of one shape")
-    return FrameSeries(np.stack([r[0, 0] for r in records]), interval, _CODE_UNITS[code])
+        if count == 0:
+            raise DataError(f"{path}: container holds no frames")
+        start = f.tell()
+        first = read_t4(f)
+        if first.shape[:2] != (1, 1):
+            raise DataError(f"{path}: {_ONE_SHAPE}")
+        record = f.tell() - start
+        f.seek(start)
+        head = f.read(record - first.nbytes)
+        fits = (f.seek(0, io.SEEK_END) - start) // record
+        if count > fits:
+            # the count runs past the file: reading headers only, raise the
+            # error of the first record that differs from the first or is cut
+            for k in range(fits + 1):
+                f.seek(start + k * record)
+                if k == fits or f.read(len(head)) != head:
+                    _raise_record_fault(f, path, start + k * record)
+        frames = np.empty((count,) + first.shape[2:], first.dtype.newbyteorder("<"))
+        f.seek(start)
+        buf = bytearray(len(head))
+        for k in range(count):
+            if (f.readinto(buf) != len(buf) or buf != head
+                    or f.readinto(frames[k]) != first.nbytes):
+                _raise_record_fault(f, path, start + k * record)
+    return FrameSeries(frames, interval, _CODE_UNITS[code])
+
+
+def _raise_record_fault(f, path, pos: int):
+    """Raise the error of the record at ``pos``: its own from ``read_t4``,
+    or, if it parses, the one-shape error."""
+    f.seek(pos)
+    read_t4(f)
+    raise DataError(f"{path}: {_ONE_SHAPE}")

@@ -1,7 +1,11 @@
 """Independent reference implementations the test suite checks the library
 against. Everything here is written from the operation definitions directly
-(scalar loops, finite differences) and stays free of sarunet internals.
+(scalar loops, finite differences) and stays free of sarunet internals, bar
+``load_nwds_records``: the earlier NWDS reader, which reads each record with
+the library's T4v1 codec so that its errors are the records' own.
 """
+
+import struct
 
 import numpy as np
 
@@ -167,3 +171,25 @@ def windows_bruteforce(n_frames, input_frames, offsets, selected):
             out.append((list(range(anchor - input_frames + 1, anchor + 1)), targets))
         anchor += 1
     return out
+
+
+def load_nwds_records(path):
+    """Per-record NWDS reader: one ``read_t4`` array per record, a shape
+    check once every record is read, then ``np.stack``. Records of one shape
+    but different dtypes load; the shape error's text is the library's."""
+    from sarunet.data import FrameSeries
+    from sarunet.errors import DataError
+    from sarunet.tensor import read_exact, read_magic, read_t4
+    units = {0: "raw", 1: "binary", 2: "norm"}
+    with open(path, "rb") as f:
+        read_magic(f, b"NWDS", f"{path}: NWDS container")
+        interval, code, count = struct.unpack("<IBQ", read_exact(f, 13, f"{path}: NWDS header"))
+        if code not in units:
+            raise DataError(f"{path}: unknown unit code {code}")
+        records = [read_t4(f) for _ in range(count)]
+    if not records:
+        raise DataError(f"{path}: container holds no frames")
+    shape = records[0].shape
+    if shape[:2] != (1, 1) or any(r.shape != shape for r in records):
+        raise DataError(f"{path}: frames must be [1,1,H,W] records of one shape and dtype")
+    return FrameSeries(np.stack([r[0, 0] for r in records]), interval, units[code])

@@ -398,6 +398,22 @@ def test_bad_threshold_is_usage_error(synth_file, trained_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize("command,out_flag", [
+    ("evaluate", "--out-dir"), ("predict", "--out"), ("explain", "--out-dir")])
+def test_bad_checkpoint_norm_scale_is_data_error(synth_file, trained_dir, tmp_path, capsys,
+                                                 command, out_flag, value):
+    from sarunet.model import load_checkpoint, save_checkpoint
+    model, meta = load_checkpoint(trained_dir / "model.ckpt")
+    ckpt = tmp_path / "scaled.ckpt"
+    save_checkpoint(ckpt, model, {**meta, "norm_scale": value})
+    out = tmp_path / "out"
+    code = run(command, "--checkpoint", ckpt, "--data", synth_file, out_flag, out)
+    assert code == 3
+    assert "norm_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredict:
     def test_prediction_roundtrip(self, synth_file, trained_dir, tmp_path):
         out = tmp_path / "pred.nwds"

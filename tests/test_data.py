@@ -1,6 +1,9 @@
 """Dataset container, selection, windowing, normalization and the synthetic
 generator."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,10 @@ from hypothesis import strategies as st
 from sarunet.data import (FrameSeries, WindowDataset, WindowSpec, load_nwds,
                           make_windows, normalization_scale, normalize_array,
                           save_nwds, select_rainy, split_bounds, synth_generate)
-from sarunet.errors import DataError, UsageError
+from sarunet.errors import DataError, SarunetError, UsageError
+from sarunet.tensor import write_t4
 
-from oracles import windows_bruteforce
+from oracles import load_nwds_records, windows_bruteforce
 
 
 def series_from(frames, interval=5, unit="raw"):
@@ -225,6 +229,146 @@ class TestNwds:
         p.write_bytes(b"JUNKJUNK")
         with pytest.raises(UsageError):
             load_nwds(p)
+
+
+def write_records(path, frames, dtypes, unit_code=0, trailing=b""):
+    """A hand-made NWDS file at a 15-minute interval: the header, then frame
+    ``k`` as a T4v1 record of dtype ``dtypes[k]``, then ``trailing`` bytes."""
+    with open(path, "wb") as f:
+        f.write(b"NWDS" + struct.pack("<IBQ", 15, unit_code, len(frames)))
+        for frame, dt in zip(frames, dtypes):
+            write_t4(f, np.asarray(frame, dtype=dt)[None, None])
+        f.write(trailing)
+
+
+def outcome(load, path):
+    """(error class, message) of a load that fails, else the series. Any
+    other exception propagates and fails the test."""
+    try:
+        return load(path)
+    except SarunetError as e:
+        return type(e), str(e)
+
+
+@pytest.fixture(scope="module")
+def nwds_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("nwds")
+
+
+class TestNwdsAgainstRecordOracle:
+    """``load_nwds`` against the per-record reader in ``oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 40), h=st.integers(1, 17), w=st.integers(1, 17),
+           dtype=st.sampled_from(["<f4", "<f8"]), unit=st.integers(0, 2),
+           trailing=st.binary(max_size=64), seed=st.integers(0, 2**32 - 1))
+    def test_valid_container_matches_oracle(self, nwds_dir, t, h, w, dtype, unit,
+                                            trailing, seed):
+        rng = np.random.default_rng(seed)
+        if unit == 1:
+            frames = rng.integers(0, 2, size=(t, h, w)).astype(dtype)
+        else:
+            frames = rng.exponential(50.0, size=(t, h, w)).astype(dtype)
+            frames[rng.random((t, h, w)) < 0.3] = 0.0
+        p = nwds_dir / "valid.nwds"
+        write_records(p, frames, [dtype] * t, unit_code=unit, trailing=trailing)
+        got, want = load_nwds(p), load_nwds_records(p)
+        assert got.frames.dtype == want.frames.dtype == np.float32
+        assert got.frames.shape == want.frames.shape == (t, h, w)
+        assert got.frames.tobytes() == want.frames.tobytes()
+        assert (got.interval_minutes, got.unit) == (want.interval_minutes, want.unit)
+
+    H, W = 4, 5
+    RECORD = 37 + H * W * 4          # T4v1 header, then a float32 payload
+
+    def three_frames(self, path, k=None, shape=None, dtype="<f4"):
+        """Three 4x5 float32 frames; frame ``k`` may take another shape or
+        dtype. Returns the file's bytes and record ``k``'s offset."""
+        frames = [np.full((self.H, self.W), i + 1.0) for i in range(3)]
+        dtypes = ["<f4"] * 3
+        if k is not None:
+            frames[k] = np.full(shape or (self.H, self.W), 9.0)
+            dtypes[k] = dtype
+        write_records(path, frames, dtypes)
+        return bytearray(path.read_bytes()), 17 + (k or 0) * self.RECORD
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("fault", [
+        "magic", "dtype_code", "taller", "shorter", "header_cut", "payload_cut"])
+    def test_faulty_record_raises_as_oracle(self, nwds_dir, fault, k):
+        p = nwds_dir / "faulty.nwds"
+        shape = {"taller": (self.H + 1, self.W), "shorter": (self.H - 1, self.W)}.get(fault)
+        raw, off = self.three_frames(p, k, shape)
+        if fault == "magic":
+            raw[off:off + 4] = b"T5v1"
+        elif fault == "dtype_code":
+            raw[off + 36] = 7
+        elif fault == "header_cut":
+            raw = raw[:off + 10]
+        elif fault == "payload_cut":
+            raw = raw[:off + 37 + 5]
+        p.write_bytes(bytes(raw))
+        want = outcome(load_nwds_records, p)
+        assert isinstance(want, tuple), "the oracle must reject the fault"
+        assert outcome(load_nwds, p) == want
+
+    @pytest.mark.parametrize("offset,patch", [
+        (9, struct.pack("<Q", count)) for count in (0, 4, 2**30, 2**40, 2**62)
+    ] + [(8, b"\x03")], ids=["count0", "count4", "count2^30", "count2^40", "count2^62",
+                             "unit_code"])
+    def test_bad_container_header_raises_as_oracle(self, nwds_dir, offset, patch):
+        """A bad unit code or frame count raises as the oracle does; a count
+        the file cannot hold raises the first missing record's own error
+        instead of allocating for it."""
+        p = nwds_dir / "header.nwds"
+        raw, _ = self.three_frames(p)
+        raw[offset:offset + len(patch)] = patch
+        p.write_bytes(bytes(raw))
+        want = outcome(load_nwds_records, p)
+        assert want[0] is DataError
+        assert outcome(load_nwds, p) == want
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_mixed_dtypes_are_data_error(self, nwds_dir, k):
+        """A float64 record among float32 ones of the same shape loaded
+        through the oracle, and is a DataError now: all records share one
+        header."""
+        p = nwds_dir / "mixed.nwds"
+        self.three_frames(p, k, dtype="<f8")
+        assert len(load_nwds_records(p)) == 3
+        with pytest.raises(DataError, match=r"records of one shape and dtype"):
+            load_nwds(p)
+
+    def test_fewer_records_than_bytes_ignores_the_rest(self, nwds_dir):
+        p = nwds_dir / "short_count.nwds"
+        raw, _ = self.three_frames(p)
+        raw[9:17] = struct.pack("<Q", 2)
+        p.write_bytes(bytes(raw))
+        got = load_nwds(p)
+        assert got.frames.tobytes() == load_nwds_records(p).frames.tobytes()
+        assert got.frames.shape == (2, self.H, self.W)
+
+
+@pytest.mark.parametrize("shape,unit", [((200, 48, 40), "raw"),
+                                        ((500, 32, 32), "binary")])
+def test_load_peak_memory_is_about_one_frame_array(tmp_path, shape, unit):
+    """``load_nwds`` allocates the frame array once; the binary check's
+    boolean masks are the rest of its peak."""
+    rng = np.random.default_rng(3)
+    if unit == "binary":
+        frames = (rng.random(shape) < 0.5).astype(np.float32)
+    else:
+        frames = rng.exponential(50.0, size=shape).astype(np.float32)
+    p = tmp_path / "big.nwds"
+    save_nwds(p, FrameSeries(frames, 15, unit))
+    tracemalloc.start()
+    try:
+        series = load_nwds(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.frames.tobytes() == frames.tobytes()
+    assert peak <= 1.6 * frames.nbytes, f"peak {peak / frames.nbytes:.2f}x the frame bytes"
 
 
 class TestWindowDataset:
