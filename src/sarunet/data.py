@@ -57,7 +57,9 @@ class FrameSeries:
             raise UsageError(f"unit must be one of {sorted(_UNIT_CODES)}, got {self.unit!r}")
         if self.frames.size and not self.frames.min() >= 0:
             raise DataError("frame values must be >= 0 (NaN is rejected)")
-        if self.unit == "binary" and not ((self.frames == 0) | (self.frames == 1)).all():
+        # one boolean array alive at a time; NaN already failed the test above
+        f = self.frames
+        if self.unit == "binary" and np.count_nonzero(f == 0) + np.count_nonzero(f == 1) != f.size:
             raise DataError("binary series may contain only {0, 1}")
 
     def __len__(self) -> int:

@@ -327,8 +327,10 @@ def save_checkpoint(path, model: Model, extra: Optional[dict[str, str]] = None) 
 def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]]:
     """Read one SARv1 section from a file object; the stream is left
     positioned just past the section. A missing or unparseable config value,
-    or a missing, extra or misshapen tensor, raises ``DataError``. Legacy
-    keys and biases are read as the SARv1 comment above describes."""
+    a missing, extra or misshapen tensor, a non-finite parameter or buffer
+    entry, or a negative running variance raises ``DataError`` naming what
+    is wrong. Legacy keys and biases are read as the SARv1 comment above
+    describes."""
     meta, tensors = read_section(f, _CKPT_MAGIC, f"{path}: SARv1 checkpoint")
     for key, value in _LEGACY_CONFIG.items():
         got = meta.pop(key, value)
@@ -361,6 +363,14 @@ def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]
         mean -= bias.reshape(-1)
     if tensors:
         raise DataError(f"{path}: checkpoint holds unknown tensors {sorted(tensors)}")
+    named = _named_arrays(model)
+    # one pass over every value; the per-tensor search runs only on a failure
+    if not np.isfinite(np.concatenate([arr.reshape(-1) for _, arr in named])).all():
+        name = next(name for name, arr in named if not np.isfinite(arr).all())
+        raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
+    for name, var in model.named_buffers():
+        if name.endswith(".running_var") and var.min() < 0:
+            raise DataError(f"{path}: tensor {name!r} holds a negative variance")
     return model, meta
 
 

@@ -35,8 +35,14 @@ of three kernels:
 - ``[cout, cin, 1, 1]`` (pointwise): one matmul over the input as stored;
   the backward keeps only the input and the weight.
 - ``[c, 1, 3, 3]`` over ``c`` channels (depthwise): nine shifted
-  multiply-adds over zero-padded flat planes; the backward keeps the input
-  and the weight, and pads the input again for the weight gradient.
+  multiply-adds over zero-padded flat planes, run in cache-sized tiles (a
+  band of image rows over a group of planes, :data:`_TILE` elements at
+  most) and written straight into the output, so no whole-plane temporary
+  is made. Each output entry sees the same nine products in the same order
+  as a whole-plane pass, so the values do not depend on the tiling. The
+  backward keeps the input and the weight, runs the same tiled sum over the
+  padded gradient for ``dx``, and pads the input again for the weight
+  gradient.
 - ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): im2col and a matmul;
   the backward keeps the input and the weight, and rebuilds the patch
   matrix (``k*k`` times the input) for the weight gradient.
@@ -179,21 +185,52 @@ def _tap_offsets(w: int) -> list[int]:
     return [i * (w + 2) + j for i in range(3) for j in range(3)]
 
 
+# elements in one tile of the depthwise kernel: 128 KiB of float32 per tile
+# buffer, so a tile's input slices, ``acc`` and ``term`` stay in L2
+_TILE = 32768
+
+
 def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Per-channel 3x3 correlation of :func:`_pad_planes` output with
-    ``taps`` ``[c, 9]`` (row-major): nine multiply-adds over whole-plane
-    slices into one buffer, then a contiguous copy without the two padding
-    columns."""
-    length = h * (w + 2)
+    """Per-channel 3x3 correlation of :func:`_pad_planes` output ``[n, c,
+    (h+3)*(w+2)]`` with ``taps`` ``[c, 9]`` (row-major): ``[n, c, h, w]``.
+
+    It runs tile by tile over the ``n*c`` flat planes. A tile is a band of
+    ``band = min(h, _TILE // (w+2))`` image rows over a group of up to
+    ``_TILE // (band*(w+2))`` planes, so an array no larger than one tile is
+    one tile. Per tile, tap 0's products go into ``acc``, the other eight
+    are each multiplied into ``term`` and added to ``acc``, and ``acc``
+    without its two padding columns is copied into the tile's rows of the
+    output. The two tile buffers are allocated once per call. Each output
+    entry sees the same nine products added in the same order as a
+    whole-plane pass, so the result is bitwise that of the whole-plane sum."""
+    n, c, size = planes.shape
+    nc, row = n * c, w + 2
+    flat = planes.reshape(nc, size)
+    if n > 1:
+        taps = np.concatenate((taps,) * n)          # plane k*c + i takes channel i's taps
     offsets = _tap_offsets(w)
-    acc = planes[:, :, :length] * taps[None, :, 0, None]
-    term = np.empty_like(acc)
-    for t in range(1, 9):
-        np.multiply(planes[:, :, offsets[t]:offsets[t] + length], taps[None, :, t, None],
-                    out=term)
-        acc += term
-    del term                                    # not alive during the copy
-    return np.ascontiguousarray(acc.reshape(acc.shape[0], acc.shape[1], h, w + 2)[..., :w])
+    band = max(1, min(h, _TILE // row))
+    group = max(1, min(nc, _TILE // (band * row)))
+    dtype = np.result_type(planes, taps)
+    out = np.empty((nc, h, w), dtype=dtype)
+    acc_buf = np.empty(group * band * row, dtype=dtype)
+    term_buf = np.empty_like(acc_buf)
+    for p0 in range(0, nc, group):
+        p1 = min(nc, p0 + group)
+        cols = taps[p0:p1, :, None]                 # cols[:, t] is tap t per plane
+        for r0 in range(0, h, band):
+            r1 = min(h, r0 + band)
+            shape = (p1 - p0, (r1 - r0) * row)
+            acc = acc_buf[:shape[0] * shape[1]].reshape(shape)
+            term = term_buf[:acc.size].reshape(shape)
+            start, stop = r0 * row, r1 * row
+            np.multiply(flat[p0:p1, start:stop], cols[:, 0], out=acc)
+            for t in range(1, 9):
+                off = offsets[t]
+                np.multiply(flat[p0:p1, off + start:off + stop], cols[:, t], out=term)
+                acc += term
+            out[p0:p1, r0:r1] = acc.reshape(shape[0], r1 - r0, row)[..., :w]
+    return out.reshape(n, c, h, w)
 
 
 def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
@@ -234,9 +271,12 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       stored, forward and backward.
     - **depthwise 3x3**, ``[cin, 1, 3, 3]`` (tested before dense, so
       ``[1, 1, 3, 3]`` over one channel is depthwise): nine shifted
-      multiply-adds over the zero-padded input planes; the backward runs the
-      same sum over the padded gradient with the kernel flipped, and pads
-      the input again for the weight gradient.
+      multiply-adds over the zero-padded input planes, tile by tile in
+      bands of rows over groups of planes of at most :data:`_TILE`
+      elements, each tile written straight into the output; bitwise the
+      whole-plane sum. The backward runs the same sum over the padded
+      gradient with the kernel flipped, and pads the input again for the
+      weight gradient.
     - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): a patch matrix and a
       matmul. The backward rebuilds the patch matrix, ``k*k`` times the
       input, for the weight gradient.

@@ -193,3 +193,20 @@ def load_nwds_records(path):
     if shape[:2] != (1, 1) or any(r.shape != shape for r in records):
         raise DataError(f"{path}: frames must be [1,1,H,W] records of one shape and dtype")
     return FrameSeries(np.stack([r[0, 0] for r in records]), interval, units[code])
+
+
+def shifted_sum_planes(planes, taps, h, w):
+    """The depthwise 3x3 kernel as nine whole-plane passes: the correlation
+    of zero-padded flat planes ``[n, c, (h+3)*(w+2)]`` (one column each side,
+    one row on top, two below) with ``taps`` ``[c, 9]``. Tap ``(i, j)`` is
+    the slice at offset ``i*(w+2)+j``; products are added in tap order, and
+    the two padding columns are dropped at the end."""
+    length = h * (w + 2)
+    offsets = [i * (w + 2) + j for i in range(3) for j in range(3)]
+    acc = planes[:, :, :length] * taps[None, :, 0, None]
+    term = np.empty_like(acc)
+    for t in range(1, 9):
+        np.multiply(planes[:, :, offsets[t]:offsets[t] + length], taps[None, :, t, None],
+                    out=term)
+        acc += term
+    return np.ascontiguousarray(acc.reshape(acc.shape[0], acc.shape[1], h, w + 2)[..., :w])

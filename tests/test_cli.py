@@ -414,6 +414,29 @@ def test_bad_checkpoint_norm_scale_is_data_error(synth_file, trained_dir, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,value", [("enc2.block.dsc1.depthwise", np.nan),
+                                        ("enc1.block.bn1.running_var", -1.0),
+                                        ("enc1.block.bn2.running_mean", np.inf)])
+@pytest.mark.parametrize("command,out_flag", [
+    ("evaluate", "--out-dir"), ("predict", "--out"), ("explain", "--out-dir")])
+def test_bad_checkpoint_value_is_data_error(synth_file, trained_dir, tmp_path, capsys,
+                                            command, out_flag, name, value):
+    """A non-finite tensor entry or a negative running variance stops the
+    load with exit 3 naming the tensor, before any report is written."""
+    from sarunet.model import load_checkpoint, save_checkpoint
+    model, meta = load_checkpoint(trained_dir / "model.ckpt")
+    arrays = {n: p.data for n, p in model.named_parameters()}
+    arrays.update(model.named_buffers())
+    arrays[name].flat[0] = value
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, model, meta)
+    out = tmp_path / "out"
+    code = run(command, "--checkpoint", ckpt, "--data", synth_file, out_flag, out)
+    assert code == 3
+    assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredict:
     def test_prediction_roundtrip(self, synth_file, trained_dir, tmp_path):
         out = tmp_path / "pred.nwds"

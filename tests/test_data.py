@@ -371,6 +371,22 @@ def test_load_peak_memory_is_about_one_frame_array(tmp_path, shape, unit):
     assert peak <= 1.6 * frames.nbytes, f"peak {peak / frames.nbytes:.2f}x the frame bytes"
 
 
+def test_binary_load_peak_memory_holds_one_mask(tmp_path):
+    """The binary check of a loaded series keeps one boolean mask alive at a
+    time, a quarter of the float32 frame bytes."""
+    frames = (np.random.default_rng(4).random((400, 64, 64)) < 0.3).astype(np.float32)
+    p = tmp_path / "cloud.nwds"
+    save_nwds(p, FrameSeries(frames, 15, "binary"))
+    tracemalloc.start()
+    try:
+        series = load_nwds(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.frames.tobytes() == frames.tobytes()
+    assert peak <= 1.35 * frames.nbytes, f"peak {peak / frames.nbytes:.2f}x the frame bytes"
+
+
 class TestWindowDataset:
     def test_batch_shapes_and_normalization(self):
         s = synth_generate(seed=7, n_frames=20, height=32, width=32)

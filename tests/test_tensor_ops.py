@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, note, settings
+from hypothesis import strategies as st
 
 from sarunet import Tape, Tensor4, ops, tensor
 from sarunet.errors import (ConfigurationError, DataError, DimensionError, NumericError,
@@ -14,7 +16,7 @@ from sarunet.errors import (ConfigurationError, DataError, DimensionError, Numer
 from sarunet.tensor import read_t4, set_debug_checks, write_t4
 
 from oracles import (bilinear_double, bilinear_double_adjoint, conv2d_loops, finite_diff,
-                     grad_rel_err, max_pool2_windows)
+                     grad_rel_err, max_pool2_windows, shifted_sum_planes)
 
 
 def t(arr, **kw):
@@ -183,6 +185,71 @@ def test_depthwise_forward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * x.data.nbytes
+
+
+@pytest.mark.usefixtures("no_im2col")
+def test_depthwise_tiled_forward_peak_memory():
+    """Over many tiles the forward holds the padded input, the output and
+    two tile buffers: no whole-plane temporary beyond those."""
+    rng = np.random.default_rng(4)
+    x = t(rng.normal(size=(1, 16, 144, 144)).astype(np.float32), requires_grad=True)
+    w = t(rng.normal(size=(16, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            ops.conv2d(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input bytes"
+
+
+def _tiles(n, c, h, w):
+    """(bands, groups, partial band, partial group) of the tiled depthwise
+    kernel on ``[n, c, h, w]``, from its tile-size rule."""
+    band = min(h, ops._TILE // (w + 2))
+    group = min(n * c, ops._TILE // (band * (w + 2)))
+    return -(-h // band), -(-n * c // group), h % band != 0, n * c % group != 0
+
+
+def _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed):
+    rng = np.random.default_rng(seed)
+    planes = ops._pad_planes(rng.normal(size=(n, c, h, w)).astype(dtype))
+    taps = rng.normal(size=(c, 9)).astype(dtype)
+    if flipped:                                  # the backward's dx taps
+        taps = taps[:, ::-1]
+    got = ops._shifted_sum(planes, taps, h, w)
+    want = shifted_sum_planes(planes, taps, h, w)
+    assert got.shape == want.shape == (n, c, h, w) and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert bits(got).tobytes() == bits(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 3),
+       c=st.integers(1, 40), h=st.integers(1, 300), w=st.integers(1, 300),
+       flipped=st.booleans(), seed=st.integers(0, 2**16))
+def test_shifted_sum_matches_whole_plane_oracle_bitwise(dtype, n, c, h, w, flipped, seed):
+    """Tile by tile, the depthwise kernel gives the bytes of nine
+    whole-plane passes."""
+    assume(n * c * (h + 3) * (w + 2) <= 2**20)
+    note(f"bands, groups, partial band, partial group: {_tiles(n, c, h, w)}")
+    _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed)
+
+
+@pytest.mark.parametrize("shape,tiles", [
+    ((3, 40, 20, 20), (1, 2, False, True)),
+    ((3, 37, 60, 20), (1, 5, False, True)),
+    ((1, 2, 300, 300), (3, 2, True, False)),
+    ((3, 5, 250, 150), (2, 15, True, False)),
+], ids=["groups", "more-groups", "bands", "bands-batch"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("flipped", [False, True], ids=["taps", "flipped"])
+def test_shifted_sum_bitwise_over_several_tiles(shape, tiles, dtype, flipped):
+    """Shapes split into several bands or several groups, each ending in a
+    partial one, keep the whole-plane bytes."""
+    assert _tiles(*shape) == tiles
+    _assert_shifted_sum_bitwise(dtype, *shape, flipped, seed=sum(shape))
 
 
 class TestBatchNorm:
