@@ -387,7 +387,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     from .data import load_nwds
     from .model import ModelConfig, build, save_checkpoint
-    from .train import TrainConfig, fit, load_best_into
+    from .train import TrainConfig, fit
     started = time.time()
     _require(args, ["data", "out_dir"])
     data_path = Path(args.data)
@@ -407,7 +407,6 @@ def cmd_train(args) -> int:
     tc = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
                      seed=args.seed, early_stop_patience=args.early_stop_patience)
     result = fit(model, train_ds, val_ds, tc, out_dir=out_dir)
-    load_best_into(model, result)
     extras = _checkpoint_extras(spec, series, scale, fraction, args.cloud)
     save_checkpoint(out_dir / "model.ckpt", model, extras)
     _write_manifest(out_dir / "manifest.json", args, {str(data_path): _sha256(data_path)},

@@ -55,12 +55,15 @@ class FrameSeries:
             raise DimensionError(f"frames must be [T,H,W], got shape {self.frames.shape}")
         if self.unit not in _UNIT_CODES:
             raise UsageError(f"unit must be one of {sorted(_UNIT_CODES)}, got {self.unit!r}")
-        if self.frames.size and not self.frames.min() >= 0:
+        f = self.frames
+        if f.size and not f.min() >= 0:
             raise DataError("frame values must be >= 0 (NaN is rejected)")
         # one boolean array alive at a time; NaN already failed the test above
-        f = self.frames
-        if self.unit == "binary" and np.count_nonzero(f == 0) + np.count_nonzero(f == 1) != f.size:
-            raise DataError("binary series may contain only {0, 1}")
+        if self.unit == "binary":
+            if np.count_nonzero(f == 0) + np.count_nonzero(f == 1) != f.size:
+                raise DataError("binary series may contain only {0, 1}")
+        elif f.size and f.max() == np.inf:
+            raise DataError("frame values must be finite (+inf is rejected)")
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -153,15 +156,13 @@ def normalize_array(arr: np.ndarray, scale: float) -> np.ndarray:
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
 
-def split_bounds(n: int, ratios: tuple[float, float, float] = SPLIT_RATIOS
-                 ) -> list[tuple[int, int]]:
+def split_bounds(n: int) -> list[tuple[int, int]]:
     """Half-open train/val/test index ranges over ``n`` time-ordered items:
-    train and val take floor(n * ratio) items, test takes the rest. A part
-    may come out empty; callers decide whether that is an error."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise UsageError(f"split ratios must sum to 1, got {ratios}")
-    n_train = int(n * ratios[0])
-    n_val = int(n * ratios[1])
+    train and val take floor(n * ratio) items of ``SPLIT_RATIOS``, test takes
+    the rest. A part may come out empty; callers decide whether that is an
+    error."""
+    n_train = int(n * SPLIT_RATIOS[0])
+    n_val = int(n * SPLIT_RATIOS[1])
     return [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, n)]
 
 

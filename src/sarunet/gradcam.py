@@ -15,7 +15,6 @@ stays all-zero rather than dividing 0/0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,8 +30,7 @@ __all__ = [
     "color_table", "write_ppm", "save_heatmap_nwds",
 ]
 
-# figure-grid columns; the encoder's are also the suffixes of every layer
-# Grad-CAM explains
+# figure-grid columns
 _ENCODER_COLUMNS = ("block", "block.dsc_path", "block.shortcut", "cbam")
 _DECODER_COLUMNS = ("block", "block.dsc_path", "block.shortcut")
 
@@ -42,18 +40,6 @@ class Heatmap:
     values: Tensor4              # [1,1,H,W] in [0,1]
     layer: str
     raw_max: float
-
-
-def _check_layers(model: Model, layers: list[str]) -> None:
-    valid = {n for n in model.trace_names()
-             if any(n.endswith(s) for s in _ENCODER_COLUMNS)}
-    unknown = [n for n in layers if n not in valid]
-    if unknown:
-        raise UsageError(f"unknown explain target(s) {unknown}; "
-                         f"valid targets: {sorted(valid)}")
-    repeated = sorted({n for n in layers if layers.count(n) > 1})
-    if repeated:
-        raise UsageError(f"explain target(s) {repeated} given more than once")
 
 
 def rain_score(pred: Tensor4, unit: str, *, scale: float = 1.0,
@@ -124,22 +110,24 @@ def suite_grid(model: Model) -> dict[str, tuple[str, int, int]]:
     return grid
 
 
-def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, *,
+def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
                   unit: str, scale: float = 1.0, interval_minutes: int = 5,
                   threshold_mm_per_h: float = 0.5) -> list[Heatmap]:
-    """Heatmaps of ``layers`` (default: the 32-map suite in grid order), each
-    a layer's contribution to the predicted-rain score, from one
+    """Heatmaps of ``layers`` (names from ``model.trace_names()``, in the
+    order given; ``list(suite_grid(model))`` is the 32-map suite), each a
+    layer's contribution to the predicted-rain score, from one
     forward/backward pass: the score does not depend on the layer, so the
-    traced activations share it.
+    traced activations share it. A name that ``model.trace_names()`` lacks
+    or that comes twice raises ``UsageError``.
 
     The pass runs over frozen parameters: every ``requires_grad`` flag is
     off for the length of the call and restored on return, also when the
     call raises. The traced activations are the gradient roots, so the tape
     holds only the ops downstream of the first of them, and no parameter's
     ``grad`` buffer is written."""
-    if layers is None:
-        layers = list(suite_grid(model))
-    _check_layers(model, layers)
+    repeated = sorted({n for n in layers if layers.count(n) > 1})
+    if repeated:
+        raise UsageError(f"explain target(s) {repeated} given more than once")
     if x.shape[0] != 1:
         raise UsageError("Grad-CAM explains one sample at a time")
     if not layers:
@@ -163,7 +151,7 @@ def explain_suite(model: Model, x: Tensor4, layers: Optional[list[str]] = None, 
             p.requires_grad = flag
     out = []
     for n in layers:
-        act = trace.get(n)
+        act = trace[n]
         out.append(_combine(act.data, act.grad, height, width, n))
     return out
 

@@ -18,7 +18,7 @@ bottleneck channels, and no pre-upsample 1x1 convolutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import ConfigurationError, DataError, DimensionError, UsageError
 from .tensor import Tensor4, active_tape, read_section, write_section
 
 __all__ = [
-    "ModelConfig", "Model", "ActivationTrace", "build", "persistence_forward",
+    "ModelConfig", "Model", "build", "persistence_forward",
     "save_checkpoint", "load_checkpoint", "write_checkpoint_section",
     "read_checkpoint_section", "plain_unet_param_count",
 ]
@@ -75,45 +75,24 @@ class ModelConfig:
                     f"channel count, violated at {c}")
 
 
-@dataclass
-class ActivationTrace:
-    """Retained forward activations keyed by layer name; gradients appear on
-    the tensors' ``grad`` buffers after a backward pass."""
-
-    tensors: dict[str, Tensor4] = field(default_factory=dict)
-
-    def get(self, name: str) -> Tensor4:
-        if name not in self.tensors:
-            raise UsageError(f"activation {name!r} was not traced")
-        return self.tensors[name]
-
-
 class _Tap:
-    """Collects requested activations, marking each to retain its gradient,
-    and applies output overrides in-line.
+    """Collects the requested activations, marking each to retain its
+    gradient.
 
     Under a tape, a requested activation that nothing upstream makes
     differentiable (all parameters frozen, as in Grad-CAM) becomes a
     gradient root: it is marked ``requires_grad``, so the tape records only
     the ops downstream of the first requested layer."""
 
-    def __init__(self, wanted: Iterable[str], overrides: Optional[dict[str, Tensor4]],
-                 valid: set[str]):
+    def __init__(self, wanted: Iterable[str], valid: set[str]):
         self.wanted = set(wanted)
-        self.overrides = dict(overrides) if overrides else {}
-        unknown = (self.wanted | set(self.overrides)) - valid
+        unknown = self.wanted - valid
         if unknown:
             raise UsageError(
                 f"unknown layer name(s) {sorted(unknown)}; valid names: {sorted(valid)}")
         self.got: dict[str, Tensor4] = {}
 
     def put(self, name: str, t: Tensor4) -> Tensor4:
-        o = self.overrides.get(name)
-        if o is not None:
-            if o.shape != t.shape:
-                raise DimensionError(
-                    f"override for {name!r} has shape {o.shape}, expected {t.shape}")
-            t = o
         if name in self.wanted:
             if not t.requires_grad and active_tape() is not None:
                 t.requires_grad = True
@@ -184,30 +163,22 @@ class Model:
             p.zero_grad()
 
     def trace_names(self) -> set[str]:
-        names = {"out"}
-        sub = self.config.variant == "sar"
-        for d in range(5):
-            names.add(f"enc{d}.block")
-            names.add(f"enc{d}.cbam")
-            if sub:
-                names.add(f"enc{d}.block.dsc_path")
-                names.add(f"enc{d}.block.shortcut")
-            if d < 4:
-                names.add(f"enc{d}.pool_in")
-        for d in range(4):
-            names.add(f"dec{d}.block")
-            if sub:
-                names.add(f"dec{d}.reduce")
-                names.add(f"dec{d}.block.dsc_path")
-                names.add(f"dec{d}.block.shortcut")
-        return names
+        """The layers ``forward`` can trace, which are the layers Grad-CAM
+        explains: each level's block (with its residual sub-paths in
+        ``sar``) and each encoder CBAM."""
+        parts = ("block", "block.dsc_path", "block.shortcut") \
+            if self.config.variant == "sar" else ("block",)
+        levels = [f"enc{d}" for d in range(5)] + [f"dec{d}" for d in range(4)]
+        return ({f"{level}.{part}" for level in levels for part in parts}
+                | {f"enc{d}.cbam" for d in range(5)})
 
     # -- forward ---------------------------------------------------------------
 
     def forward(self, x: Tensor4, train: bool = False,
-                trace_request: Iterable[str] = (),
-                overrides: Optional[dict[str, Tensor4]] = None
-                ) -> tuple[Tensor4, ActivationTrace]:
+                trace_request: Iterable[str] = ()
+                ) -> tuple[Tensor4, dict[str, Tensor4]]:
+        """The prediction, and the activations of the ``trace_request``
+        layers (names from :meth:`trace_names`) keyed by name."""
         n, c, h, w = x.shape
         if c != self.config.in_channels:
             raise DimensionError(
@@ -216,30 +187,28 @@ class Model:
             raise DimensionError(f"input spatial dims must be divisible by 16, got {h}x{w}")
         if x.dtype != self.dtype:
             raise UsageError(f"model built for {self.dtype}, input is {x.dtype}")
-        tap = _Tap(trace_request, overrides, self.trace_names())
+        tap = _Tap(trace_request, self.trace_names())
         sar = self.config.variant == "sar"
 
         skips = []
         cur = x
         for d in range(5):
-            blk = self.enc_blocks[d].forward(cur, train, tap, f"enc{d}.block")
-            blk = tap.put(f"enc{d}.block", blk)
+            name = f"enc{d}.block"
+            blk = tap.put(name, self.enc_blocks[d].forward(cur, train, tap, name))
             att = tap.put(f"enc{d}.cbam", self.enc_cbams[d].forward(blk))
             if d < 4:
                 skips.append(att)
-                pool_in = tap.put(f"enc{d}.pool_in", att if sar else blk)
-                cur = ops.max_pool2(pool_in)
+                cur = ops.max_pool2(att if sar else blk)
             else:
                 cur = att
         for d in (3, 2, 1, 0):
             if self.dec_reduce[d] is not None:
-                cur = tap.put(f"dec{d}.reduce", self.dec_reduce[d].forward(cur))
+                cur = self.dec_reduce[d].forward(cur)
             cur = ops.upsample_bilinear2(cur)
             cur = ops.concat_channels(skips[d], cur)
-            blk = self.dec_blocks[d].forward(cur, train, tap, f"dec{d}.block")
-            cur = tap.put(f"dec{d}.block", blk)
-        y = tap.put("out", self.out_conv.forward(cur))
-        return y, ActivationTrace(tap.got)
+            name = f"dec{d}.block"
+            cur = tap.put(name, self.dec_blocks[d].forward(cur, train, tap, name))
+        return self.out_conv.forward(cur), tap.got
 
 
 def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:

@@ -156,7 +156,7 @@ class Tape:
     Use as a context manager around a forward pass::
 
         with Tape() as tape:
-            y = model.forward(x, train=True)
+            y, _ = model.forward(x, train=True)
             loss = mse_loss(y, target)
         tape.backward(loss)
     """

@@ -35,7 +35,7 @@ from .tensor import Tape, Tensor4, read_section, write_section
 
 __all__ = [
     "TrainConfig", "TrainState", "EpochStats", "FitResult",
-    "mse_loss", "adam_step", "scheduler_step", "fit", "load_best_into",
+    "mse_loss", "adam_step", "scheduler_step", "fit",
     "write_history_csv", "HISTORY_COLUMNS",
 ]
 
@@ -96,8 +96,6 @@ class FitResult:
     history: list[EpochStats]
     best_epoch: int
     best_val_loss: float
-    best_params: dict[str, np.ndarray]
-    best_buffers: dict[str, np.ndarray]
     stopped_early: bool
 
 
@@ -224,6 +222,7 @@ def _read_opt_section(f) -> tuple[TrainState, np.random.Generator]:
 
 def _check_moments(state: TrainState, model: Model, path) -> None:
     """Refuse Adam moments that are not one per parameter with its shape,
+    that hold a non-finite entry, or (second moments) a negative one,
     naming the first offending tensor."""
     shapes = {n: p.shape for n, p in model.named_parameters()}
     for kind, moments in (("m", state.adam_m), ("v", state.adam_v)):
@@ -232,6 +231,12 @@ def _check_moments(state: TrainState, model: Model, path) -> None:
                 raise DataError(
                     f"{path}: optimizer moment '{kind}.{name}' of shape {arr.shape} has no "
                     "model parameter of that name and shape; cannot resume")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: optimizer moment '{kind}.{name}' holds a "
+                                "non-finite value; cannot resume")
+            if kind == "v" and arr.min() < 0:
+                raise DataError(f"{path}: optimizer moment 'v.{name}' holds a negative "
+                                "value; cannot resume")
         for name in shapes:
             if name not in moments:
                 raise DataError(f"{path}: optimizer section lacks moment '{kind}.{name}'; "
@@ -270,7 +275,8 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
     persistent shuffle generator re-drawn each epoch. With ``out_dir`` set,
     writes ``history.csv``, ``best.ckpt`` (lowest validation loss) and
     ``last.ckpt`` (model + OPTv1 optimizer state, enabling ``resume=True``).
-    Raises on empty splits, NaN validation loss, or divergence.
+    Returns with the best epoch's weights and buffers in ``model``. Raises
+    on empty splits, NaN validation loss, or divergence.
     """
     config.validate()
     if len(train_data) == 0 or len(val_data) == 0:
@@ -344,12 +350,6 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
             break
 
     assert state.best_val_loss is not None
+    _restore(model, best_params, best_buffers)
     return FitResult(history=history, best_epoch=state.best_epoch,
-                     best_val_loss=state.best_val_loss, best_params=best_params,
-                     best_buffers=best_buffers, stopped_early=stopped_early)
-
-
-def load_best_into(model: Model, result: FitResult) -> Model:
-    """Copy the best-epoch snapshot back into ``model`` in place."""
-    _restore(model, result.best_params, result.best_buffers)
-    return model
+                     best_val_loss=state.best_val_loss, stopped_early=stopped_early)

@@ -437,6 +437,25 @@ def test_bad_checkpoint_value_is_data_error(synth_file, trained_dir, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,args", [
+    ("evaluate", ("--baseline", "persistence", "--in-frames", 6, "--lead-minutes", 30,
+                  "--out-dir")),
+    ("train", ("--in-frames", 6, "--lead-minutes", 30, "--base-channels", 4,
+               "--cbam-reduction", 4, "--max-epochs", 1, "--out-dir"))])
+def test_infinite_frame_value_is_data_error(synth_file, tmp_path, capsys, command, args):
+    """One +inf pixel in an NWDS file stops the load with exit 3, before a
+    scale, a report or a checkpoint is made from it."""
+    series = load_nwds(synth_file)
+    series.frames[20, 5, 7] = np.inf
+    data = tmp_path / "inf.nwds"
+    save_nwds(data, series)
+    out = tmp_path / "out"
+    code = run(command, "--data", data, *args, out)
+    assert code == 3
+    assert "+inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredict:
     def test_prediction_roundtrip(self, synth_file, trained_dir, tmp_path):
         out = tmp_path / "pred.nwds"
@@ -516,6 +535,16 @@ class TestExplain:
                    "--out-dir", tmp_path / "ex_smaat")
         assert code == 2
         assert "enc0.block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["enc0.pool_in", "dec0.reduce", "out"])
+def test_untraceable_target_exits_2(synth_file, trained_dir, tmp_path, capsys, target):
+    out = tmp_path / "ex"
+    code = run("explain", "--checkpoint", trained_dir / "model.ckpt",
+               "--data", synth_file, "--targets", target, "--out-dir", out)
+    assert code == 2
+    assert repr(target) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("index", [-1, 1000])

@@ -241,6 +241,21 @@ def test_resume_refuses_mismatched_moments(tiny_files, tmp_path, case):
         fit_tiny(tmp_path, epochs=2, resume=True)
 
 
+@pytest.mark.parametrize("name,value", [("m.enc2.block.dsc1.depthwise", np.nan),
+                                        ("v.out.weight", np.inf),
+                                        ("v.enc1.cbam.mlp_w1", -1.0)])
+def test_resume_refuses_bad_moment_values(tiny_files, tmp_path, name, value):
+    """A non-finite Adam moment entry, or a negative second moment, stops the
+    resume with a ``DataError`` naming the tensor."""
+    (meta, params), (opt_meta, moments) = last_ckpt_sections(tiny_files["last.ckpt"])
+    moments[name].flat[0] = value
+    with open(tmp_path / "last.ckpt", "wb") as f:
+        write_section(f, _CKPT_MAGIC, meta, list(params.items()))
+        write_section(f, _OPT_MAGIC, opt_meta, list(moments.items()))
+    with pytest.raises(DataError, match=re.escape(f"'{name}'")):
+        fit_tiny(tmp_path, epochs=2, resume=True)
+
+
 def load(name, path):
     """Read a container the way its consumer does."""
     if name == "series.nwds":

@@ -103,8 +103,12 @@ class TestGradCam:
         base = act.data.copy()
 
         def score_with(a_data):
-            y, _ = m.forward(x, train=False,
-                             overrides={layer: tensor(a_data, dtype=F64)})
+            # the block's output is replaced by the perturbed activation
+            m.enc_blocks[1].forward = lambda *args: tensor(a_data, dtype=F64)
+            try:
+                y, _ = m.forward(x, train=False)
+            finally:
+                del m.enc_blocks[1].forward
             return float((y.data * mask_fixed).sum())
 
         h = 1e-4
@@ -164,7 +168,7 @@ class TestSuite:
         m = tiny_model(seed=10)
         rng = np.random.default_rng(11)
         x = tensor(rng.random((1, 2, 16, 16)).astype(np.float32) * 30.0)
-        maps = explain_suite(m, x, unit="raw", threshold_mm_per_h=0.0)
+        maps = explain_suite(m, x, list(suite_grid(m)), unit="raw", threshold_mm_per_h=0.0)
         assert len(maps) == 32
         for hm in maps:
             vals = hm.values.data
@@ -176,7 +180,7 @@ class TestSuite:
         m = tiny_model(seed=12)
         rng = np.random.default_rng(13)
         x = tensor(rng.random((1, 2, 16, 16)).astype(np.float32) * 30.0)
-        maps = explain_suite(m, x, unit="raw", threshold_mm_per_h=0.0)
+        maps = explain_suite(m, x, list(suite_grid(m)), unit="raw", threshold_mm_per_h=0.0)
         for hm in (maps[0], maps[7], maps[25]):
             single = one_map(m, x, hm.layer, unit="raw", threshold_mm_per_h=0.0)
             assert single.values.data.tobytes() == hm.values.data.tobytes()
@@ -253,7 +257,8 @@ class TestExplainLeavesModelAlone:
             p.grad.fill(7.25)
             p.requires_grad = i % 3 != 0           # a mix, to see each flag come back
         flags = [p.requires_grad for p in params]
-        maps = explain_suite(m, _explain_input(), unit="raw", threshold_mm_per_h=0.0)
+        maps = explain_suite(m, _explain_input(), list(suite_grid(m)), unit="raw",
+                             threshold_mm_per_h=0.0)
         assert any(hm.raw_max > 0 for hm in maps)
         assert [p.requires_grad for p in params] == flags
         for p in params:
@@ -262,7 +267,7 @@ class TestExplainLeavesModelAlone:
     def test_flags_come_back_when_explain_raises(self):
         m = tiny_model(base=4, seed=20)
         with pytest.raises(UsageError):
-            explain_suite(m, _explain_input(), unit="furlongs")
+            explain_suite(m, _explain_input(), list(suite_grid(m)), unit="furlongs")
         assert all(p.requires_grad for p in m.parameters())
 
     def test_activation_gradients_match_an_unfrozen_pass(self, monkeypatch):
@@ -302,7 +307,7 @@ class TestExplainLeavesModelAlone:
         monkeypatch.setattr(Tape, "backward", counted)
         m = tiny_model(base=4, seed=24)
         x = _explain_input(seed=25)
-        explain_suite(m, x, unit="raw", threshold_mm_per_h=0.0)
+        explain_suite(m, x, list(suite_grid(m)), unit="raw", threshold_mm_per_h=0.0)
         with Tape() as tape:
             pred, _ = m.forward(x, train=False, trace_request=list(suite_grid(m)))
             rain_score(pred, "raw", threshold_mm_per_h=0.0)

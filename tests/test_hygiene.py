@@ -1,11 +1,19 @@
 """Source hygiene: every name a program module imports at module level is
-used in that module. ``__init__.py`` is skipped, since it imports to
-re-export."""
+used in that module (``__init__.py`` is skipped, since it imports to
+re-export), every public op is used, and the model traces only the layers
+Grad-CAM explains."""
 
 import ast
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sarunet import tensor
+from sarunet.errors import UsageError
+from sarunet.gradcam import explain_suite, suite_grid
+from sarunet.model import ModelConfig, build
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sarunet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -45,3 +53,20 @@ def test_every_public_op_is_used_by_the_program():
         used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [name for name in ops.__all__ if name not in used]
     assert not unused, f"ops.__all__ names no program module uses: {unused}"
+
+
+@pytest.mark.parametrize("variant", ["sar", "smaat"])
+def test_traceable_layers_are_the_explained_layers(variant):
+    """``Model.trace_names()`` is the one list of traceable layers: Grad-CAM
+    explains each of them, and refuses a layer outside it."""
+    m = build(ModelConfig(in_channels=2, out_channels=1, base_channels=2,
+                          cbam_reduction=2, variant=variant), seed=0)
+    x = tensor(np.random.default_rng(1).random((1, 2, 16, 16)).astype(np.float32) * 30.0)
+    names = sorted(m.trace_names())
+    maps = explain_suite(m, x, names, unit="raw", threshold_mm_per_h=0.0)
+    assert [hm.layer for hm in maps] == names
+    for name in ("enc0.pool_in", "dec0.reduce", "out"):
+        with pytest.raises(UsageError, match=re.escape(repr(name))):
+            explain_suite(m, x, [name], unit="raw")
+    if variant == "sar":
+        assert set(suite_grid(m)) == m.trace_names()

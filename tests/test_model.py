@@ -110,19 +110,35 @@ class TestForward:
         assert any(diffs)
 
 
+def pooled_and_traced(monkeypatch, m, x, wanted):
+    """The inputs of every ``ops.max_pool2`` call in one forward pass, and
+    that pass's traced activations."""
+    pooled = []
+    max_pool2 = ops.max_pool2
+
+    def spy(t):
+        pooled.append(t)
+        return max_pool2(t)
+    monkeypatch.setattr(ops, "max_pool2", spy)
+    _, tr = m.forward(x, trace_request=wanted)
+    return pooled, tr
+
+
 class TestRouting:
-    def test_sar_pools_the_cbam_output(self):
+    def test_sar_pools_the_cbam_output(self, monkeypatch):
         m = build(tiny_config("sar"), seed=7)
         x = rand_input((1, 2, 16, 16), seed=8)
-        _, tr = m.forward(x, trace_request=["enc0.cbam", "enc0.pool_in", "enc0.block"])
-        assert tr.get("enc0.pool_in") is tr.get("enc0.cbam")
+        pooled, tr = pooled_and_traced(monkeypatch, m, x, ["enc0.cbam", "enc0.block"])
+        assert len(pooled) == 4
+        assert pooled[0] is tr.get("enc0.cbam")
 
-    def test_smaat_pools_the_block_output(self):
+    def test_smaat_pools_the_block_output(self, monkeypatch):
         m = build(tiny_config("smaat"), seed=7)
         x = rand_input((1, 2, 16, 16), seed=8)
-        _, tr = m.forward(x, trace_request=["enc0.cbam", "enc0.pool_in", "enc0.block"])
-        assert tr.get("enc0.pool_in") is tr.get("enc0.block")
-        assert not np.array_equal(tr.get("enc0.pool_in").data, tr.get("enc0.cbam").data)
+        pooled, tr = pooled_and_traced(monkeypatch, m, x, ["enc0.cbam", "enc0.block"])
+        assert len(pooled) == 4
+        assert pooled[0] is tr.get("enc0.block")
+        assert not np.array_equal(pooled[0].data, tr.get("enc0.cbam").data)
 
     def test_block_trace_is_sum_of_subpaths(self):
         m = build(tiny_config("sar"), seed=9)
@@ -131,16 +147,6 @@ class TestRouting:
             "enc1.block", "enc1.block.dsc_path", "enc1.block.shortcut"])
         total = tr.get("enc1.block.dsc_path").data + tr.get("enc1.block.shortcut").data
         np.testing.assert_array_equal(tr.get("enc1.block").data, total)
-
-    def test_override_replaces_activation(self):
-        m = build(tiny_config("sar"), seed=11)
-        x = rand_input((1, 2, 16, 16), seed=12)
-        y0, tr = m.forward(x, trace_request=["enc4.cbam"])
-        bump = tensor(tr.get("enc4.cbam").data + 1.0)
-        y1, _ = m.forward(x, overrides={"enc4.cbam": bump})
-        assert not np.array_equal(y0.data, y1.data)
-        y2, _ = m.forward(x, overrides={"enc4.cbam": tensor(tr.get("enc4.cbam").data.copy())})
-        np.testing.assert_array_equal(y0.data, y2.data)
 
     def test_gradient_flow_reaches_every_parameter(self):
         cfg = tiny_config()

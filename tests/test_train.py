@@ -9,7 +9,7 @@ from sarunet.errors import DataError, DimensionError, NumericError, UsageError
 from sarunet.metrics import EvalSetup, evaluate_setup
 from sarunet.model import ModelConfig, build
 from sarunet.train import (HISTORY_COLUMNS, LR0, TrainConfig, TrainState, _split_mse,
-                           adam_step, fit, load_best_into, mse_loss, scheduler_step)
+                           adam_step, fit, mse_loss, scheduler_step)
 
 
 class TestMseLoss:
@@ -193,14 +193,11 @@ class TestFit:
 
     def test_best_checkpoint_matches_history_minimum(self, tmp_path):
         train, val = tiny_dataset()
-        result = fit(tiny_model(11), train, val,
-                     TrainConfig(max_epochs=4, batch_size=4, seed=2))
+        model = tiny_model(11)
+        result = fit(model, train, val, TrainConfig(max_epochs=4, batch_size=4, seed=2))
         assert result.best_val_loss == min(e.val_mse for e in result.history)
-        model = load_best_into(tiny_model(11), result)
-        # model now carries the best snapshot; smoke-check it runs
-        batch = val.batch([0])
-        y, _ = model.forward(batch.inputs)
-        assert y.shape == batch.targets.shape
+        # fit returns with the best epoch's weights in the model
+        assert _split_mse(model, val, 4) == result.best_val_loss
 
     def test_empty_split_rejected(self):
         train, _ = tiny_dataset()
