@@ -23,7 +23,9 @@ windows per split and the frames shared by each pair of splits.
 
 ``predict`` writes precipitation as clamped non-negative values in raw
 units; for binary (cloud) checkpoints it writes binary masks, each pixel 1
-where the prediction is >= 0.5 (the evaluation rule), else 0.
+where the prediction is >= 0.5 (the evaluation rule), else 0. When a
+checkpoint's model predicts a value that is not finite, ``evaluate``,
+``predict`` and ``explain`` exit 4 and write nothing.
 
 ``NOWCAST_THREADS`` caps internal numeric parallelism (0 or unset = auto);
 it must be honored before numpy loads, so the heavy imports happen inside
@@ -513,6 +515,7 @@ def _load_window(ckpt: Path, data_path: Path, index: int, flag: str):
 def cmd_predict(args) -> int:
     from .data import FrameSeries, save_nwds
     from .metrics import binarize
+    from .model import check_prediction
     import numpy as np
     started = time.time()
     _require(args, ["checkpoint", "data", "out"])
@@ -522,7 +525,7 @@ def cmd_predict(args) -> int:
     _refuse_overwrite([out], args.force)
     model, series, x, scale = _load_window(ckpt, data_path, args.window_index,
                                            "--window-index")
-    pred, _ = model.forward(x)
+    pred = check_prediction(model.forward(x)[0])
     if series.unit == "binary":
         frames = binarize(pred.data[0], series.unit)
     else:

@@ -22,7 +22,7 @@ from . import ops
 from .data import FrameSeries, save_nwds
 from .errors import UsageError
 from .metrics import binarize
-from .model import Model
+from .model import Model, check_prediction
 from .tensor import Tape, Tensor4
 
 __all__ = [
@@ -124,7 +124,8 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
     off for the length of the call and restored on return, also when the
     call raises. The traced activations are the gradient roots, so the tape
     holds only the ops downstream of the first of them, and no parameter's
-    ``grad`` buffer is written."""
+    ``grad`` buffer is written. A prediction that is not finite raises
+    ``NumericError`` (see :func:`~sarunet.model.check_prediction`)."""
     repeated = sorted({n for n in layers if layers.count(n) > 1})
     if repeated:
         raise UsageError(f"explain target(s) {repeated} given more than once")
@@ -140,7 +141,7 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
     try:
         with Tape() as tape:
             pred, trace = model.forward(x, train=False, trace_request=layers)
-            score, mask = rain_score(pred, unit, scale=scale,
+            score, mask = rain_score(check_prediction(pred), unit, scale=scale,
                                      interval_minutes=interval_minutes,
                                      threshold_mm_per_h=threshold_mm_per_h)
         if mask.sum() == 0:

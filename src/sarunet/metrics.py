@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import WindowDataset
 from .errors import UsageError
-from .model import Model, persistence_forward
+from .model import Model, check_prediction, persistence_forward
 from .tensor import Tensor4
 
 __all__ = [
@@ -167,7 +167,7 @@ PredictFn = Callable[[Tensor4], Tensor4]
 
 
 def _model_predictor(model: Model) -> PredictFn:
-    return lambda inputs: model.forward(inputs, train=False)[0]
+    return lambda inputs: check_prediction(model.forward(inputs, train=False)[0])
 
 
 def _persistence_predictor(out_ch: int) -> PredictFn:

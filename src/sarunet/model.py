@@ -25,11 +25,11 @@ import numpy as np
 
 from . import ops
 from .blocks import Cbam, Conv2dLayer, DoubleDscBlock, ResidualDscBlock
-from .errors import ConfigurationError, DataError, DimensionError, UsageError
+from .errors import ConfigurationError, DataError, DimensionError, NumericError, UsageError
 from .tensor import Tensor4, active_tape, read_section, write_section
 
 __all__ = [
-    "ModelConfig", "Model", "build", "persistence_forward",
+    "ModelConfig", "Model", "build", "check_prediction", "persistence_forward",
     "save_checkpoint", "load_checkpoint", "write_checkpoint_section",
     "read_checkpoint_section", "plain_unet_param_count",
 ]
@@ -214,6 +214,18 @@ class Model:
 def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     """Deterministically initialize a model from ``seed``."""
     return Model(config, seed, dtype)
+
+
+def check_prediction(pred: Tensor4) -> Tensor4:
+    """``pred``, if every value is finite. A checkpoint's values are checked
+    on load, but finite weights can still overflow the forward pass; a
+    non-finite prediction then raises ``NumericError``, so ``evaluate``,
+    ``predict`` and ``explain`` never write a figure, frame or heatmap from
+    it."""
+    if not np.isfinite(pred.data).all():
+        raise NumericError("the model's prediction is not finite: the checkpoint's "
+                           "weights overflow the forward pass")
+    return pred
 
 
 def persistence_forward(x: Tensor4, out_ch: int) -> Tensor4:

@@ -8,15 +8,22 @@ bilinear upsampling uses the corner-aligned-false mapping
 ``src = (dst + 0.5) / 2 - 0.5`` with clamping, which on a x2 grid has the
 fixed weights 0.25 and 0.75.
 
-A backward rule keeps only what it reads. It copies nothing the tape
-already holds as an op's inputs and output, and what one elementwise pass
-or one copy can rebuild, it rebuilds. Batch norm keeps its input, the per-channel
-mean, inverse deviation and ``gamma``, and recomputes the normalized input
-with the forward's own expression; relu reads its mask from its output;
-max pooling and global max find the winning entry again from
-``x == out``; bilinear upsampling keeps nothing. Every rule captures its
-arrays directly, never through a nested function, so a count of the
-closure cells sees them all.
+A backward rule keeps exactly the arrays it reads, and the tape keeps no
+op input or output (see :mod:`sarunet.tensor`), so an output that no rule
+reads is freed once the forward code drops it. A rule captures arrays,
+shapes as tuples, flags and scalar values, never a :class:`Tensor4` or a
+class object, and copies nothing: it captures an op's input or output
+array itself, and what one elementwise pass or one copy can rebuild, it
+rebuilds. Batch norm keeps its input only for the ``gamma`` gradient or a
+train-mode ``dx``, ``gamma`` only for ``dx``, and the per-channel mean and
+inverse deviation, and recomputes the normalized input with the forward's
+own expression; so eval batch norm with a frozen ``gamma`` keeps nothing of
+its input. relu and sigmoid read their output; max pooling and global max
+keep their input and output and find the winning entry again from
+``x == out``; bilinear upsampling and ``concat_channels`` keep nothing;
+:func:`mul` and :func:`mul_broadcast` keep each factor only when the other
+needs a gradient. Every rule captures its arrays directly, never through a
+nested function, so a count of the closure cells sees them all.
 
 A backward rule computes only the gradients something reads, as PyTorch's
 ``needs_input_grad`` does. The three conv kernels, batch norm, :func:`mul`
@@ -33,19 +40,19 @@ convolution, the only kind the network runs); the weight's shape picks one
 of three kernels:
 
 - ``[cout, cin, 1, 1]`` (pointwise): one matmul over the input as stored;
-  the backward keeps only the input and the weight.
+  the backward keeps the input only for the weight gradient and the weight
+  only for ``dx``, as every kernel does.
 - ``[c, 1, 3, 3]`` over ``c`` channels (depthwise): nine shifted
   multiply-adds over zero-padded flat planes, run in cache-sized tiles (a
   band of image rows over a group of planes, :data:`_TILE` elements at
   most) and written straight into the output, so no whole-plane temporary
   is made. Each output entry sees the same nine products in the same order
   as a whole-plane pass, so the values do not depend on the tiling. The
-  backward keeps the input and the weight, runs the same tiled sum over the
-  padded gradient for ``dx``, and pads the input again for the weight
-  gradient.
+  backward runs the same tiled sum over the padded gradient for ``dx``, and
+  pads the input again for the weight gradient.
 - ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): im2col and a matmul;
-  the backward keeps the input and the weight, and rebuilds the patch
-  matrix (``k*k`` times the input) for the weight gradient.
+  the backward rebuilds the patch matrix (``k*k`` times the input) for the
+  weight gradient.
 
 :func:`batch_norm` uses the fixed :data:`BN_EPS` and :data:`BN_MOMENTUM`.
 """
@@ -122,10 +129,14 @@ def _needs(*tensors: Optional[Tensor4]) -> tuple[bool, ...]:
 
 
 def _conv_grads(gout: np.ndarray, dx: Optional[np.ndarray], dw: Optional[np.ndarray],
-                bias: Optional[Tensor4], need_b: bool) -> list[Optional[np.ndarray]]:
-    if bias is None:
+                bias_shape: Optional[tuple], need_b: bool) -> list[Optional[np.ndarray]]:
+    if bias_shape is None:
         return [dx, dw]
-    return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias.shape) if need_b else None]
+    return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias_shape) if need_b else None]
+
+
+def _bias_shape(bias: Optional[Tensor4]) -> Optional[tuple]:
+    return None if bias is None else bias.shape
 
 
 def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
@@ -134,17 +145,20 @@ def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4
     w2 = weight.data.reshape(cout, cin * k * k)
     out = np.matmul(w2, _im2col(x.data, k))
     need_x, need_w, need_b = _needs(x, weight, bias)
+    x_shape, w_shape, b_shape = x.shape, weight.shape, _bias_shape(bias)
+    x_kept = x.data if need_w else None
+    w_kept = w2 if need_x else None
 
     def backward_fn(gout: np.ndarray):
         go = gout.reshape(n, cout, h * w_in)
         dx = dw = None
         if need_w:
-            cols = _im2col(x.data, k).transpose(0, 2, 1)
-            dw = np.matmul(go, cols).sum(axis=0).reshape(weight.shape)
+            cols = _im2col(x_kept, k).transpose(0, 2, 1)
+            dw = np.matmul(go, cols).sum(axis=0).reshape(w_shape)
             del cols                                     # rebuilt here, not kept
         if need_x:
-            dx = _col2im(np.matmul(w2.T, go), x.shape, k)
-        return _conv_grads(gout, dx, dw, bias, need_b)
+            dx = _col2im(np.matmul(w_kept.T, go), x_shape, k)
+        return _conv_grads(gout, dx, dw, b_shape, need_b)
 
     return _record_conv(out.reshape(n, cout, h, w_in), x, weight, bias, backward_fn)
 
@@ -155,15 +169,18 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     x3 = x.data.reshape(n, cin, h * w_in)              # a view: Tensor4 data is contiguous
     w2 = weight.data.reshape(cout, cin)
     need_x, need_w, need_b = _needs(x, weight, bias)
+    x_shape, w_shape, b_shape = x.shape, weight.shape, _bias_shape(bias)
+    x_kept = x3 if need_w else None
+    w_kept = w2 if need_x else None
 
     def backward_fn(gout: np.ndarray):
         go = gout.reshape(n, cout, h * w_in)
         dx = dw = None
         if need_w:
-            dw = np.matmul(go, x3.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+            dw = np.matmul(go, x_kept.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
         if need_x:
-            dx = np.matmul(w2.T, go).reshape(x.shape)
-        return _conv_grads(gout, dx, dw, bias, need_b)
+            dx = np.matmul(w_kept.T, go).reshape(x_shape)
+        return _conv_grads(gout, dx, dw, b_shape, need_b)
 
     out = np.matmul(w2, x3).reshape(n, cout, h, w_in)
     return _record_conv(out, x, weight, bias, backward_fn)
@@ -237,22 +254,25 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
     _, c, h, w_in = x.shape
     taps = weight.data.reshape(c, 9)
     need_x, need_w, need_b = _needs(x, weight, bias)
+    w_shape, b_shape = weight.shape, _bias_shape(bias)
+    x_kept = x.data if need_w else None
+    taps_kept = taps if need_x else None
 
     def backward_fn(gout: np.ndarray):
         gp = _pad_planes(gout)
         dx = dw = None
         if need_x:
-            dx = _shifted_sum(gp, taps[:, ::-1], h, w_in)   # the flipped kernel
+            dx = _shifted_sum(gp, taps_kept[:, ::-1], h, w_in)   # the flipped kernel
         if need_w:
-            xp = _pad_planes(x.data)
+            xp = _pad_planes(x_kept)
             length = h * (w_in + 2)
             centre = _tap_offsets(w_in)[4]
             g = gp[:, :, centre:centre + length]         # gout, zero in the padding columns
-            dw = np.empty((c, 9), dtype=taps.dtype)
+            dw = np.empty((c, 9), dtype=x_kept.dtype)    # the weight's dtype
             for t, off in enumerate(_tap_offsets(w_in)):
                 dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
-            dw = dw.reshape(weight.shape)
-        return _conv_grads(gout, dx, dw, bias, need_b)
+            dw = dw.reshape(w_shape)
+        return _conv_grads(gout, dx, dw, b_shape, need_b)
 
     return _record_conv(_shifted_sum(_pad_planes(x.data), taps, h, w_in), x, weight, bias,
                         backward_fn)
@@ -282,8 +302,10 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       input, for the weight gradient.
 
     Any other weight shape is a ``DimensionError``. Every kernel's backward
-    keeps only the input and the weight (the tape holds both already), never
-    a padded copy or a patch matrix.
+    keeps the input array only when the weight needs a gradient and the
+    weight array only when the input does, never a padded copy or a patch
+    matrix; with a frozen weight (Grad-CAM) the input is freed once the
+    forward code drops it.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
     cin = x.shape[1]
@@ -346,17 +368,20 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
     inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
     out = gamma.data * _normalize(x.data, mean, inv_std) + beta.data
     need_x, need_gamma, need_beta = _needs(x, gamma, beta)
+    need_xhat = need_gamma or (need_x and train)
+    x_kept = x.data if need_xhat else None
+    gamma_kept = gamma.data if need_x else None
 
     def backward_fn(gout: np.ndarray):
         dx = dgamma = dbeta = None
-        if need_gamma or (need_x and train):
-            xhat = _normalize(x.data, mean, inv_std)
+        if need_xhat:
+            xhat = _normalize(x_kept, mean, inv_std)
         if need_gamma:
             dgamma = (gout * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         if need_beta:
             dbeta = gout.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         if need_x:
-            dxhat = gout * gamma.data
+            dxhat = gout * gamma_kept
             istd = inv_std.reshape(1, c, 1, 1)
             if train:
                 mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
@@ -417,9 +442,11 @@ def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     _same_dtype(a, b)
     _check_same_shape(a, b, "mul")
     need_a, need_b = _needs(a, b)
+    a_kept = a.data if need_b else None
+    b_kept = b.data if need_a else None
 
     def backward_fn(gout):
-        return [gout * b.data if need_a else None, gout * a.data if need_b else None]
+        return [gout * b_kept if need_a else None, gout * a_kept if need_b else None]
 
     return make_result(a.data * b.data, "mul", (a, b), backward_fn)
 
@@ -437,10 +464,12 @@ def mul_broadcast(a: Tensor4, b: Tensor4) -> Tensor4:
             f"mul_broadcast factor must be ({n},{c},1,1) or ({n},1,{h},{w}), got {b.shape}")
 
     need_a, need_b = _needs(a, b)
+    a_kept = a.data if need_b else None
+    b_kept = b.data if need_a else None
 
     def backward_fn(gout):
-        da = gout * b.data if need_a else None
-        db = (gout * a.data).sum(axis=reduce_axes, keepdims=True) if need_b else None
+        da = gout * b_kept if need_a else None
+        db = (gout * a_kept).sum(axis=reduce_axes, keepdims=True) if need_b else None
         return [da, db]
 
     return make_result(a.data * b.data, "mul_broadcast", (a, b), backward_fn)
@@ -478,24 +507,25 @@ def max_pool2(x: Tensor4) -> Tensor4:
 
     Ties go to the first tap in row-major window order, in the value (a
     ``-0.0``/``+0.0`` tie keeps the first tap's sign) and in the gradient.
-    The backward keeps nothing: it routes ``gout`` to the first tap equal to
-    the output, reading both from the tape.
+    The backward keeps the input and output arrays and nothing more: it
+    routes ``gout`` to the first tap equal to the output.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"max_pool2 needs even spatial dims, got {h}x{w}")
-    a, b, cc, d = (x.data[:, :, i::2, j::2] for i, j in _POOL_TAPS)
+    xd = x.data
+    a, b, cc, d = (xd[:, :, i::2, j::2] for i, j in _POOL_TAPS)
     # np.maximum returns its second argument on a tie, so each call takes
     # the later tap first and the earlier one wins
     out = np.maximum(d, cc)
     np.maximum(out, np.maximum(b, a), out=out)
 
     def backward_fn(gout):
-        dx = np.empty_like(x.data)
+        dx = np.empty_like(xd)
         free = np.ones(out.shape, dtype=bool)       # windows not routed yet
         hit = np.empty_like(free)
         for i, j in _POOL_TAPS[:-1]:
-            np.equal(x.data[:, :, i::2, j::2], out, out=hit)
+            np.equal(xd[:, :, i::2, j::2], out, out=hit)
             hit &= free
             _route(gout, hit, dx[:, :, i::2, j::2])
             free ^= hit
@@ -602,19 +632,21 @@ def global_pool(x: Tensor4, kind: str = "avg", axis: str = "spatial") -> Tensor4
     """Exact mean/max either over space (``[n,c,1,1]``) or channels (``[n,1,h,w]``).
 
     Max ties go to the first index (row-major over space), in the value and
-    in the gradient; the max backward finds it again from ``x == out`` and
-    keeps nothing.
+    in the gradient; the max backward keeps the input and the maximum and
+    finds the winner again from ``x == out``; the mean backward keeps only
+    the shape.
     """
     if kind not in ("avg", "max") or axis not in ("spatial", "channel"):
         raise UsageError(f"global_pool kind must be avg|max and axis spatial|channel, "
                          f"got {kind}/{axis}")
     n, c, h, w = x.shape
+    x_shape = x.shape
     if kind == "avg":
         size = h * w if axis == "spatial" else c
         out = x.data.mean(axis=(2, 3) if axis == "spatial" else 1, keepdims=True)
 
         def backward_fn(gout):
-            return [np.broadcast_to(gout / size, x.shape).astype(gout.dtype)]
+            return [np.broadcast_to(gout / size, x_shape).astype(gout.dtype)]
     else:
         # one reduced axis: the flattened plane, or the channels
         xs, ax = (x.data.reshape(n, c, h * w), 2) if axis == "spatial" else (x.data, 1)
@@ -624,7 +656,7 @@ def global_pool(x: Tensor4, kind: str = "avg", axis: str = "spatial") -> Tensor4
         def backward_fn(gout):
             dx = np.empty_like(xs)
             _route(gout.reshape(m.shape), _first_hits(xs, m, ax), dx)
-            return [dx.reshape(x.shape)]
+            return [dx.reshape(x_shape)]
 
     return make_result(out, f"global_pool_{kind}_{axis}", (x,), backward_fn)
 
@@ -633,9 +665,10 @@ def global_pool(x: Tensor4, kind: str = "avg", axis: str = "spatial") -> Tensor4
 
 def sum_all(x: Tensor4) -> Tensor4:
     out = np.array(x.data.sum(dtype=np.float64), dtype=x.dtype).reshape(1, 1, 1, 1)
+    x_shape = x.shape
 
     def backward_fn(gout):
-        return [np.broadcast_to(gout.reshape(()), x.shape).astype(gout.dtype)]
+        return [np.broadcast_to(gout.reshape(()), x_shape).astype(gout.dtype)]
 
     return make_result(out, "sum_all", (x,), backward_fn)
 
@@ -643,9 +676,10 @@ def sum_all(x: Tensor4) -> Tensor4:
 def mean_all(x: Tensor4) -> Tensor4:
     size = x.data.size
     out = np.array(x.data.sum(dtype=np.float64) / size, dtype=x.dtype).reshape(1, 1, 1, 1)
+    x_shape, denom = x.shape, x.dtype.type(size)     # a value: no class in the closure
 
     def backward_fn(gout):
-        g = gout.reshape(()) / x.dtype.type(size)
-        return [np.broadcast_to(g, x.shape).astype(gout.dtype)]
+        g = gout.reshape(()) / denom
+        return [np.broadcast_to(g, x_shape).astype(gout.dtype)]
 
     return make_result(out, "mean_all", (x,), backward_fn)

@@ -10,6 +10,14 @@ of any op output on which :meth:`Tensor4.retain_grad` was called (Grad-CAM's
 traced activations). Other op outputs carry no buffer. Storage is float32 by
 default; a float64 mode exists for gradient-check tests.
 
+The tape holds no op input and no op output, as PyTorch's autograd saves
+only what each function marks for backward. A record keeps the input keys
+(each tensor's process-unique :attr:`Tensor4.key`), the inputs the tape did
+not produce (parameters, the model input, gradient roots), and a weak
+reference to its output; each backward rule keeps in its closure exactly the
+arrays it reads. So an op output that no rule reads is freed as soon as the
+forward code drops it, before backward runs.
+
 Tapes are thread-local: concurrent inference threads each open their own tape
 (or none) over shared read-only parameters. The parameters' ``requires_grad``
 flags are shared, though: :func:`sarunet.gradcam.explain_suite` turns them
@@ -20,8 +28,10 @@ another thread while it is being explained.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,6 +62,11 @@ def set_debug_checks(enabled: bool) -> None:
     _DEBUG_CHECKS = bool(enabled)
 
 
+# Each Tensor4's ``key``, unique in the process: tapes route gradients by it,
+# since an ``id()`` is reused once an intermediate is freed.
+_keys = itertools.count()
+
+
 class Tensor4:
     """A ``[n, c, h, w]`` array with an optional same-shape gradient buffer.
 
@@ -60,10 +75,11 @@ class Tensor4:
     gradient flows through the tensor. ``grad`` exists on a leaf built with
     ``requires_grad=True`` and on an op output after :meth:`retain_grad`;
     any other tensor has ``grad`` None. A buffer accumulates across
-    backward passes until zeroed.
+    backward passes until zeroed. ``key`` is unique in the process, and
+    tapes route gradients by it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False, _checked: bool = False):
         if not isinstance(data, np.ndarray):
@@ -75,10 +91,11 @@ class Tensor4:
         if data.dtype not in (np.float32, np.float64):
             data = data.astype(np.float32)
         if not _checked and not np.isfinite(data).all():
-            raise ValueError("Tensor4 rejects non-finite values at construction")
+            raise DataError("Tensor4 rejects non-finite values at construction")
         self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = np.zeros_like(self.data) if requires_grad else None
+        self.key = next(_keys)
 
     # -- introspection -----------------------------------------------------
 
@@ -125,12 +142,21 @@ def parameter(data, dtype=np.float32) -> Tensor4:
 
 
 class _OpRecord:
-    __slots__ = ("name", "inputs", "output", "backward_fn")
+    """One recorded op. ``inputs`` holds the input keys; ``leaves`` holds,
+    at the same positions, the input itself where this tape did not produce
+    it (a parameter, the model input, a gradient root), else None. The
+    output is reached through the weak reference ``output``, and its key is
+    ``key``. So the record keeps no array alive: the arrays a backward rule
+    reads live in ``backward_fn``'s closure."""
 
-    def __init__(self, name, inputs, output, backward_fn):
+    __slots__ = ("name", "inputs", "leaves", "key", "output", "backward_fn")
+
+    def __init__(self, name, inputs, leaves, output, backward_fn):
         self.name = name
         self.inputs = inputs
-        self.output = output
+        self.leaves = leaves
+        self.key = output.key
+        self.output = weakref.ref(output)
         self.backward_fn = backward_fn
 
 
@@ -163,6 +189,7 @@ class Tape:
 
     def __init__(self):
         self.ops: list[_OpRecord] = []
+        self._produced: set[int] = set()        # keys of the recorded outputs
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -175,7 +202,11 @@ class Tape:
 
     def record(self, name: str, inputs: Sequence[Tensor4], output: Tensor4,
                backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
-        self.ops.append(_OpRecord(name, tuple(inputs), output, backward_fn))
+        produced = self._produced
+        leaves = tuple(None if t.key in produced else t for t in inputs)
+        self.ops.append(_OpRecord(name, tuple(t.key for t in inputs), leaves, output,
+                                  backward_fn))
+        produced.add(output.key)
 
     def backward(self, loss: Tensor4) -> None:
         """Accumulate dLoss/dT into the ``grad`` buffer of every tensor the
@@ -188,33 +219,38 @@ class Tape:
         tape) is skipped, and so is a ``None`` gradient, which a rule
         returns for an input that needs none.
 
+        Gradients are routed by tensor key, not by the tensors: the tape
+        holds no op output, so an output nothing else holds is freed during
+        the forward pass, and a marked output is reached through its
+        record's weak reference. The arrays a rule reads are the ones its
+        closure captured.
+
         Calling twice without zeroing grads accumulates. Ops run their
         backward rules in reverse recording order, each at most once: once
         if the loss depends on its output, else never.
         """
         if loss.shape != (1, 1, 1, 1):
             raise UsageError(f"backward needs a scalar-shaped [1,1,1,1] loss, got {loss.shape}")
-        produced = {id(rec.output) for rec in self.ops}
-        if id(loss) not in produced:
+        if loss.key not in self._produced:
             raise UsageError("loss tensor was not recorded on this tape; "
                              "run the forward pass inside `with Tape() as tape:`")
-        pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        pending: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         leaf_tensors: dict[int, Tensor4] = {}
         for rec in reversed(self.ops):
-            out_grad = pending.pop(id(rec.output), None)
+            out_grad = pending.pop(rec.key, None)
             if out_grad is None:
                 continue
-            if rec.output.grad is not None:
-                rec.output.grad += out_grad
+            out = rec.output()
+            if out is not None and out.grad is not None:
+                out.grad += out_grad
             in_grads = rec.backward_fn(out_grad)
-            for t, g in zip(rec.inputs, in_grads):
-                if g is None or not t.requires_grad:
+            for key, leaf, g in zip(rec.inputs, rec.leaves, in_grads):
+                if g is None:
                     continue
-                key = id(t)
-                if key not in produced:
-                    if t.grad is None:
+                if leaf is not None:
+                    if not leaf.requires_grad or leaf.grad is None:
                         continue
-                    leaf_tensors[key] = t
+                    leaf_tensors[key] = leaf
                 if key in pending:
                     pending[key] = pending[key] + g
                 else:

@@ -456,6 +456,45 @@ def test_infinite_frame_value_is_data_error(synth_file, tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def cloud_run(tmp_path_factory):
+    """(data, checkpoint) of a one-epoch binary cloud run."""
+    root = tmp_path_factory.mktemp("cloud")
+    data = root / "cloud.nwds"
+    assert run("synth", "--frames", 40, "--size", 32, "--binary", "--interval", 15,
+               "--out", data) == 0
+    assert run("train", "--data", data, "--cloud", "--base-channels", 4,
+               "--cbam-reduction", 4, "--max-epochs", 1, "--batch-size", 4,
+               "--out-dir", root / "run") == 0
+    return data, root / "run" / "model.ckpt"
+
+
+@pytest.mark.parametrize("command,out_flag,setup", [
+    ("evaluate", "--out-dir", "precip"), ("explain", "--out-dir", "precip"),
+    ("predict", "--out", "cloud")])
+def test_non_finite_prediction_is_numeric_error(request, tmp_path, capsys,
+                                                command, out_flag, setup):
+    """A finite checkpoint whose weights overflow the forward pass exits 4,
+    with nothing written: no ``inf`` MSE in a report, no ``nan`` raw_max in
+    an index, and no cloud mask binarized from non-finite values."""
+    from sarunet.model import load_checkpoint, save_checkpoint
+    if setup == "cloud":
+        data, ckpt = request.getfixturevalue("cloud_run")
+    else:
+        data = request.getfixturevalue("synth_file")
+        ckpt = request.getfixturevalue("trained_dir") / "model.ckpt"
+    model, meta = load_checkpoint(ckpt)
+    dict(model.named_parameters())["out.weight"].data[...] = 3e38
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(huge, model, meta)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(command, "--checkpoint", huge, "--data", data, out_flag, out)
+    assert code == 4
+    assert "prediction is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredict:
     def test_prediction_roundtrip(self, synth_file, trained_dir, tmp_path):
         out = tmp_path / "pred.nwds"

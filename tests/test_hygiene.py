@@ -1,7 +1,8 @@
 """Source hygiene: every name a program module imports at module level is
 used in that module (``__init__.py`` is skipped, since it imports to
-re-export), every public op is used, and the model traces only the layers
-Grad-CAM explains."""
+re-export), every public op is used, the model traces only the layers
+Grad-CAM explains, and backward closures hold arrays and plain values
+only."""
 
 import ast
 import re
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarunet import tensor
+from sarunet import Tape, Tensor4, tensor
 from sarunet.errors import UsageError
 from sarunet.gradcam import explain_suite, suite_grid
 from sarunet.model import ModelConfig, build
+from sarunet.train import mse_loss
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sarunet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -70,3 +72,37 @@ def test_traceable_layers_are_the_explained_layers(variant):
             explain_suite(m, x, [name], unit="raw")
     if variant == "sar":
         assert set(suite_grid(m)) == m.trace_names()
+
+
+def test_backward_closures_hold_no_tensor_or_class(monkeypatch):
+    """No backward closure cell of a taped training step or of an explain
+    pass holds a ``Tensor4`` (which would keep an op output alive through
+    the tape) or a class object (which a walk that sizes the arrays behind
+    each cell cannot read)."""
+    m = build(ModelConfig(in_channels=2, out_channels=1, base_channels=2,
+                          cbam_reduction=2), seed=0)
+    rng = np.random.default_rng(2)
+    tapes = []
+    real_backward = Tape.backward
+
+    def backward(tape, loss):
+        tapes.append(tape)
+        real_backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", backward)
+    with Tape() as tape:
+        y, _ = m.forward(tensor(rng.random((2, 2, 16, 16)).astype(np.float32)), train=True)
+        loss = mse_loss(y, tensor(rng.random((2, 1, 16, 16)).astype(np.float32)))
+    tape.backward(loss)
+    x = tensor(rng.random((1, 2, 16, 16)).astype(np.float32) * 30.0)
+    explain_suite(m, x, list(suite_grid(m)), unit="raw", threshold_mm_per_h=0.0)
+    assert len(tapes) == 2
+    names = set()
+    for tape in tapes:
+        for rec in tape.ops:
+            names.add(rec.name)
+            for cell in rec.backward_fn.__closure__ or ():
+                v = cell.cell_contents
+                assert not isinstance(v, (Tensor4, type)), f"{rec.name} keeps {v!r}"
+    assert {"conv2d", "batch_norm", "mul_broadcast", "mean_all", "sum_all",
+            "global_pool_max_channel"} <= names

@@ -558,7 +558,7 @@ class TestSerialization:
 
 class TestTensorInvariants:
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             tensor(np.array([np.nan]).reshape(1, 1, 1, 1))
 
     def test_rejects_wrong_rank(self):
