@@ -41,7 +41,6 @@ class BatchNorm2d:
     """Per-channel batch norm: trainable gamma/beta plus running buffers."""
 
     def __init__(self, channels: int, dtype=np.float32):
-        self.channels = channels
         self.gamma = parameter(np.ones((1, channels, 1, 1)), dtype=dtype)
         self.beta = parameter(np.zeros((1, channels, 1, 1)), dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -90,7 +89,6 @@ class DscLayer:
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
-        self.cout = cout
         self.depthwise = _kaiming_uniform(rng, (cin, 1, 3, 3), 9, dtype)
         self.pointwise = _kaiming_uniform(rng, (cout, cin, 1, 1), cin, dtype)
 
@@ -137,8 +135,6 @@ class ResidualDscBlock:
     """
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
-        self.cin = cin
-        self.cout = cout
         self.stack = _DscStack(cin, cout, rng, dtype)
         self.shortcut = Conv2dLayer(cin, cout, 1, rng, dtype, bias=True)
 
@@ -162,8 +158,6 @@ class DoubleDscBlock:
     """Shortcut-free double DSC stage (the smaat-config ablation block)."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
-        self.cin = cin
-        self.cout = cout
         self.stack = _DscStack(cin, cout, rng, dtype)
 
     def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
@@ -189,8 +183,6 @@ class Cbam:
             raise ConfigurationError(
                 f"CBAM reduction {reduction} must divide channel count {channels}")
         hidden = channels // reduction
-        self.channels = channels
-        self.reduction = reduction
         self.mlp_w1 = _kaiming_uniform(rng, (hidden, channels, 1, 1), channels, dtype)
         self.mlp_w2 = _kaiming_uniform(rng, (channels, hidden, 1, 1), hidden, dtype)
         self.spatial = Conv2dLayer(2, 1, 7, rng, dtype, bias=False)

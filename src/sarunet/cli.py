@@ -2,10 +2,12 @@
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 data or
 configuration error, 4 numeric failure. An input file of the wrong format
-(another magic) exits 2; a truncated or corrupt container or checkpoint, and
-a malformed config file line or value, exit 3. Configuration precedence is flags >
-config file (``key=value`` lines, ``#`` comments) > built-in defaults. A config
-key is an option name, with ``-`` or ``_``; ``force`` is one. A key that no
+(another magic) exits 2; a truncated or corrupt container or checkpoint, a
+malformed config file line or value, and an OS error on a path (a missing
+file, a directory given as a file, an output path that cannot be made or
+written) exit 3. Configuration precedence is flags > config file
+(``key=value`` lines, ``#`` comments) > built-in defaults. A config key is
+an option name, with ``-`` or ``_``; ``force`` is one. A key that no
 command takes exits 3 naming it; a key that only another command takes is
 ignored unparsed, so one file can serve ``train`` and ``evaluate``. Every
 artifact-producing command writes one JSON manifest (config snapshot, seed,
@@ -494,11 +496,10 @@ def _load_window(ckpt: Path, data_path: Path, index: int, flag: str):
     rain-gated windows over the series; ``x`` is the normalized
     ``[1, input_frames, H, W]`` input. An index outside the window list is a
     usage error naming ``flag``."""
-    from .data import load_nwds, make_windows, select_rainy
+    from .data import load_nwds, make_windows, normalize_array, select_rainy
     from .errors import UsageError
     from .model import load_checkpoint
     from .tensor import Tensor4
-    import numpy as np
     model, meta = load_checkpoint(ckpt)
     series = load_nwds(data_path)
     spec, scale, fraction, interval, unit = _spec_from_extras(meta)
@@ -508,7 +509,7 @@ def _load_window(ckpt: Path, data_path: Path, index: int, flag: str):
     if not 0 <= index < len(windows):
         raise UsageError(f"{flag} {index} outside [0, {len(windows)})")
     inp_idx, _ = windows[index]
-    x = Tensor4(series.frames[list(inp_idx)][None] / np.float32(scale), _checked=True)
+    x = Tensor4(normalize_array(series.frames[list(inp_idx)][None], scale))
     return model, series, x, scale
 
 
@@ -686,7 +687,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_USAGE
-    except (ConfigurationError, DataError, DimensionError, FileNotFoundError) as e:
+    except (ConfigurationError, DataError, DimensionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_DATA
     except NumericError as e:

@@ -150,7 +150,7 @@ def normalization_scale(train_series: FrameSeries) -> float:
 
 
 def normalize_array(arr: np.ndarray, scale: float) -> np.ndarray:
-    return (arr / np.float32(scale)).astype(np.float32)
+    return (arr / np.float32(scale)).astype(np.float32, copy=False)
 
 
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
@@ -184,8 +184,8 @@ class WindowDataset:
         xs = np.stack([frames[list(self.windows[i][0])] for i in idxs])
         ys = np.stack([frames[list(self.windows[i][1])] for i in idxs])
         return SampleBatch(
-            inputs=Tensor4(normalize_array(xs, self.scale), _checked=True),
-            targets=Tensor4(normalize_array(ys, self.scale), _checked=True))
+            inputs=Tensor4(normalize_array(xs, self.scale)),
+            targets=Tensor4(normalize_array(ys, self.scale)))
 
 
 # -- synthetic generator -------------------------------------------------------

@@ -55,13 +55,13 @@ def rain_score(pred: Tensor4, unit: str, *, scale: float = 1.0,
         raise UsageError(f"rain_score expects a single-sample prediction, got {pred.shape}")
     mask = binarize(pred.data, unit, scale=scale, interval_minutes=interval_minutes,
                     threshold_mm_per_h=threshold_mm_per_h)
-    mask_t = Tensor4(mask.astype(pred.data.dtype), _checked=True)
+    mask_t = Tensor4(mask.astype(pred.data.dtype))
     return ops.sum_all(ops.mul(pred, mask_t)), mask
 
 
 def _resize_to(arr: np.ndarray, height: int, width: int) -> np.ndarray:
     """Repeated bilinear doubling of a [h,w] map up to [height,width]."""
-    cur = Tensor4(arr[None, None].astype(arr.dtype), _checked=True)
+    cur = Tensor4(arr[None, None].astype(arr.dtype))
     while cur.shape[2] < height:
         if height % cur.shape[2] or width % cur.shape[3]:
             raise UsageError(f"cannot resize {cur.shape[2]}x{cur.shape[3]} map to "
@@ -82,13 +82,12 @@ def _combine(activation: np.ndarray, grad: np.ndarray,
     resized = _resize_to(rectified, height, width)
     raw_max = float(resized.max())
     values = resized / raw_max if raw_max > 0.0 else np.zeros_like(resized)
-    return Heatmap(values=Tensor4(values[None, None].astype(np.float32), _checked=True),
+    return Heatmap(values=Tensor4(values[None, None].astype(np.float32)),
                    layer=layer, raw_max=raw_max)
 
 
 def _zero_map(height: int, width: int, layer: str) -> Heatmap:
-    return Heatmap(values=Tensor4(np.zeros((1, 1, height, width), np.float32),
-                                  _checked=True),
+    return Heatmap(values=Tensor4(np.zeros((1, 1, height, width), np.float32)),
                    layer=layer, raw_max=0.0)
 
 

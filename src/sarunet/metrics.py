@@ -6,7 +6,7 @@ millimeter, so the rain rate of a pixel is ``value * 0.01 * (60 / interval)``
 mm/h; normalized values are rescaled by the dataset scale first. The rate
 threshold uses the >= convention. Binary cloud data is thresholded at 0.5
 directly. Confusion counts accumulate over a whole split before ratios are
-taken (micro-averaging); zero-denominator metrics report 0.0 with a flag
+taken (micro-averaging); a metric with a zero denominator reports 0.0
 instead of NaN.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class MetricValues:
     recall: float
     accuracy: float
     f1: float
-    zero_division: tuple[str, ...] = ()
 
 
 @dataclass
@@ -91,7 +90,7 @@ class MetricReport:
     per_lead: list[LeadStats] = field(default_factory=list)
 
 
-def binarize(image, unit: Optional[str] = None, *, scale: float = 1.0,
+def binarize(arr: np.ndarray, unit: str, *, scale: float = 1.0,
              threshold_mm_per_h: float = 0.5, interval_minutes: int = 5) -> np.ndarray:
     """Map pixels to {0,1}. ``unit`` metadata is mandatory.
 
@@ -99,8 +98,7 @@ def binarize(image, unit: Optional[str] = None, *, scale: float = 1.0,
     >= threshold; ``scale`` maps normalized values back to raw units (1.0 for
     values already in raw units). Binary data: >= 0.5 directly.
     """
-    arr = image.data if isinstance(image, Tensor4) else np.asarray(image)
-    if unit is None or unit not in ("raw", "binary", "norm"):
+    if unit not in ("raw", "binary", "norm"):
         raise UsageError(f"binarize needs unit metadata ('raw'|'binary'|'norm'), got {unit!r}")
     if unit == "binary":
         return (arr >= 0.5).astype(np.uint8)
@@ -128,19 +126,14 @@ def confusion(pred_bin: np.ndarray, target_bin: np.ndarray) -> ConfusionCounts:
 
 
 def metrics(counts: ConfusionCounts) -> MetricValues:
-    flags = []
+    def ratio(num, den):
+        return num / den if den else 0.0
 
-    def ratio(num, den, name):
-        if den == 0:
-            flags.append(name)
-            return 0.0
-        return num / den
-
-    precision = ratio(counts.tp, counts.tp + counts.fp, "precision")
-    recall = ratio(counts.tp, counts.tp + counts.fn, "recall")
-    accuracy = ratio(counts.tp + counts.tn, counts.total, "accuracy")
-    f1 = ratio(2.0 * precision * recall, precision + recall, "f1")
-    return MetricValues(precision, recall, accuracy, f1, tuple(flags))
+    precision = ratio(counts.tp, counts.tp + counts.fp)
+    recall = ratio(counts.tp, counts.tp + counts.fn)
+    accuracy = ratio(counts.tp + counts.tn, counts.total)
+    f1 = ratio(2.0 * precision * recall, precision + recall)
+    return MetricValues(precision, recall, accuracy, f1)
 
 
 class SquaredErrorSum:

@@ -107,7 +107,6 @@ class Model:
     def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
         config.validate()
         self.config = config
-        self.seed = seed
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         enc_ch = config.encoder_channels()
@@ -138,8 +137,7 @@ class Model:
 
     # -- enumeration ---------------------------------------------------------
 
-    def named_parameters(self, prefix: str = ""):
-        assert not prefix, "model names are absolute"
+    def named_parameters(self):
         for d in range(5):
             yield from self.enc_blocks[d].named_parameters(f"enc{d}.block")
             yield from self.enc_cbams[d].named_parameters(f"enc{d}.cbam")
@@ -231,7 +229,7 @@ def check_prediction(pred: Tensor4) -> Tensor4:
 def persistence_forward(x: Tensor4, out_ch: int) -> Tensor4:
     """Baseline: replicate the last input channel ``out_ch`` times."""
     last = x.data[:, -1:, :, :]
-    return Tensor4(np.repeat(last, out_ch, axis=1), _checked=True)
+    return Tensor4(np.repeat(last, out_ch, axis=1))
 
 
 def plain_unet_param_count(in_channels: int, out_channels: int, base: int) -> int:
@@ -265,20 +263,11 @@ def plain_unet_param_count(in_channels: int, out_channels: int, base: int) -> in
 # base_channels, variant, cbam_reduction) come first, then any extra metadata
 # keys (for example the data normalization scale); parameters, then buffers
 # stored as [1, c, 1, 1] records. Round-trips are bitwise exact.
-#
-# Legacy read rule: checkpoints written while the DSC stages still carried a
-# pointwise bias also hold the config keys depth=4 and shortcut_bn=False,
-# which are dropped (any other value is a DataError), and one tensor
-# <blk>.dsc{k}.pointwise_bias per stage. That bias fed <blk>.bn{k}; eval batch
-# norm of x + b is eval batch norm of x with running mean running_mean - b,
-# so each bias is folded into that running mean.
 
 _CKPT_MAGIC = b"SARv1"
 
 _CONFIG_PARSERS = {"in_channels": int, "out_channels": int, "base_channels": int,
                    "variant": str, "cbam_reduction": int}
-_LEGACY_CONFIG = {"depth": "4", "shortcut_bn": "False"}
-_LEGACY_BIAS = ".pointwise_bias"
 
 
 def _named_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
@@ -293,7 +282,7 @@ def write_checkpoint_section(f, model: Model, extra: Optional[dict[str, str]] = 
     cfg = model.config
     meta = {k: str(getattr(cfg, k)) for k in _CONFIG_PARSERS}
     if extra:
-        overlap = set(extra) & (set(meta) | set(_LEGACY_CONFIG))
+        overlap = set(extra) & set(meta)
         if overlap:
             raise UsageError(f"extra checkpoint keys shadow config keys: {sorted(overlap)}")
         meta.update({k: str(v) for k, v in extra.items()})
@@ -310,14 +299,8 @@ def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]
     positioned just past the section. A missing or unparseable config value,
     a missing, extra or misshapen tensor, a non-finite parameter or buffer
     entry, or a negative running variance raises ``DataError`` naming what
-    is wrong. Legacy keys and biases are read as the SARv1 comment above
-    describes."""
+    is wrong."""
     meta, tensors = read_section(f, _CKPT_MAGIC, f"{path}: SARv1 checkpoint")
-    for key, value in _LEGACY_CONFIG.items():
-        got = meta.pop(key, value)
-        if got != value:
-            raise DataError(f"{path}: checkpoint has {key}={got}; only {key}={value} "
-                            "can be read")
     try:
         config = ModelConfig(**{k: parse(meta.pop(k)) for k, parse in _CONFIG_PARSERS.items()})
     except KeyError as e:
@@ -334,14 +317,6 @@ def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]
             raise DataError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {dst.shape}")
         dst[...] = arr
-    means = dict(model.named_buffers())
-    for name in [n for n in tensors if n.endswith(_LEGACY_BIAS)]:
-        blk, _, stage = name[:-len(_LEGACY_BIAS)].rpartition(".dsc")
-        mean = means.get(f"{blk}.bn{stage}.running_mean")
-        bias = tensors.pop(name)
-        if mean is None or bias.shape != (1, mean.size, 1, 1):
-            raise DataError(f"{path}: legacy tensor {name!r} matches no batch norm")
-        mean -= bias.reshape(-1)
     if tensors:
         raise DataError(f"{path}: checkpoint holds unknown tensors {sorted(tensors)}")
     named = _named_arrays(model)

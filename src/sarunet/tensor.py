@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError, UsageError
+from .errors import DataError, DimensionError, UsageError
 
 __all__ = [
     "Tensor4",
@@ -44,7 +44,6 @@ __all__ = [
     "tensor",
     "parameter",
     "active_tape",
-    "set_debug_checks",
     "read_exact",
     "read_magic",
     "read_t4",
@@ -52,15 +51,6 @@ __all__ = [
     "read_section",
     "write_section",
 ]
-
-# Post-op finiteness checks; off by default for speed, flipped on in tests.
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
 
 # Each Tensor4's ``key``, unique in the process: tapes route gradients by it,
 # since an ``id()`` is reused once an intermediate is freed.
@@ -77,11 +67,16 @@ class Tensor4:
     any other tensor has ``grad`` None. A buffer accumulates across
     backward passes until zeroed. ``key`` is unique in the process, and
     tapes route gradients by it.
+
+    Construction checks rank, sizes and dtype but does not scan the values:
+    op results and already-validated data are wrapped as they are. Outside
+    data enters through :func:`tensor` or :func:`parameter`, which reject a
+    non-finite value.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
 
-    def __init__(self, data: np.ndarray, requires_grad: bool = False, _checked: bool = False):
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
         if data.ndim != 4:
@@ -90,8 +85,6 @@ class Tensor4:
             raise DimensionError(f"all dims must be >= 1, got shape {data.shape}")
         if data.dtype not in (np.float32, np.float64):
             data = data.astype(np.float32)
-        if not _checked and not np.isfinite(data).all():
-            raise DataError("Tensor4 rejects non-finite values at construction")
         self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = np.zeros_like(self.data) if requires_grad else None
@@ -128,8 +121,11 @@ class Tensor4:
 
 
 def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor4:
-    """Build a Tensor4 from array-like data, validating finiteness."""
+    """Build a Tensor4 from array-like data; a non-finite value raises
+    ``DataError``."""
     arr = np.asarray(data, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise DataError("tensor() rejects non-finite values")
     return Tensor4(arr, requires_grad=requires_grad)
 
 
@@ -267,12 +263,9 @@ def make_result(data: np.ndarray, name: str, inputs: Sequence[Tensor4],
 
     Used by :mod:`sarunet.ops`; the output requires grad only when a tape is
     listening and at least one input requires grad. It gets no ``grad``
-    buffer (see :meth:`Tensor4.retain_grad`). With debug checks on, a
-    non-finite result raises ``NumericError`` naming the op.
+    buffer (see :meth:`Tensor4.retain_grad`).
     """
-    if _DEBUG_CHECKS and not np.isfinite(data).all():
-        raise NumericError(f"non-finite values produced by op '{name}'")
-    out = Tensor4(data, _checked=True)
+    out = Tensor4(data)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True

@@ -96,7 +96,6 @@ class FitResult:
     history: list[EpochStats]
     best_epoch: int
     best_val_loss: float
-    stopped_early: bool
 
 
 def mse_loss(pred: Tensor4, target: Tensor4) -> Tensor4:
@@ -308,7 +307,6 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
         best_params, best_buffers = _snapshot(model)
 
     history: list[EpochStats] = []
-    stopped_early = False
     named = list(model.named_parameters())
 
     while state.epoch < config.max_epochs:
@@ -346,10 +344,9 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
                 _write_opt_section(f, state, rng)
             write_history_csv(out_path / "history.csv", history)
         if state.since_improve >= config.early_stop_patience:
-            stopped_early = True
             break
 
     assert state.best_val_loss is not None
     _restore(model, best_params, best_buffers)
     return FitResult(history=history, best_epoch=state.best_epoch,
-                     best_val_loss=state.best_val_loss, stopped_early=stopped_early)
+                     best_val_loss=state.best_val_loss)

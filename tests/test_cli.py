@@ -437,6 +437,43 @@ def test_bad_checkpoint_value_is_data_error(synth_file, trained_dir, tmp_path, c
     assert not out.exists()
 
 
+def test_checkpoint_with_pointwise_biases_is_data_error(synth_file, trained_dir, tmp_path,
+                                                        capsys):
+    """A checkpoint in the layout whose DSC stages carried a pointwise bias
+    is refused with exit 3 naming the bias tensors, not read."""
+    from sarunet.model import load_checkpoint
+    from test_containers import write_legacy_checkpoint
+    model, _ = load_checkpoint(trained_dir / "model.ckpt")
+    ckpt = tmp_path / "old.ckpt"
+    with open(ckpt, "wb") as f:
+        write_legacy_checkpoint(f, model)
+    out = tmp_path / "pred.nwds"
+    code = run("predict", "--checkpoint", ckpt, "--data", synth_file, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "unknown tensors" in err and "'enc0.block.dsc1.pointwise_bias'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["data_is_dir", "config_is_dir", "out_under_file"])
+def test_os_error_on_a_path_is_data_error(synth_file, tmp_path, capsys, case):
+    """An OS error other than a missing file (a directory given as a file, an
+    output directory that cannot be made) exits 3 with a message, not a
+    traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {
+        "data_is_dir": ("train", "--data", tmp_path, "--out-dir", tmp_path / "out"),
+        "config_is_dir": ("evaluate", "--config", tmp_path, "--data", synth_file,
+                          "--baseline", "persistence", "--out-dir", tmp_path / "out"),
+        "out_under_file": ("synth", "--frames", 20, "--size", 32,
+                           "--out", blocker / "x.nwds"),
+    }[case]
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,args", [
     ("evaluate", ("--baseline", "persistence", "--in-frames", 6, "--lead-minutes", 30,
                   "--out-dir")),

@@ -213,7 +213,7 @@ class TestRendering:
         hm_vals = np.linspace(0, 1, 16, dtype=np.float32).reshape(1, 1, 4, 4)
         from sarunet.gradcam import Heatmap
         from sarunet.tensor import Tensor4
-        heat = Heatmap(Tensor4(hm_vals, _checked=True), "enc0.block", 1.0)
+        heat = Heatmap(Tensor4(hm_vals), "enc0.block", 1.0)
         p = tmp_path / "map.ppm"
         write_ppm(p, heat)
         raw = p.read_bytes()
@@ -225,7 +225,7 @@ class TestRendering:
         from sarunet.tensor import Tensor4
         vals = (np.arange(256, dtype=np.float32) / 255).reshape(1, 1, 16, 16)
         p = tmp_path / "ramp.ppm"
-        write_ppm(p, Heatmap(Tensor4(vals, _checked=True), "enc0.block", 1.0))
+        write_ppm(p, Heatmap(Tensor4(vals), "enc0.block", 1.0))
         header = b"P6\n16 16\n255\n"
         assert p.read_bytes() == header + color_table().tobytes()
 
@@ -233,7 +233,7 @@ class TestRendering:
         from sarunet.gradcam import Heatmap
         from sarunet.tensor import Tensor4
         vals = np.random.default_rng(16).random((1, 1, 8, 8)).astype(np.float32)
-        heat = Heatmap(Tensor4(vals, _checked=True), "enc0.cbam", 0.5)
+        heat = Heatmap(Tensor4(vals), "enc0.cbam", 0.5)
         p = tmp_path / "map.nwds"
         save_heatmap_nwds(p, heat)
         back = load_nwds(p)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a program module imports at module level is
 used in that module (``__init__.py`` is skipped, since it imports to
-re-export), every public op is used, the model traces only the layers
-Grad-CAM explains, and backward closures hold arrays and plain values
-only."""
+re-export), every public op is used, every attribute set on ``self`` is
+read, the model traces only the layers Grad-CAM explains, and backward
+closures hold arrays and plain values only."""
 
 import ast
 import re
@@ -55,6 +55,21 @@ def test_every_public_op_is_used_by_the_program():
         used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [name for name in ops.__all__ if name not in used]
     assert not unused, f"ops.__all__ names no program module uses: {unused}"
+
+
+def test_every_attribute_set_on_self_is_read():
+    """Each attribute a program module assigns on ``self`` is loaded, by that
+    name, somewhere in the program: state that nothing reads is dead."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in SRC.glob("*.py")}
+    loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = sorted({f"{name}: self.{n.attr}" for name, tree in trees.items()
+                     for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                     and isinstance(n.value, ast.Name) and n.value.id == "self"
+                     and n.attr not in loaded})
+    assert not unread, f"attributes assigned but never read: {unread}"
 
 
 @pytest.mark.parametrize("variant", ["sar", "smaat"])

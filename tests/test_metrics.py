@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from sarunet import tensor
 from sarunet.data import WindowDataset, WindowSpec, make_windows, synth_generate
 from sarunet.errors import UsageError
 from sarunet.metrics import (REPORT_COLUMNS, ConfusionCounts, EvalSetup,
                              binarize, confusion, evaluate_setup, metrics,
                              render_report_table, report_rows_sorted,
                              write_report_csv)
-from sarunet.model import persistence_forward
 
 from oracles import confusion_loops
 
@@ -89,10 +87,10 @@ class TestConfusion:
         with pytest.raises(UsageError):
             confusion(np.array([0.5]), np.array([1.0]))
 
-    def test_zero_division_flagged(self):
+    def test_zero_denominator_reports_zero(self):
         m = metrics(ConfusionCounts(tp=0, tn=4, fp=0, fn=0))
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
-        assert set(m.zero_division) == {"precision", "recall", "f1"}
+        assert m.accuracy == 1.0
 
     def test_identity_always_accuracy_one(self):
         rng = np.random.default_rng(2)
