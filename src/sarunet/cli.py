@@ -389,8 +389,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .blocks import param_count
     from .data import load_nwds
-    from .model import ModelConfig, build, save_checkpoint
+    from .model import ModelConfig, build, plain_unet_param_count, save_checkpoint
     from .train import TrainConfig, fit
     started = time.time()
     _require(args, ["data", "out_dir"])
@@ -416,7 +417,10 @@ def cmd_train(args) -> int:
     _write_manifest(out_dir / "manifest.json", args, {str(data_path): _sha256(data_path)},
                     [out_dir / "model.ckpt", out_dir / "history.csv"], started,
                     splits=_split_summary(datasets), norm_scale=scale,
-                    best_epoch=result.best_epoch, best_val_mse=result.best_val_loss)
+                    best_epoch=result.best_epoch, best_val_mse=result.best_val_loss,
+                    params=param_count(model),
+                    plain_unet_params=plain_unet_param_count(
+                        config.in_channels, config.out_channels, config.base_channels))
     print(f"trained {_model_display_name(args.variant)}: best epoch "
           f"{result.best_epoch}, val MSE {result.best_val_loss:.6g}")
     print(f"wrote {out_dir / 'model.ckpt'}")

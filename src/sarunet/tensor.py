@@ -16,7 +16,10 @@ only what each function marks for backward. A record keeps the input keys
 not produce (parameters, the model input, gradient roots), and a weak
 reference to its output; each backward rule keeps in its closure exactly the
 arrays it reads. So an op output that no rule reads is freed as soon as the
-forward code drops it, before backward runs.
+forward code drops it, before backward runs. Backward consumes the tape, as
+PyTorch's autograd frees saved tensors after one backward: each record is
+popped before its rule runs, so a rule's arrays are freed once it has run,
+and a second backward on the same tape raises ``UsageError``.
 
 Tapes are thread-local: concurrent inference threads each open their own tape
 (or none) over shared read-only parameters. The parameters' ``requires_grad``
@@ -64,27 +67,29 @@ class Tensor4:
     accumulation are the sanctioned exceptions). ``requires_grad`` means a
     gradient flows through the tensor. ``grad`` exists on a leaf built with
     ``requires_grad=True`` and on an op output after :meth:`retain_grad`;
-    any other tensor has ``grad`` None. A buffer accumulates across
-    backward passes until zeroed. ``key`` is unique in the process, and
-    tapes route gradients by it.
+    any other tensor has ``grad`` None. A buffer accumulates across tapes
+    (each backward consumes its tape) until zeroed. ``key`` is unique in
+    the process, and tapes route gradients by it.
 
-    Construction checks rank, sizes and dtype but does not scan the values:
-    op results and already-validated data are wrapped as they are. Outside
-    data enters through :func:`tensor` or :func:`parameter`, which reject a
-    non-finite value.
+    Construction takes a float32 or float64 ndarray and checks rank, sizes
+    and dtype but does not scan the values: op results and already-validated
+    data are wrapped as they are. Outside data enters through :func:`tensor`
+    or :func:`parameter`, which convert it and reject a non-finite value.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if not isinstance(data, np.ndarray):
-            data = np.asarray(data)
+            raise UsageError(f"Tensor4 wraps a numpy array, got {type(data).__name__}; "
+                             "build one from other data with tensor()")
         if data.ndim != 4:
             raise DimensionError(f"Tensor4 needs 4 dims [n,c,h,w], got shape {data.shape}")
         if any(d < 1 for d in data.shape):
             raise DimensionError(f"all dims must be >= 1, got shape {data.shape}")
         if data.dtype not in (np.float32, np.float64):
-            data = data.astype(np.float32)
+            raise UsageError(f"Tensor4 holds float32 or float64, got {data.dtype}; "
+                             "convert with tensor()")
         self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = np.zeros_like(self.data) if requires_grad else None
@@ -181,11 +186,15 @@ class Tape:
             y, _ = model.forward(x, train=True)
             loss = mse_loss(y, target)
         tape.backward(loss)
+
+    :meth:`backward` consumes the tape and runs once per tape; a second
+    pass needs the forward pass recorded again on a new tape.
     """
 
     def __init__(self):
         self.ops: list[_OpRecord] = []
         self._produced: set[int] = set()        # keys of the recorded outputs
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -221,18 +230,28 @@ class Tape:
         record's weak reference. The arrays a rule reads are the ones its
         closure captured.
 
-        Calling twice without zeroing grads accumulates. Ops run their
-        backward rules in reverse recording order, each at most once: once
-        if the loss depends on its output, else never.
+        Ops run their backward rules in reverse recording order, each at
+        most once: once if the loss depends on its output, else never.
+        Backward consumes the tape: each record is popped off ``ops`` before
+        its rule runs, so the arrays only its closure holds are freed as soon
+        as the rule returns, and ``ops`` is empty at the end. A second call
+        on the same tape raises ``UsageError``, also after a call that
+        raised partway; record the forward pass again on a new tape.
         """
+        if self._consumed:
+            raise UsageError("backward already ran on this tape, which it consumes; "
+                             "record the forward pass again on a new tape")
         if loss.shape != (1, 1, 1, 1):
             raise UsageError(f"backward needs a scalar-shaped [1,1,1,1] loss, got {loss.shape}")
         if loss.key not in self._produced:
             raise UsageError("loss tensor was not recorded on this tape; "
                              "run the forward pass inside `with Tape() as tape:`")
+        self._consumed = True
         pending: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         leaf_tensors: dict[int, Tensor4] = {}
-        for rec in reversed(self.ops):
+        ops = self.ops
+        while ops:
+            rec = ops.pop()
             out_grad = pending.pop(rec.key, None)
             if out_grad is None:
                 continue

@@ -78,19 +78,45 @@ class TestTapeMechanics:
                 return fn(gout)
             return run
 
-        for rec in tape.ops:
+        recorded = list(tape.ops)
+        for rec in recorded:
             rec.backward_fn = counted(rec)
         tape.backward(loss)
-        assert len(tape.ops) == 4
-        assert calls == tape.ops[::-1]          # each once, in reverse order
+        assert len(recorded) == 4
+        assert calls == recorded[::-1]          # each once, in reverse order
+        assert tape.ops == []                   # backward consumes the tape
 
     def test_backward_twice_accumulates(self):
+        """Two tapes over the same leaf add into its buffer until zeroed."""
+        x = tensor(np.full((1, 1, 2, 2), 2.0), requires_grad=True, dtype=F64)
+        for _ in range(2):
+            with Tape() as tape:
+                loss = ops.sum_all(x)
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full_like(x.data, 2.0))
+
+    def test_second_backward_is_usage_error(self):
         x = tensor(np.full((1, 1, 2, 2), 2.0), requires_grad=True, dtype=F64)
         with Tape() as tape:
-            loss = ops.sum_all(x)
+            loss = ops.sum_all(ops.relu(x))
         tape.backward(loss)
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.full_like(x.data, 2.0))
+        with pytest.raises(UsageError, match="consumes"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+
+        # A call that raised partway consumed the tape all the same.
+        x.zero_grad()
+        with Tape() as tape:
+            loss = ops.sum_all(ops.relu(x))
+
+        def broken(gout):
+            raise FloatingPointError("rule failed")
+        tape.ops[-1].backward_fn = broken
+        with pytest.raises(FloatingPointError):
+            tape.backward(loss)
+        with pytest.raises(UsageError, match="consumes"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.zeros_like(x.data))
 
     def test_grad_kept_on_leaves_and_retained_outputs_only(self):
         x = tensor(np.array([-1.0, 2.0]).reshape(1, 1, 1, 2), requires_grad=True, dtype=F64)
@@ -102,10 +128,9 @@ class TestTapeMechanics:
             loss = ops.sum_all(b)
         assert a.requires_grad and a.grad is None and loss.grad is None
         tape.backward(loss)
-        tape.backward(loss)                     # retained buffers accumulate too
         assert a.grad is None and loss.grad is None
-        np.testing.assert_array_equal(b.grad, np.full_like(b.data, 2.0))
-        np.testing.assert_array_equal(x.grad, [[[[0.0, 6.0]]]])
+        np.testing.assert_array_equal(b.grad, np.ones_like(b.data))
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 3.0]]]])
 
     def test_retain_grad_is_noop_without_gradient_flow(self):
         a = ops.relu(tensor(np.ones((1, 1, 1, 1)), requires_grad=True))   # no tape

@@ -123,6 +123,19 @@ class TestTrain:
         header = (trained_dir / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,train_mse,val_mse,lr,seconds"
 
+    def test_manifest_records_parameter_counts(self, trained_dir):
+        """The paper's "small" claim shows in every run: SAR-UNet against a
+        plain UNet at the same widths."""
+        from sarunet.blocks import param_count
+        from sarunet.model import load_checkpoint, plain_unet_param_count
+        config = json.loads((trained_dir / "manifest.json").read_text())["config"]
+        model, _ = load_checkpoint(trained_dir / "model.ckpt")
+        mc = model.config
+        assert config["params"] == param_count(model)
+        assert config["plain_unet_params"] == plain_unet_param_count(
+            mc.in_channels, mc.out_channels, mc.base_channels)
+        assert config["params"] < config["plain_unet_params"]
+
     def test_grid_validation_enumerates_valid_combos(self, synth_file, tmp_path,
                                                      capsys):
         code = run("train", "--data", synth_file, "--in-frames", 7,

@@ -97,11 +97,11 @@ def test_backward_closures_hold_no_tensor_or_class(monkeypatch):
     m = build(ModelConfig(in_channels=2, out_channels=1, base_channels=2,
                           cbam_reduction=2), seed=0)
     rng = np.random.default_rng(2)
-    tapes = []
+    records = []
     real_backward = Tape.backward
 
     def backward(tape, loss):
-        tapes.append(tape)
+        records.append(list(tape.ops))          # backward consumes the tape
         real_backward(tape, loss)
 
     monkeypatch.setattr(Tape, "backward", backward)
@@ -111,10 +111,10 @@ def test_backward_closures_hold_no_tensor_or_class(monkeypatch):
     tape.backward(loss)
     x = tensor(rng.random((1, 2, 16, 16)).astype(np.float32) * 30.0)
     explain_suite(m, x, list(suite_grid(m)), unit="raw", threshold_mm_per_h=0.0)
-    assert len(tapes) == 2
+    assert len(records) == 2
     names = set()
-    for tape in tapes:
-        for rec in tape.ops:
+    for recs in records:
+        for rec in recs:
             names.add(rec.name)
             for cell in rec.backward_fn.__closure__ or ():
                 v = cell.cell_contents

@@ -564,6 +564,15 @@ class TestTensorInvariants:
         with pytest.raises(DimensionError):
             Tensor4(np.zeros((2, 2)))
 
+    def test_rejects_non_array(self):
+        with pytest.raises(UsageError, match=r"got list.*tensor\(\)"):
+            Tensor4([[[[1.0]]]])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    def test_rejects_non_float_dtype(self, dtype):
+        with pytest.raises(UsageError, match=rf"got {np.dtype(dtype)};.*tensor\(\)"):
+            Tensor4(np.zeros((1, 1, 2, 2), dtype=dtype))
+
     def test_grad_buffer_only_when_required(self):
         a = tensor(np.zeros((1, 1, 1, 1)))
         b = tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
