@@ -27,11 +27,14 @@ windows per split and the frames shared by each pair of splits.
 units; for binary (cloud) checkpoints it writes binary masks, each pixel 1
 where the prediction is >= 0.5 (the evaluation rule), else 0. When a
 checkpoint's model predicts a value that is not finite, ``evaluate``,
-``predict`` and ``explain`` exit 4 and write nothing.
+``predict`` and ``explain`` exit 4 and write nothing. A checkpoint whose
+training metadata contradicts its model's input or output channels exits 3.
 
-``NOWCAST_THREADS`` caps internal numeric parallelism (0 or unset = auto);
-it must be honored before numpy loads, so the heavy imports happen inside
-``main``.
+BLAS threads are capped with the standard variables (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) set before the process starts; numpy
+has read them by the time this module loads. The model stack (``blocks``,
+``model``, ``train``, ``metrics``, ``gradcam``) is imported inside the
+commands that use it, so ``synth`` starts without it.
 """
 
 from __future__ import annotations
@@ -40,10 +43,14 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+
+from . import __version__, data
+from .errors import ConfigurationError, DataError, DimensionError, NumericError, UsageError
 
 PRECIP_INPUT_FRAMES = (6, 12, 18)
 PRECIP_LEAD_MINUTES = (30, 60, 90, 120, 180)
@@ -55,13 +62,6 @@ _EXIT_DATA = 3
 _EXIT_NUMERIC = 4
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("NOWCAST_THREADS", "").strip()
-    if cap and cap != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -71,7 +71,6 @@ def _sha256(path: Path) -> str:
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
-    from .errors import ConfigurationError
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -109,7 +108,6 @@ def _config_values(path: Path, command: str) -> dict:
     no command takes, or a value that does not convert, is a
     ConfigurationError; a key that only another command takes is skipped
     unparsed."""
-    from .errors import ConfigurationError
     kinds = {name: kind for name, kind, _, _ in _options(command)}
     known = {name for other in _COMMANDS for name, *_ in _options(other)}
     values = {}
@@ -136,7 +134,6 @@ def _resolve_options(args: argparse.Namespace) -> None:
 
 
 def _require(args, names) -> None:
-    from .errors import UsageError
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
@@ -144,13 +141,11 @@ def _require(args, names) -> None:
 
 
 def _check_threshold(threshold: float) -> None:
-    from .errors import UsageError
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise UsageError(f"--threshold must be a finite rain rate >= 0 mm/h, got {threshold}")
 
 
 def _refuse_overwrite(paths, force: bool) -> None:
-    from .errors import DataError
     existing = [str(p) for p in paths if Path(p).exists()]
     if existing and not force:
         raise DataError("refusing to overwrite existing output(s) "
@@ -169,7 +164,7 @@ def _write_manifest(path: Path, args, inputs: dict, outputs: list, started: floa
         "inputs_sha256": inputs,
         "outputs": [str(o) for o in outputs],
         "seconds": round(time.time() - started, 3),
-        "tool_version": _version(),
+        "tool_version": __version__,
     }
     if splits is not None:
         manifest["splits"] = splits
@@ -177,16 +172,9 @@ def _write_manifest(path: Path, args, inputs: dict, outputs: list, started: floa
                     encoding="utf-8")
 
 
-def _version() -> str:
-    from . import __version__
-    return __version__
-
-
 # -- shared pipeline helpers -----------------------------------------------------
 
 def _window_spec(in_frames: int, lead_minutes, cloud: bool, interval: int):
-    from .data import WindowSpec
-    from .errors import ConfigurationError, DataError
     if interval < 1:
         # NWDS files may hold interval 0 (Grad-CAM heatmaps), never a series to window
         raise DataError(f"the series' frame interval must be >= 1 minute, got {interval}")
@@ -195,7 +183,7 @@ def _window_spec(in_frames: int, lead_minutes, cloud: bool, interval: int):
             raise ConfigurationError(
                 f"cloud setups use --in-frames {CLOUD_INPUT_FRAMES} "
                 f"(got {in_frames}); outputs are the next {CLOUD_LEAD_COUNT} frames")
-        return WindowSpec(CLOUD_INPUT_FRAMES, tuple(range(1, CLOUD_LEAD_COUNT + 1)))
+        return data.WindowSpec(CLOUD_INPUT_FRAMES, tuple(range(1, CLOUD_LEAD_COUNT + 1)))
     if in_frames not in PRECIP_INPUT_FRAMES or lead_minutes not in PRECIP_LEAD_MINUTES:
         grid = ", ".join(f"{i}in/{m}min" for i in PRECIP_INPUT_FRAMES
                          for m in PRECIP_LEAD_MINUTES)
@@ -206,7 +194,7 @@ def _window_spec(in_frames: int, lead_minutes, cloud: bool, interval: int):
         raise ConfigurationError(
             f"lead of {lead_minutes} min is not a whole number of "
             f"{interval}-min frames")
-    return WindowSpec(in_frames, (lead_minutes // interval,))
+    return data.WindowSpec(in_frames, (lead_minutes // interval,))
 
 
 def _window_setup(args, series):
@@ -230,7 +218,6 @@ def _checkpoint_setup(args, spec, fraction, interval: int) -> None:
     --select-fraction (None; --cloud: false) with the setup the checkpoint
     was trained on, so the manifest records the setup scored. A set option
     that disagrees is a UsageError naming it and both values."""
-    from .errors import UsageError
     cloud = len(spec.target_offsets) == CLOUD_LEAD_COUNT   # precipitation has one lead
     trained = {"in_frames": spec.input_frames,
                "lead_minutes": None if cloud else spec.target_offsets[0] * interval,
@@ -268,13 +255,10 @@ def _assemble(series, spec, select_fraction, scale=None, need=()):
     train windows read. Each split named in ``need`` must hold a window,
     else ``DataError``; a derived scale needs ``train``.
     """
-    from .data import (FrameSeries, WindowDataset, make_windows,
-                       normalization_scale, select_rainy, split_bounds)
-    from .errors import DataError
     selected = None if select_fraction is None else \
-        select_rainy(series, select_fraction)
-    windows = make_windows(series, spec, selected)
-    parts = [windows[lo:hi] for lo, hi in split_bounds(len(windows))]
+        data.select_rainy(series, select_fraction)
+    windows = data.make_windows(series, spec, selected)
+    parts = [windows[lo:hi] for lo, hi in data.split_bounds(len(windows))]
     if scale is None:
         need = ("train",) + tuple(need)
     for name, part in zip(_SPLIT_NAMES, parts):
@@ -288,9 +272,9 @@ def _assemble(series, spec, select_fraction, scale=None, need=()):
                 f"{span} frames")
     if scale is None:
         read = sorted(_window_frames(parts[0]))
-        scale = normalization_scale(FrameSeries(
+        scale = data.normalization_scale(data.FrameSeries(
             series.frames[read], series.interval_minutes, series.unit))
-    return [WindowDataset(series, part, scale) for part in parts], scale
+    return [data.WindowDataset(series, part, scale) for part in parts], scale
 
 
 def _split_summary(datasets) -> dict:
@@ -322,12 +306,18 @@ def _checkpoint_extras(spec, series, scale, select_fraction, cloud: bool) -> dic
     }
 
 
-def _spec_from_extras(meta: dict):
-    from .data import WindowSpec
-    from .errors import DataError, UsageError
+def _load_trained(ckpt: Path, series):
+    """(model, spec, scale, fraction): the checkpoint's model and the window
+    spec, normalization scale and rain-gate fraction it was trained with,
+    checked against the model and ``series``. A missing metadata key is a
+    UsageError; metadata that does not parse or contradicts the model's
+    channels is a DataError; a series of another interval or unit is a
+    ConfigurationError."""
+    from .model import load_checkpoint
+    model, meta = load_checkpoint(ckpt)
     try:
-        spec = WindowSpec(int(meta["input_frames"]),
-                          tuple(int(o) for o in meta["target_offsets"].split(",")))
+        spec = data.WindowSpec(int(meta["input_frames"]),
+                               tuple(int(o) for o in meta["target_offsets"].split(",")))
         scale = float(meta["norm_scale"])
         fraction = float(meta["select_fraction"]) if meta["select_fraction"] else None
         interval = int(meta["interval_minutes"])
@@ -338,11 +328,13 @@ def _spec_from_extras(meta: dict):
         raise DataError(f"checkpoint training metadata is unparseable: {e}") from None
     if not 0.0 < scale < float("inf"):
         raise DataError(f"checkpoint norm_scale must be finite and > 0, got {scale!r}")
-    return spec, scale, fraction, interval, unit
-
-
-def _check_data_compat(interval: int, unit: str, series) -> None:
-    from .errors import ConfigurationError
+    trained = (spec.input_frames, len(spec.target_offsets))
+    built = (model.config.in_channels, model.config.out_channels)
+    if trained != built:
+        raise DataError(
+            f"checkpoint training metadata ({trained[0]} input frame(s), {trained[1]} "
+            f"target offset(s)) contradicts its model ({built[0]} input channel(s), "
+            f"{built[1]} output channel(s))")
     diffs = []
     if interval != series.interval_minutes:
         diffs.append(f"interval_minutes: checkpoint {interval} "
@@ -351,13 +343,12 @@ def _check_data_compat(interval: int, unit: str, series) -> None:
         diffs.append(f"unit: checkpoint {unit} vs data {series.unit}")
     if diffs:
         raise ConfigurationError("checkpoint/data mismatch:\n  " + "\n  ".join(diffs))
+    return model, spec, scale, fraction
 
 
 # -- commands --------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    import numpy as np
-    from .data import save_nwds, synth_generate
     started = time.time()
     _require(args, ["out"])
     out = Path(args.out)
@@ -368,21 +359,19 @@ def cmd_synth(args) -> int:
     except ValueError:
         wind = ()
     if len(wind) != 2 or not np.isfinite(wind).all():
-        from .errors import UsageError
         raise UsageError(f"--wind needs two finite numbers DX,DY (px/frame), got {args.wind!r}")
-    series = synth_generate(seed=args.seed, n_frames=args.frames,
-                            height=args.size, width=args.size,
-                            n_blobs=args.blobs, wind=wind, growth=args.growth,
-                            jitter=args.jitter,
-                            interval_minutes=args.interval)
+    series = data.synth_generate(seed=args.seed, n_frames=args.frames,
+                                 height=args.size, width=args.size,
+                                 n_blobs=args.blobs, wind=wind, growth=args.growth,
+                                 jitter=args.jitter,
+                                 interval_minutes=args.interval)
     if args.binary:
-        from .data import FrameSeries
         thresh = float(np.median(series.frames[series.frames > 0])) \
             if (series.frames > 0).any() else 1.0
-        series = FrameSeries((series.frames >= thresh).astype("float32"),
-                             args.interval, "binary")
+        series = data.FrameSeries((series.frames >= thresh).astype("float32"),
+                                  args.interval, "binary")
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_nwds(out, series)
+    data.save_nwds(out, series)
     _write_manifest(manifest_path, args, {}, [out], started)
     print(f"wrote {out} ({args.frames} frames, {args.size}x{args.size})")
     return 0
@@ -390,14 +379,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     from .blocks import param_count
-    from .data import load_nwds
     from .model import ModelConfig, build, plain_unet_param_count, save_checkpoint
     from .train import TrainConfig, fit
     started = time.time()
     _require(args, ["data", "out_dir"])
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    series = load_nwds(data_path)
+    series = data.load_nwds(data_path)
     spec, fraction = _window_setup(args, series)
     artifacts = [out_dir / "model.ckpt", out_dir / "history.csv",
                  out_dir / "manifest.json"]
@@ -428,26 +416,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .data import load_nwds
-    from .errors import UsageError
     from .metrics import (EvalSetup, evaluate_setup, render_report_table,
                           write_per_lead_csv, write_report_csv)
-    from .model import load_checkpoint
     started = time.time()
     _require(args, ["data", "out_dir"])
     _check_threshold(args.threshold)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    series = load_nwds(data_path)
+    series = data.load_nwds(data_path)
     inputs = {str(data_path): _sha256(data_path)}
 
     model = None
     if args.checkpoint:
         ckpt = Path(args.checkpoint)
-        model, meta = load_checkpoint(ckpt)
-        spec, scale, fraction, interval, unit = _spec_from_extras(meta)
-        _checkpoint_setup(args, spec, fraction, interval)
-        _check_data_compat(interval, unit, series)
+        model, spec, scale, fraction = _load_trained(ckpt, series)
+        _checkpoint_setup(args, spec, fraction, series.interval_minutes)
         inputs[str(ckpt)] = _sha256(ckpt)
     else:
         if args.baseline != "persistence":
@@ -455,7 +438,6 @@ def cmd_evaluate(args) -> int:
                              "--baseline persistence")
         spec, fraction = _window_setup(args, series)
         scale = None
-        unit = series.unit
 
     artifacts = [out_dir / "report.csv", out_dir / "report.txt",
                  out_dir / "per_lead.csv", out_dir / "manifest.json"]
@@ -481,9 +463,6 @@ def cmd_evaluate(args) -> int:
         reports.append(evaluate_setup("persistence", test_ds,
                                       setup_for("persistence"),
                                       batch_size=args.batch_size))
-    if not reports:
-        raise UsageError("nothing to evaluate: give --checkpoint and/or "
-                         "--baseline persistence")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(out_dir / "report.csv", reports)
     write_per_lead_csv(out_dir / "per_lead.csv", reports)
@@ -499,29 +478,24 @@ def _load_window(ckpt: Path, data_path: Path, index: int, flag: str):
     """(model, series, x, scale) for window ``index`` of the checkpoint's
     rain-gated windows over the series; ``x`` is the normalized
     ``[1, input_frames, H, W]`` input. An index outside the window list is a
-    usage error naming ``flag``."""
-    from .data import load_nwds, make_windows, normalize_array, select_rainy
-    from .errors import UsageError
-    from .model import load_checkpoint
-    from .tensor import Tensor4
-    model, meta = load_checkpoint(ckpt)
-    series = load_nwds(data_path)
-    spec, scale, fraction, interval, unit = _spec_from_extras(meta)
-    _check_data_compat(interval, unit, series)
-    selected = None if fraction is None else select_rainy(series, fraction)
-    windows = make_windows(series, spec, selected, strict=True)
+    usage error naming ``flag``; an empty window list is a DataError."""
+    series = data.load_nwds(data_path)
+    model, spec, scale, fraction = _load_trained(ckpt, series)
+    selected = None if fraction is None else data.select_rainy(series, fraction)
+    windows = data.make_windows(series, spec, selected)
+    if not windows:
+        gate = "" if fraction is None else \
+            f" passing the rain gate (select fraction {fraction})"
+        raise DataError(f"the {len(series)}-frame series gives no window{gate}")
     if not 0 <= index < len(windows):
         raise UsageError(f"{flag} {index} outside [0, {len(windows)})")
-    inp_idx, _ = windows[index]
-    x = Tensor4(normalize_array(series.frames[list(inp_idx)][None], scale))
+    x = data.WindowDataset(series, [windows[index]], scale).batch([0]).inputs
     return model, series, x, scale
 
 
 def cmd_predict(args) -> int:
-    from .data import FrameSeries, save_nwds
     from .metrics import binarize
     from .model import check_prediction
-    import numpy as np
     started = time.time()
     _require(args, ["checkpoint", "data", "out"])
     ckpt = Path(args.checkpoint)
@@ -536,7 +510,7 @@ def cmd_predict(args) -> int:
     else:
         frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_nwds(out, FrameSeries(frames, series.interval_minutes, series.unit))
+    data.save_nwds(out, data.FrameSeries(frames, series.interval_minutes, series.unit))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args,
                     {str(ckpt): _sha256(ckpt), str(data_path): _sha256(data_path)},
                     [out], started)
@@ -545,7 +519,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    from .errors import UsageError
     from .gradcam import explain_suite, save_heatmap_nwds, suite_grid, write_ppm
     started = time.time()
     _require(args, ["checkpoint", "data", "out_dir"])
@@ -677,14 +650,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
-    from .errors import (ConfigurationError, DataError, DimensionError,
-                         NumericError, UsageError)
     try:
         _resolve_options(args)
         return args.func(args)

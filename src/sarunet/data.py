@@ -110,15 +110,13 @@ def select_rainy(series: FrameSeries, fraction: float = 0.5) -> np.ndarray:
 
 
 def make_windows(series: FrameSeries, spec: WindowSpec,
-                 selected: Optional[Iterable[int]] = None, *,
-                 strict: bool = False) -> list[Window]:
+                 selected: Optional[Iterable[int]] = None) -> list[Window]:
     """Enumerate (input indices, target indices) windows, one per anchor.
 
     A window anchored at frame ``i`` consumes inputs ``i-input_frames+1 .. i``
     and targets ``i + offset`` for each offset. A window is kept iff all its
     target frames are selected; input frames are not gated.
-    ``selected=None`` keeps everything. ``strict`` raises instead of
-    returning an empty list.
+    ``selected=None`` keeps everything.
     """
     t = len(series)
     sel = None if selected is None else frozenset(int(i) for i in selected)
@@ -130,9 +128,6 @@ def make_windows(series: FrameSeries, spec: WindowSpec,
             continue
         inputs = tuple(range(anchor - spec.input_frames + 1, anchor + 1))
         out.append((inputs, targets))
-    if strict and not out:
-        raise DataError("window assembly produced an empty dataset "
-                        f"(series length {t}, spec {spec})")
     return out
 
 

@@ -450,6 +450,30 @@ def test_bad_checkpoint_value_is_data_error(synth_file, trained_dir, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("input_frames", "12", ["12 input frame(s), 1 target offset(s)",
+                            "6 input channel(s), 1 output channel(s)"]),
+    ("target_offsets", "6,7", ["6 input frame(s), 2 target offset(s)",
+                               "6 input channel(s), 1 output channel(s)"])])
+@pytest.mark.parametrize("command,out_flag", [
+    ("evaluate", "--out-dir"), ("predict", "--out"), ("explain", "--out-dir")])
+def test_checkpoint_setup_contradicting_its_model_is_data_error(
+        synth_file, trained_dir, tmp_path, capsys, command, out_flag, key, value, named):
+    """Training metadata whose input frames or target count differ from the
+    model's channels exits 3 naming both shapes, before anything is
+    written."""
+    from sarunet.model import load_checkpoint, save_checkpoint
+    model, meta = load_checkpoint(trained_dir / "model.ckpt")
+    ckpt = tmp_path / "contradicting.ckpt"
+    save_checkpoint(ckpt, model, {**meta, key: value})
+    out = tmp_path / "out"
+    code = run(command, "--checkpoint", ckpt, "--data", synth_file, out_flag, out)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert all(text in err for text in named), err
+    assert not out.exists()
+
+
 def test_checkpoint_with_pointwise_biases_is_data_error(synth_file, trained_dir, tmp_path,
                                                         capsys):
     """A checkpoint in the layout whose DSC stages carried a pointwise bias
@@ -646,6 +670,19 @@ def test_window_outside_gated_windows_exits_2(synth_file, trained_dir, tmp_path,
     assert code == 2
     assert f"{flag} {index} outside [0, " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,out_flag", [("predict", "--out"), ("explain", "--out-dir")])
+def test_no_window_passing_the_rain_gate_is_data_error(trained_dir, tmp_path, capsys,
+                                                       command, out_flag):
+    dry = tmp_path / "dry.nwds"
+    save_nwds(dry, FrameSeries(np.zeros((30, 32, 32), np.float32), 5, "raw"))
+    out = tmp_path / "out"
+    code = run(command, "--checkpoint", trained_dir / "model.ckpt", "--data", dry,
+               out_flag, out)
+    assert code == 3
+    assert "gives no window passing the rain gate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_keys_are_the_parser_flags(tmp_path):

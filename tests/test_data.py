@@ -96,11 +96,6 @@ class TestMakeWindows:
         wins = make_windows(s, WindowSpec(6, (6,)), selected=[])
         assert wins == []
 
-    def test_strict_raises_on_empty(self):
-        s = series_from(np.ones((30, 4, 4)))
-        with pytest.raises(DataError):
-            make_windows(s, WindowSpec(6, (6,)), selected=[], strict=True)
-
     def test_random_mask_matches_bruteforce(self):
         rng = np.random.default_rng(3)
         s = series_from(np.ones((40, 4, 4)))

@@ -1,11 +1,15 @@
 """Source hygiene: every name a program module imports at module level is
 used in that module (``__init__.py`` is skipped, since it imports to
-re-export), every public op is used, every attribute set on ``self`` is
-read, the model traces only the layers Grad-CAM explains, and backward
-closures hold arrays and plain values only."""
+re-export), the CLI defers only the model stack, every public op is used,
+every attribute set on ``self`` is read, the model traces only the layers
+Grad-CAM explains, and backward closures hold arrays and plain values
+only."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +43,32 @@ def test_no_unused_module_imports(path):
     unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+MODEL_STACK = ("blocks", "model", "train", "metrics", "gradcam")
+
+
+def test_cli_imports_inside_functions_only_the_model_stack():
+    """Everything a command loads anyway is imported once at module level;
+    an import inside a function names a module of the model stack."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    local = [node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    stray = [f"cli.py:{node.lineno}" for node in local
+             if not (isinstance(node, ast.ImportFrom) and node.level == 1
+                     and node.module in MODEL_STACK)]
+    assert not stray, f"function-local imports outside the model stack: {stray}"
+
+
+def test_importing_the_cli_loads_no_model_stack():
+    """``synth`` needs no model, so importing the CLI must not load the ops
+    or any module of the model stack."""
+    code = "import sys, sarunet.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert "sarunet.cli" in loaded
+    assert not loaded & {f"sarunet.{m}" for m in ("ops",) + MODEL_STACK}
 
 
 def test_every_public_op_is_used_by_the_program():
