@@ -294,7 +294,7 @@ def _model_display_name(variant: str) -> str:
     return "sar-unet" if variant == "sar" else "smaat-config"
 
 
-def _checkpoint_extras(spec, series, scale, select_fraction, cloud: bool) -> dict:
+def _checkpoint_extras(spec, series, scale, select_fraction) -> dict:
     return {
         "input_frames": str(spec.input_frames),
         "target_offsets": ",".join(str(o) for o in spec.target_offsets),
@@ -302,7 +302,6 @@ def _checkpoint_extras(spec, series, scale, select_fraction, cloud: bool) -> dic
         "unit": series.unit,
         "norm_scale": repr(float(scale)),
         "select_fraction": "" if select_fraction is None else repr(select_fraction),
-        "cloud": str(cloud),
     }
 
 
@@ -400,7 +399,7 @@ def cmd_train(args) -> int:
     tc = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
                      seed=args.seed, early_stop_patience=args.early_stop_patience)
     result = fit(model, train_ds, val_ds, tc, out_dir=out_dir)
-    extras = _checkpoint_extras(spec, series, scale, fraction, args.cloud)
+    extras = _checkpoint_extras(spec, series, scale, fraction)
     save_checkpoint(out_dir / "model.ckpt", model, extras)
     _write_manifest(out_dir / "manifest.json", args, {str(data_path): _sha256(data_path)},
                     [out_dir / "model.ckpt", out_dir / "history.csv"], started,

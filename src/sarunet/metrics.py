@@ -42,15 +42,14 @@ class ConfusionCounts:
     fp: int = 0
     fn: int = 0
 
+    @classmethod
+    def from_positives(cls, both: int, pred: int, target: int, size: int) -> "ConfusionCounts":
+        """Counts over ``size`` pixels from those positive in both, in pred, in target."""
+        return cls(tp=both, tn=size - pred - target + both, fp=pred - both, fn=target - both)
+
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-    def add(self, other: "ConfusionCounts") -> None:
-        self.tp += other.tp
-        self.tn += other.tn
-        self.fp += other.fp
-        self.fn += other.fn
 
 
 @dataclass
@@ -112,17 +111,12 @@ def confusion(pred_bin: np.ndarray, target_bin: np.ndarray) -> ConfusionCounts:
     t = np.asarray(target_bin)
     if p.shape != t.shape:
         raise UsageError(f"confusion needs equal shapes, got {p.shape} vs {t.shape}")
-    for name, a in (("pred", p), ("target", t)):
-        if not np.isin(a, (0, 1)).all():
+    pb, tb = p.astype(bool), t.astype(bool)
+    for name, a, a_bool in (("pred", p, pb), ("target", t, tb)):
+        if not np.array_equal(a, a_bool):            # a value other than 0 and 1
             raise UsageError(f"confusion needs binary {name} values in {{0,1}}")
-    p = p.astype(bool)
-    t = t.astype(bool)
-    return ConfusionCounts(
-        tp=int(np.count_nonzero(p & t)),
-        tn=int(np.count_nonzero(~p & ~t)),
-        fp=int(np.count_nonzero(p & ~t)),
-        fn=int(np.count_nonzero(~p & t)),
-    )
+    return ConfusionCounts.from_positives(
+        *(int(np.count_nonzero(a)) for a in (pb & tb, pb, tb)), pb.size)
 
 
 def metrics(counts: ConfusionCounts) -> MetricValues:
@@ -145,11 +139,17 @@ class SquaredErrorSum:
         self.parts: list[float] = []
         self.count = 0
 
-    def add(self, pred: np.ndarray, target: np.ndarray) -> None:
-        """Add a batch of ``[n, ...]`` predictions and their targets."""
+    def add(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Add a batch of ``[n, ...]`` predictions and their targets; returns
+        their float64 squared errors."""
         diff = pred.astype(np.float64) - target.astype(np.float64)
-        sq = diff * diff
-        self.parts += [float(s.sum()) for s in sq]
+        sq = np.multiply(diff, diff, out=diff)
+        self.add_squared(sq)
+        return sq
+
+    def add_squared(self, sq: np.ndarray) -> None:
+        """Add a batch of ``[n, ...]`` float64 squared errors."""
+        self.parts += sq.reshape(len(sq), -1).sum(axis=1).tolist()
         self.count += sq.size
 
     def mean(self) -> float:
@@ -175,7 +175,8 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
     over all pixels and samples in normalized units (``SquaredErrorSum``);
     confusion counts accumulate over the whole split before ratios
     (micro-averaging). Per-lead-time rows are reported alongside the overall
-    figures, whose confusion counts are the sums of the per-lead ones.
+    figures, whose confusion counts are the sums of the per-lead ones. Each
+    batch is squared and binarized once for all leads.
     """
     if len(data) == 0:
         raise UsageError("evaluate_setup needs a non-empty split")
@@ -191,7 +192,7 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
 
     sse = SquaredErrorSum()
     lead_sse = [SquaredErrorSum() for _ in range(n_leads)]
-    lead_counts = [ConfusionCounts() for _ in range(n_leads)]
+    hits = np.zeros((3, n_leads), dtype=np.int64)    # positives per lead: both, pred, target
     bin_kw = dict(scale=setup.scale, threshold_mm_per_h=setup.threshold_mm_per_h,
                   interval_minutes=setup.interval_minutes)
 
@@ -201,16 +202,16 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
         if pred.shape != batch.targets.shape:
             raise UsageError(f"predictor produced shape {pred.shape}, "
                              f"targets have {batch.targets.shape}")
-        sse.add(pred.data, batch.targets.data)
+        sq = sse.add(pred.data, batch.targets.data)
+        for k in range(n_leads):
+            lead_sse[k].add_squared(sq[:, k])
         pbin = binarize(pred.data, setup.unit, **bin_kw)
         tbin = binarize(batch.targets.data, setup.unit, **bin_kw)
-        for k in range(n_leads):
-            lead_sse[k].add(pred.data[:, k], batch.targets.data[:, k])
-            lead_counts[k].add(confusion(pbin[:, k], tbin[:, k]))
+        hits += [np.count_nonzero(a, axis=(0, 2, 3)) for a in (pbin & tbin, pbin, tbin)]
 
-    counts = ConfusionCounts()
-    for c in lead_counts:
-        counts.add(c)
+    pixels = len(data) * tbin[0, 0].size                # per lead
+    lead_counts = [ConfusionCounts.from_positives(*h, pixels) for h in hits.T.tolist()]
+    counts = ConfusionCounts.from_positives(*hits.sum(axis=1).tolist(), pixels * n_leads)
     mse = sse.mean()
     per_lead = [LeadStats(setup.lead_minutes[k], lead_sse[k].mean(),
                           metrics(lead_counts[k]))

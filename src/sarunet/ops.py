@@ -50,9 +50,11 @@ of three kernels:
   as a whole-plane pass, so the values do not depend on the tiling. The
   backward runs the same tiled sum over the padded gradient for ``dx``, and
   pads the input again for the weight gradient.
-- ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): im2col and a matmul;
-  the backward rebuilds the patch matrix (``k*k`` times the input) for the
-  weight gradient.
+- ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): products of float64
+  ``rfft2`` spectra over planes zero-padded to ``L``, the smallest
+  2*3*5-smooth length >= ``size + k - 1`` per axis, so that they are linear
+  convolutions. The backward keeps no spectrum: it transforms the kept input
+  or weight again, and never makes a ``k*k``-fold patch matrix.
 
 :func:`batch_norm` uses the fixed :data:`BN_EPS` and :data:`BN_MOMENTUM`.
 """
@@ -87,39 +89,14 @@ def _same_dtype(*tensors: Tensor4) -> np.dtype:
 
 # -- convolution -------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """The patch matrix of ``x`` zero-padded by ``k // 2``:
-    ``[n, c*k*k, h*w]``."""
-    n, c, h, w = x.shape
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = np.empty((n, c, k, k, h, w), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
-    return cols.reshape(n, c * k * k, h * w)
-
-
-def _col2im(cols: np.ndarray, shape: tuple, k: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: the patch matrix summed back onto the
-    ``shape`` planes, without the padding."""
-    n, c, h, w = shape
-    p = k // 2
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, k, k, h, w)
-    for i in range(k):
-        for j in range(k):
-            xp[:, :, i:i + h, j:j + w] += cols6[:, :, i, j]
-    return xp[:, :, p:p + h, p:p + w]
-
-
 def _record_conv(out: np.ndarray, x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
                  backward_fn) -> Tensor4:
-    """Add the bias and record one conv kernel on the tape as ``conv2d``
-    with inputs ``(x, weight[, bias])``, whichever kernel ran."""
+    """Add the bias into ``out`` (each kernel's fresh array) and record the
+    kernel on the tape as ``conv2d`` with inputs ``(x, weight[, bias])``."""
     if bias is None:
         return make_result(out, "conv2d", (x, weight), backward_fn)
-    return make_result(out + bias.data, "conv2d", (x, weight, bias), backward_fn)
+    out += bias.data
+    return make_result(out, "conv2d", (x, weight, bias), backward_fn)
 
 
 def _needs(*tensors: Optional[Tensor4]) -> tuple[bool, ...]:
@@ -129,38 +106,54 @@ def _needs(*tensors: Optional[Tensor4]) -> tuple[bool, ...]:
 
 
 def _conv_grads(gout: np.ndarray, dx: Optional[np.ndarray], dw: Optional[np.ndarray],
-                bias_shape: Optional[tuple], need_b: bool) -> list[Optional[np.ndarray]]:
-    if bias_shape is None:
+                has_bias: bool, need_b: bool) -> list[Optional[np.ndarray]]:
+    if not has_bias:
         return [dx, dw]
-    return [dx, dw, gout.sum(axis=(0, 2, 3)).reshape(bias_shape) if need_b else None]
+    return [dx, dw, gout.sum(axis=(0, 2, 3), keepdims=True) if need_b else None]
 
 
-def _bias_shape(bias: Optional[Tensor4]) -> Optional[tuple]:
-    return None if bias is None else bias.shape
+def _fft_length(size: int) -> int:
+    """The smallest 2*3*5-smooth length >= ``size``: pocketfft transforms
+    those fastest (a factor of 17 or 19 costs up to twice the time)."""
+    rest = size
+    for f in (2, 3, 5):
+        while rest % f == 0:
+            rest //= f
+    return size if rest == 1 else _fft_length(size + 1)
+
+
+def _spectrum(a: np.ndarray, lengths: tuple) -> np.ndarray:
+    """The float64 ``rfft2`` of ``a``'s planes zero-padded to ``lengths``."""
+    return np.fft.rfft2(a.astype(np.float64), s=lengths)
 
 
 def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
-    n, cin, h, w_in = x.shape
-    cout, _, k, _ = weight.shape
-    w2 = weight.data.reshape(cout, cin * k * k)
-    out = np.matmul(w2, _im2col(x.data, k))
+    _, _, h, w_in = x.shape
+    p = weight.shape[2] // 2                             # k = 2p + 1
+    lengths = (_fft_length(h + 2 * p), _fft_length(w_in + 2 * p))
+    crop = (Ellipsis, slice(p, p + h), slice(p, p + w_in))
+    flipped = _spectrum(weight.data[:, :, ::-1, ::-1], lengths)
+    out = np.fft.irfft2(np.einsum("ncij,ocij->noij", _spectrum(x.data, lengths), flipped),
+                        s=lengths)[crop].astype(x.dtype)
     need_x, need_w, need_b = _needs(x, weight, bias)
-    x_shape, w_shape, b_shape = x.shape, weight.shape, _bias_shape(bias)
+    has_b, dtype = bias is not None, x.dtype
     x_kept = x.data if need_w else None
-    w_kept = w2 if need_x else None
+    w_kept = weight.data if need_x else None
 
     def backward_fn(gout: np.ndarray):
-        go = gout.reshape(n, cout, h * w_in)
         dx = dw = None
-        if need_w:
-            cols = _im2col(x_kept, k).transpose(0, 2, 1)
-            dw = np.matmul(go, cols).sum(axis=0).reshape(w_shape)
-            del cols                                     # rebuilt here, not kept
+        g = _spectrum(gout, lengths) if need_x or need_w else None
         if need_x:
-            dx = _col2im(np.matmul(w_kept.T, go), x_shape, k)
-        return _conv_grads(gout, dx, dw, b_shape, need_b)
+            dx = np.fft.irfft2(np.einsum("noij,ocij->ncij", g, _spectrum(w_kept, lengths)),
+                               s=lengths)[crop].astype(dtype)
+        if need_w:
+            corr = np.fft.irfft2(np.einsum("noij,ncij->ocij", np.conjugate(g, out=g),
+                                           _spectrum(x_kept, lengths)), s=lengths)
+            rows, cols = (np.arange(-p, p + 1) % size for size in lengths)   # lags -p..p
+            dw = corr[:, :, rows[:, None], cols].astype(dtype)
+        return _conv_grads(gout, dx, dw, has_b, need_b)
 
-    return _record_conv(out.reshape(n, cout, h, w_in), x, weight, bias, backward_fn)
+    return _record_conv(out, x, weight, bias, backward_fn)
 
 
 def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
@@ -169,7 +162,7 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     x3 = x.data.reshape(n, cin, h * w_in)              # a view: Tensor4 data is contiguous
     w2 = weight.data.reshape(cout, cin)
     need_x, need_w, need_b = _needs(x, weight, bias)
-    x_shape, w_shape, b_shape = x.shape, weight.shape, _bias_shape(bias)
+    x_shape, w_shape, has_b = x.shape, weight.shape, bias is not None
     x_kept = x3 if need_w else None
     w_kept = w2 if need_x else None
 
@@ -180,7 +173,7 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
             dw = np.matmul(go, x_kept.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
         if need_x:
             dx = np.matmul(w_kept.T, go).reshape(x_shape)
-        return _conv_grads(gout, dx, dw, b_shape, need_b)
+        return _conv_grads(gout, dx, dw, has_b, need_b)
 
     out = np.matmul(w2, x3).reshape(n, cout, h, w_in)
     return _record_conv(out, x, weight, bias, backward_fn)
@@ -254,7 +247,7 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
     _, c, h, w_in = x.shape
     taps = weight.data.reshape(c, 9)
     need_x, need_w, need_b = _needs(x, weight, bias)
-    w_shape, b_shape = weight.shape, _bias_shape(bias)
+    w_shape, has_b = weight.shape, bias is not None
     x_kept = x.data if need_w else None
     taps_kept = taps if need_x else None
 
@@ -272,7 +265,7 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
             for t, off in enumerate(_tap_offsets(w_in)):
                 dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
             dw = dw.reshape(w_shape)
-        return _conv_grads(gout, dx, dw, b_shape, need_b)
+        return _conv_grads(gout, dx, dw, has_b, need_b)
 
     return _record_conv(_shifted_sum(_pad_planes(x.data), taps, h, w_in), x, weight, bias,
                         backward_fn)
@@ -297,15 +290,18 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       whole-plane sum. The backward runs the same sum over the padded
       gradient with the kernel flipped, and pads the input again for the
       weight gradient.
-    - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): a patch matrix and a
-      matmul. The backward rebuilds the patch matrix, ``k*k`` times the
-      input, for the weight gradient.
+    - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): ``irfft2`` of the
+      input's spectra summed over ``cin`` against the flipped weight's,
+      cropped at ``[p:p+h, p:p+w]`` (``p = k // 2``); ``dx`` sums the
+      gradient's over ``cout`` against the weight's, and the weight gradient
+      is ``irfft2`` of ``conj(G) * X`` summed over the batch, read at the lags
+      ``(i - p) mod L``. Results are cast back to the input's dtype.
 
     Any other weight shape is a ``DimensionError``. Every kernel's backward
     keeps the input array only when the weight needs a gradient and the
-    weight array only when the input does, never a padded copy or a patch
-    matrix; with a frozen weight (Grad-CAM) the input is freed once the
-    forward code drops it.
+    weight array only when the input does, never a padded copy, a patch
+    matrix or a spectrum, which the dense backward rebuilds; with a frozen
+    weight (Grad-CAM) the input is freed once the forward code drops it.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
     cin = x.shape[1]
@@ -328,10 +324,12 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
 # -- batch normalization ------------------------------------------------------
 
 def _normalize(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-    """``xhat`` of batch norm; the backward rebuilds it bitwise from the same
-    call instead of keeping it."""
+    """``xhat`` of batch norm, in one fresh buffer; the backward rebuilds it
+    bitwise from the same call instead of keeping it."""
     c = x.shape[1]
-    return (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    xhat = x - mean.reshape(1, c, 1, 1)
+    xhat *= inv_std.reshape(1, c, 1, 1)
+    return xhat
 
 
 def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
@@ -366,7 +364,9 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         mean = running_mean.astype(dt)
         var = running_var.astype(dt)
     inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
-    out = gamma.data * _normalize(x.data, mean, inv_std) + beta.data
+    out = _normalize(x.data, mean, inv_std)
+    out *= gamma.data
+    out += beta.data
     need_x, need_gamma, need_beta = _needs(x, gamma, beta)
     need_xhat = need_gamma or (need_x and train)
     x_kept = x.data if need_xhat else None

@@ -37,6 +37,49 @@ def conv2d_loops(x, w, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
+def im2col(x, k):
+    """The patch matrix of ``x`` zero-padded by ``k // 2``:
+    ``[n, c*k*k, h*w]``."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((n, c, k, k, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+    return cols.reshape(n, c * k * k, h * w)
+
+
+def col2im(cols, shape, k):
+    """Adjoint of :func:`im2col`: the patch matrix summed back onto the
+    ``shape`` planes, without the padding."""
+    n, c, h, w = shape
+    p = k // 2
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, k, k, h, w)
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i:i + h, j:j + w] += cols6[:, :, i, j]
+    return xp[:, :, p:p + h, p:p + w]
+
+
+def conv_dense_im2col(x, w):
+    """The dense "same" conv of ``x`` ``[n, cin, h, w]`` with ``w`` ``[cout,
+    cin, k, k]`` as one matmul against the :func:`im2col` patch matrix, in
+    the arrays' dtype: ``(out, grads)``, where ``grads(gout)`` gives
+    ``(dx, dw)`` by :func:`col2im` and a rebuilt patch matrix."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    w2 = w.reshape(cout, cin * k * k)
+    out = np.matmul(w2, im2col(x, k)).reshape(n, cout, h, wd)
+
+    def grads(gout):
+        go = gout.reshape(n, cout, h * wd)
+        dw = np.matmul(go, im2col(x, k).transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        return col2im(np.matmul(w2.T, go), x.shape, k), dw
+    return out, grads
+
+
 def depthwise_separable_loops(x, dw, pw, pb):
     """Depthwise 3x3 (pad 1) then pointwise 1x1, both via the loop oracle."""
     mid = conv2d_loops(x, dw, stride=1, padding=1, groups=x.shape[1])

@@ -409,7 +409,7 @@ class TestSkipRules:
 
     @pytest.mark.parametrize("weight_shape, helper, calls", [
         ((2, 1, 3, 3), "_pad_planes", 1),          # the gradient's planes only
-        ((1, 2, 7, 7), "_im2col", 0),              # no rebuilt patch matrix
+        ((1, 2, 7, 7), "_spectrum", 2),            # the gradient's and the weight's spectra
     ], ids=["depthwise", "dense"])
     def test_frozen_weight_skips_its_work(self, monkeypatch, weight_shape, helper, calls):
         rng = np.random.default_rng(32)
@@ -418,9 +418,10 @@ class TestSkipRules:
             out = ops.conv2d(x, tensor(_f32(rng, weight_shape)))
         seen = []
         real = getattr(ops, helper)
-        monkeypatch.setattr(ops, helper, lambda *a: seen.append(1) or real(*a))
+        monkeypatch.setattr(ops, helper, lambda a, *rest: seen.append(a) or real(a, *rest))
         tape.ops[0].backward_fn(np.ones_like(out.data))
         assert len(seen) == calls
+        assert not any(a is x.data for a in seen)      # nothing of the input
 
     def test_model_input_gets_no_gradient_in_training(self):
         """The first convolutions over the model input compute no ``dx``."""

@@ -166,7 +166,7 @@ class TestTrain:
         from sarunet.model import load_checkpoint
         model, meta = load_checkpoint(out / "model.ckpt")
         assert model.config.out_channels == 6
-        assert meta["cloud"] == "True"
+        assert "cloud" not in meta          # the six target offsets say it
 
     def test_config_file_precedence(self, synth_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -472,6 +472,23 @@ def test_checkpoint_setup_contradicting_its_model_is_data_error(
     assert code == 3
     assert all(text in err for text in named), err
     assert not out.exists()
+
+
+def test_checkpoint_with_a_cloud_key_loads_and_evaluates(synth_file, trained_dir, tmp_path):
+    """Checkpoints written while training recorded a ``cloud`` key still
+    carry it; nothing reads it, so they load and score as the same
+    checkpoint without it does."""
+    from sarunet.model import load_checkpoint, save_checkpoint
+    model, meta = load_checkpoint(trained_dir / "model.ckpt")
+    assert "cloud" not in meta
+    ckpt = tmp_path / "with_cloud.ckpt"
+    save_checkpoint(ckpt, model, {**meta, "cloud": "False"})
+    for name, path in (("with_key", ckpt), ("without", trained_dir / "model.ckpt")):
+        assert run("evaluate", "--checkpoint", path, "--data", synth_file,
+                   "--out-dir", tmp_path / name) == 0
+    for report in ("report.csv", "per_lead.csv", "report.txt"):
+        assert (tmp_path / "with_key" / report).read_bytes() == \
+            (tmp_path / "without" / report).read_bytes()
 
 
 def test_checkpoint_with_pointwise_biases_is_data_error(synth_file, trained_dir, tmp_path,

@@ -21,15 +21,15 @@ from sarunet.errors import DataError, SarunetError
 from sarunet.model import (_CKPT_MAGIC, ModelConfig, build, load_checkpoint,
                            read_checkpoint_section, save_checkpoint,
                            write_checkpoint_section)
-from sarunet.tensor import Tape, make_result, read_section, tensor, write_section
+from sarunet.tensor import make_result, read_section, write_section
 from sarunet.train import (_OPT_MAGIC, TrainConfig, _read_opt_section,
                            _write_opt_section, fit)
 
-from oracles import bilinear_double, bilinear_double_adjoint
+from oracles import bilinear_double, bilinear_double_adjoint, conv_dense_im2col
 
 GOLDEN_SHA256 = {
     "model.ckpt": "a3ea5a682e5c3a85f5763784cba26b297a52b854e64cdbcc0a085854dbb64c93",
-    "last.ckpt": "d14674a27b5d70b6db41ccea84b716893e103299c79e93a160cf23f057f01eab",
+    "last.ckpt": "ecc033e654015936ef11f5dc859537280e26a07887de2874b641f512420584db",
     "series.nwds": "b473582e1d387ecb835237d78ec80dab0d31ae1d3d93f216a2653c2b6d438a5b",
 }
 
@@ -99,39 +99,45 @@ def last_ckpt_sections(path):
 
 
 def test_last_ckpt_moves_by_rounding_only(tiny_files, tmp_path, monkeypatch):
-    """With every depthwise conv sent through the dense im2col kernel and
-    every bilinear upsample through the float64 loop oracles, the one-epoch
-    ``last.ckpt`` agrees with the shipped one in every tensor and in
-    ``best_val_loss`` to 1e-3: the kernels differ from those references in
-    rounding only, and no trainable tensor steps on rounding noise."""
+    """With CBAM's 7x7 conv and every depthwise conv sent through the im2col
+    reference kernel and every bilinear upsample through the float64 loop
+    oracles, the one-epoch ``last.ckpt`` agrees with the shipped one in
+    every tensor and in ``best_val_loss`` to 1e-3: the kernels differ from
+    those references in rounding only, and no trainable tensor steps on
+    rounding noise."""
     calls = []
 
+    def dense_by_im2col(x, weight, bias):
+        calls.append("dense")
+        out, grads = conv_dense_im2col(x.data, weight.data)
+        return ops._record_conv(out, x, weight, bias, lambda gout: ops._conv_grads(
+            gout, *grads(gout), bias is not None, True))
+
     def depthwise_as_dense(x, weight, bias):
-        """The dense kernel over the block-diagonal ``[c, c, 3, 3]`` weight;
+        """The im2col kernel over the block-diagonal ``[c, c, 3, 3]`` weight;
         the depthwise weight's gradient is that weight's diagonal."""
         calls.append("depthwise")
         c = weight.shape[0]
         diag = np.arange(c)
         full = np.zeros((c, c, 3, 3), dtype=weight.dtype)
         full[diag, diag] = weight.data[:, 0]
-        with Tape() as inner:
-            out = ops._conv_dense(x, tensor(full, requires_grad=True, dtype=full.dtype), bias)
-        (rec,) = inner.ops
+        out, grads = conv_dense_im2col(x.data, full)
 
         def backward_fn(gout):
-            dx, dfull = rec.backward_fn(gout)
-            return [dx, dfull[diag, diag][:, None]]
-        return make_result(out.data, "conv2d", (x, weight), backward_fn)
+            dx, dfull = grads(gout)
+            return ops._conv_grads(gout, dx, dfull[diag, diag][:, None], bias is not None, True)
+        return ops._record_conv(out, x, weight, bias, backward_fn)
 
     def upsample_by_oracle(x):
         calls.append("upsample")
         return make_result(bilinear_double(x.data).astype(x.dtype), "upsample_bilinear2", (x,),
                            lambda g: [bilinear_double_adjoint(g).astype(g.dtype)])
 
+    monkeypatch.setattr(ops, "_conv_dense", dense_by_im2col)
     monkeypatch.setattr(ops, "_conv_depthwise3", depthwise_as_dense)
     monkeypatch.setattr(ops, "upsample_bilinear2", upsample_by_oracle)
     reference = write_tiny_files(tmp_path)["last.ckpt"]
-    assert set(calls) == {"depthwise", "upsample"}
+    assert set(calls) == {"dense", "depthwise", "upsample"}
     shipped = last_ckpt_sections(tiny_files["last.ckpt"])
     for (meta, tensors), (ref_meta, ref_tensors) in zip(shipped, last_ckpt_sections(reference)):
         assert meta.keys() == ref_meta.keys() and tensors.keys() == ref_tensors.keys()

@@ -1,14 +1,19 @@
 """Binarization, confusion counting, ratio metrics, and split evaluation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from sarunet.data import WindowDataset, WindowSpec, make_windows, synth_generate
+from sarunet.data import (FrameSeries, WindowDataset, WindowSpec, make_windows,
+                          synth_generate)
 from sarunet.errors import UsageError
 from sarunet.metrics import (REPORT_COLUMNS, ConfusionCounts, EvalSetup,
                              binarize, confusion, evaluate_setup, metrics,
                              render_report_table, report_rows_sorted,
                              write_report_csv)
+from sarunet.model import ModelConfig, build, persistence_forward
 
 from oracles import confusion_loops
 
@@ -155,6 +160,63 @@ class TestEvaluateSetup:
         assert [ls.lead_minutes for ls in r.per_lead] == [5, 10, 15]
         combined = sum(ls.mse for ls in r.per_lead) / 3
         assert combined == pytest.approx(r.mse, rel=1e-12)
+
+
+def per_lead_reference(predict, data, setup, batch_size):
+    """The accumulation ``evaluate_setup`` ran lead by lead: per batch, each
+    sample's float64 squared-error sum over all leads; per lead, each
+    sample's sum over that lead's plane and ``confusion`` of the lead's
+    binarized planes. Returns (mse, per-lead mses, per-lead counts)."""
+    n_leads = len(setup.lead_minutes)
+    parts, lead_parts = [], [[] for _ in range(n_leads)]
+    counts = [np.zeros(4, dtype=np.int64) for _ in range(n_leads)]   # tp, tn, fp, fn
+    kw = dict(scale=setup.scale, interval_minutes=setup.interval_minutes)
+
+    def sample_sums(pred, target):
+        diff = pred.astype(np.float64) - target.astype(np.float64)
+        return [float(s.sum()) for s in diff * diff]
+
+    for lo in range(0, len(data), batch_size):
+        batch = data.batch(range(lo, min(lo + batch_size, len(data))))
+        pred, target = predict(batch.inputs).data, batch.targets.data
+        parts += sample_sums(pred, target)
+        pbin, tbin = binarize(pred, setup.unit, **kw), binarize(target, setup.unit, **kw)
+        for k in range(n_leads):
+            lead_parts[k] += sample_sums(pred[:, k], target[:, k])
+            counts[k] += dataclasses.astuple(confusion(pbin[:, k], tbin[:, k]))
+    return (math.fsum(parts) / (len(parts) * pred[0].size),
+            [math.fsum(p) / (len(p) * pred[0, 0].size) for p in lead_parts],
+            [ConfusionCounts(*c.tolist()) for c in counts])
+
+
+@pytest.mark.parametrize("unit,offsets", [("raw", (2,)), ("binary", (1, 2, 3, 4, 5, 6))],
+                         ids=["one-lead", "six-leads"])
+@pytest.mark.parametrize("kind", ["persistence", "model"])
+def test_one_pass_scoring_is_bitwise_the_per_lead_loop(unit, offsets, kind):
+    """Squaring and binarizing a batch once gives the bytes of the per-lead
+    accumulation, over a split whose last batch is short."""
+    series = synth_generate(seed=7, n_frames=24, height=32, width=48)
+    if unit == "binary":
+        series = FrameSeries((series.frames > 20).astype(np.float32), 5, "binary")
+    data = WindowDataset(series, make_windows(series, WindowSpec(3, offsets)),
+                         float(series.frames.max()))
+    batch_size = 6
+    assert len(data) % batch_size != 0
+    setup = EvalSetup(model_name=kind, input_minutes=15, unit=unit, scale=data.scale,
+                      lead_minutes=tuple(5 * o for o in offsets), interval_minutes=5)
+    if kind == "persistence":
+        predictor, predict = kind, lambda x: persistence_forward(x, len(offsets))
+    else:
+        predictor = build(ModelConfig(in_channels=3, out_channels=len(offsets),
+                                      base_channels=2, cbam_reduction=2), seed=1)
+        predict = lambda x: predictor.forward(x, train=False)[0]   # noqa: E731
+    report = evaluate_setup(predictor, data, setup, batch_size=batch_size)
+    mse, lead_mses, lead_counts = per_lead_reference(predict, data, setup, batch_size)
+    total = ConfusionCounts(*np.sum([dataclasses.astuple(c) for c in lead_counts], axis=0).tolist())
+    assert 0 < total.tp < total.total
+    assert report.mse == mse and report.values == metrics(total)
+    assert [ls.mse for ls in report.per_lead] == lead_mses
+    assert [ls.values for ls in report.per_lead] == [metrics(c) for c in lead_counts]
 
 
 class TestReportRendering:

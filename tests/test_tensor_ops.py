@@ -132,14 +132,14 @@ def kernel_case(kind, shape, with_bias, seed=0):
 
 
 @pytest.fixture
-def no_im2col(monkeypatch):
-    """Fail any conv that takes the dense im2col kernel."""
+def no_dense_kernel(monkeypatch):
+    """Fail any conv that takes the dense kernel."""
     def refuse(*args):
-        raise AssertionError("conv2d took the dense im2col kernel")
+        raise AssertionError("conv2d took the dense kernel")
     monkeypatch.setattr(ops, "_conv_dense", refuse)
 
 
-@pytest.mark.usefixtures("no_im2col")
+@pytest.mark.usefixtures("no_dense_kernel")
 @pytest.mark.parametrize("kind", ["pointwise", "depthwise"])
 class TestConvKernels:
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
@@ -169,7 +169,7 @@ class TestConvKernels:
             assert grad_rel_err(p.grad, num) <= 1e-7
 
 
-@pytest.mark.usefixtures("no_im2col")
+@pytest.mark.usefixtures("no_dense_kernel")
 def test_depthwise_forward_peak_memory():
     """A taped depthwise forward allocates a few copies of its input at
     most; an im2col patch matrix alone would take nine."""
@@ -186,7 +186,7 @@ def test_depthwise_forward_peak_memory():
     assert peak < 4 * x.data.nbytes
 
 
-@pytest.mark.usefixtures("no_im2col")
+@pytest.mark.usefixtures("no_dense_kernel")
 def test_depthwise_tiled_forward_peak_memory():
     """Over many tiles the forward holds the padded input, the output and
     two tile buffers: no whole-plane temporary beyond those."""
@@ -201,6 +201,73 @@ def test_depthwise_tiled_forward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input bytes"
+
+
+def dense_loop_grads(x, w, gout):
+    """``dx`` and ``dw`` of the dense "same" conv from the loop oracle: ``dx``
+    correlates ``gout`` with the flipped weight, in and out channels
+    swapped; ``dw`` correlates each input plane with each ``gout`` plane over
+    the batch, at the lags ``-k//2 .. k//2``."""
+    p = w.shape[2] // 2
+    dx = conv2d_loops(gout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), padding=p)
+    dw = conv2d_loops(x.transpose(1, 0, 2, 3), gout.transpose(1, 0, 2, 3), padding=p)
+    return dx, dw.transpose(1, 0, 2, 3)
+
+
+class TestDenseKernel:
+    """The dense kernel's spectra against the loop oracle in float64, and
+    its memory against the input."""
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_loop_oracle(self, k, shape, with_bias):
+        rng = np.random.default_rng(k)
+        n, cin, h, w_in = shape
+        x, w = rng.normal(size=shape), rng.normal(size=(3, cin, k, k))
+        b, gout = rng.normal(size=3), rng.normal(size=(n, 3, h, w_in))
+        params = [t(a, dtype=np.float64, requires_grad=True)
+                  for a in (x, w) + ((b.reshape(1, 3, 1, 1),) if with_bias else ())]
+        with Tape() as tape:
+            y = ops.conv2d(*params)
+        (rec,) = tape.ops
+        grads = rec.backward_fn(gout)
+        np.testing.assert_allclose(y.data, conv2d_loops(x, w, bias=b if with_bias else None,
+                                                        padding=k // 2),
+                                   rtol=1e-12, atol=1e-12)
+        for got, want in zip(grads, dense_loop_grads(x, w, gout)):
+            assert got.shape == want.shape and got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-11)
+        if with_bias:
+            np.testing.assert_allclose(grads[2].ravel(), gout.sum(axis=(0, 2, 3)))
+
+    def test_zero_input_gives_exact_zeros(self):
+        rng = np.random.default_rng(8)
+        x = t(np.zeros((2, 2, 9, 12), np.float32), requires_grad=True)
+        w = t(rng.normal(size=(1, 2, 7, 7)).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            y = ops.conv2d(x, w)
+        _, dw = tape.ops[0].backward_fn(rng.normal(size=y.shape).astype(np.float32))
+        assert y.dtype == dw.dtype == np.float32
+        assert not y.data.any() and not dw.any()
+
+    def test_forward_and_backward_peak_memory(self):
+        """CBAM's 7x7 at the CLI's 96x96, batch 6: forward and backward hold
+        a few spectra of the input at most; a 49-fold patch matrix alone
+        would take 49 times the input."""
+        rng = np.random.default_rng(9)
+        x = t(rng.normal(size=(6, 2, 96, 96)).astype(np.float32), requires_grad=True)
+        w = t(rng.normal(size=(1, 2, 7, 7)).astype(np.float32), requires_grad=True)
+        gout = rng.normal(size=(6, 1, 96, 96)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ops.conv2d(x, w)
+            tape.ops[0].backward_fn(gout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input bytes"
 
 
 def _tiles(n, c, h, w):
