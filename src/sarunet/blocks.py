@@ -1,12 +1,15 @@
-"""Composite layers: depthwise-separable convolution stages, the residual
-DSC block, its plain (shortcut-free) ablation, and CBAM attention.
+"""Composite layers: depthwise-separable convolution stages, the plain
+double-DSC block (the smaat ablation), the residual DSC block that adds a
+1x1 shortcut to it, and CBAM attention.
 
 Blocks hold parameters only; ``forward`` is re-entrant given a per-call tape.
 Every block enumerates its trainables as stable hierarchical names
 (``dsc1.depthwise``, ``shortcut.weight``, ...) consumed by checkpoints and
 the optimizer. Weight init is Kaiming-uniform (fan-in) for conv/perceptron
 weights, zeros for biases and bn beta, ones for bn gamma, drawn from the
-generator in construction order.
+generator in construction order. Only 1x1 convolutions carry a bias (the
+shortcut, the decoder's channel reduction and the output conv); depthwise,
+DSC pointwise, perceptron and CBAM 7x7 weights have none.
 """
 
 from __future__ import annotations
@@ -61,16 +64,16 @@ class BatchNorm2d:
 
 
 class Conv2dLayer:
-    """Plain convolution holder, optional bias: a ``[cout, cin, kernel,
-    kernel]`` weight, which :func:`~sarunet.ops.conv2d` runs as pointwise
-    for ``kernel`` 1 and as dense otherwise. An odd ``kernel`` is padded by
-    ``kernel // 2``, so the spatial size is kept."""
+    """Plain convolution holder: a ``[cout, cin, kernel, kernel]`` weight,
+    which :func:`~sarunet.ops.conv2d` runs as pointwise for ``kernel`` 1 and
+    as dense otherwise, and a bias exactly when ``kernel`` is 1. An odd
+    ``kernel`` is padded by ``kernel // 2``, so the spatial size is kept."""
 
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
-                 dtype=np.float32, bias: bool = True):
+                 dtype=np.float32):
         self.weight = _kaiming_uniform(rng, (cout, cin, kernel, kernel),
                                        cin * kernel * kernel, dtype)
-        self.bias = parameter(np.zeros((1, cout, 1, 1)), dtype=dtype) if bias else None
+        self.bias = parameter(np.zeros((1, cout, 1, 1)), dtype=dtype) if kernel == 1 else None
 
     def forward(self, x: Tensor4) -> Tensor4:
         return ops.conv2d(x, self.weight, self.bias)
@@ -103,8 +106,10 @@ class DscLayer:
         yield _join(prefix, "pointwise"), self.pointwise
 
 
-class _DscStack:
-    """Shared body of the residual and plain blocks: DSC+BN+ReLU twice."""
+class DoubleDscBlock:
+    """DSC+BN+ReLU twice, shortcut-free: the smaat-config ablation block and
+    the DSC path of :class:`ResidualDscBlock`. ``forward`` ignores ``tap``
+    and ``prefix``, taken so the model calls every block alike."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.dsc1 = DscLayer(cin, cout, rng, dtype)
@@ -112,7 +117,7 @@ class _DscStack:
         self.dsc2 = DscLayer(cout, cout, rng, dtype)
         self.bn2 = BatchNorm2d(cout, dtype)
 
-    def forward(self, x: Tensor4, train: bool) -> Tensor4:
+    def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
         h = ops.relu(self.bn1.forward(self.dsc1.forward(x), train))
         return ops.relu(self.bn2.forward(self.dsc2.forward(h), train))
 
@@ -135,8 +140,8 @@ class ResidualDscBlock:
     """
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
-        self.stack = _DscStack(cin, cout, rng, dtype)
-        self.shortcut = Conv2dLayer(cin, cout, 1, rng, dtype, bias=True)
+        self.stack = DoubleDscBlock(cin, cout, rng, dtype)
+        self.shortcut = Conv2dLayer(cin, cout, 1, rng, dtype)
 
     def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
         dsc_out = self.stack.forward(x, train)
@@ -149,22 +154,6 @@ class ResidualDscBlock:
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield from self.stack.named_parameters(prefix)
         yield from self.shortcut.named_parameters(_join(prefix, "shortcut"))
-
-    def named_buffers(self, prefix: str = "") -> NamedBuffers:
-        yield from self.stack.named_buffers(prefix)
-
-
-class DoubleDscBlock:
-    """Shortcut-free double DSC stage (the smaat-config ablation block)."""
-
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
-        self.stack = _DscStack(cin, cout, rng, dtype)
-
-    def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
-        return self.stack.forward(x, train)
-
-    def named_parameters(self, prefix: str = "") -> NamedParams:
-        yield from self.stack.named_parameters(prefix)
 
     def named_buffers(self, prefix: str = "") -> NamedBuffers:
         yield from self.stack.named_buffers(prefix)
@@ -185,7 +174,7 @@ class Cbam:
         hidden = channels // reduction
         self.mlp_w1 = _kaiming_uniform(rng, (hidden, channels, 1, 1), channels, dtype)
         self.mlp_w2 = _kaiming_uniform(rng, (channels, hidden, 1, 1), hidden, dtype)
-        self.spatial = Conv2dLayer(2, 1, 7, rng, dtype, bias=False)
+        self.spatial = Conv2dLayer(2, 1, 7, rng, dtype)
 
     def _mlp(self, descriptor: Tensor4) -> Tensor4:
         h = ops.relu(ops.conv2d(descriptor, self.mlp_w1))

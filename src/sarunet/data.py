@@ -53,6 +53,8 @@ class FrameSeries:
         self.frames = np.asarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 3:
             raise DimensionError(f"frames must be [T,H,W], got shape {self.frames.shape}")
+        if 0 in self.frames.shape[1:]:
+            raise DimensionError(f"frames need at least one pixel, got shape {self.frames.shape}")
         if self.unit not in _UNIT_CODES:
             raise UsageError(f"unit must be one of {sorted(_UNIT_CODES)}, got {self.unit!r}")
         f = self.frames

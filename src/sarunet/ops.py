@@ -36,25 +36,8 @@ compute every input gradient, and :meth:`~sarunet.tensor.Tape.backward`
 drops the ones nothing needs.
 
 :func:`conv2d` is stride-1 and always pads by ``k // 2`` (a "same"
-convolution, the only kind the network runs); the weight's shape picks one
-of three kernels:
-
-- ``[cout, cin, 1, 1]`` (pointwise): one matmul over the input as stored;
-  the backward keeps the input only for the weight gradient and the weight
-  only for ``dx``, as every kernel does.
-- ``[c, 1, 3, 3]`` over ``c`` channels (depthwise): nine shifted
-  multiply-adds over zero-padded flat planes, run in cache-sized tiles (a
-  band of image rows over a group of planes, :data:`_TILE` elements at
-  most) and written straight into the output, so no whole-plane temporary
-  is made. Each output entry sees the same nine products in the same order
-  as a whole-plane pass, so the values do not depend on the tiling. The
-  backward runs the same tiled sum over the padded gradient for ``dx``, and
-  pads the input again for the weight gradient.
-- ``[cout, cin, k, k]``, odd ``k`` (dense; CBAM's 7x7): products of float64
-  ``rfft2`` spectra over planes zero-padded to ``L``, the smallest
-  2*3*5-smooth length >= ``size + k - 1`` per axis, so that they are linear
-  convolutions. The backward keeps no spectrum: it transforms the kept input
-  or weight again, and never makes a ``k*k``-fold patch matrix.
+convolution, the only kind the network runs); its docstring describes the
+three kernels the weight's shape picks, and the bias rule.
 
 :func:`batch_norm` uses the fixed :data:`BN_EPS` and :data:`BN_MOMENTUM`.
 """
@@ -89,27 +72,10 @@ def _same_dtype(*tensors: Tensor4) -> np.dtype:
 
 # -- convolution -------------------------------------------------------------
 
-def _record_conv(out: np.ndarray, x: Tensor4, weight: Tensor4, bias: Optional[Tensor4],
-                 backward_fn) -> Tensor4:
-    """Add the bias into ``out`` (each kernel's fresh array) and record the
-    kernel on the tape as ``conv2d`` with inputs ``(x, weight[, bias])``."""
-    if bias is None:
-        return make_result(out, "conv2d", (x, weight), backward_fn)
-    out += bias.data
-    return make_result(out, "conv2d", (x, weight, bias), backward_fn)
-
-
 def _needs(*tensors: Optional[Tensor4]) -> tuple[bool, ...]:
     """Each input's ``requires_grad`` as read at forward time; an absent
     bias needs nothing."""
     return tuple(t is not None and t.requires_grad for t in tensors)
-
-
-def _conv_grads(gout: np.ndarray, dx: Optional[np.ndarray], dw: Optional[np.ndarray],
-                has_bias: bool, need_b: bool) -> list[Optional[np.ndarray]]:
-    if not has_bias:
-        return [dx, dw]
-    return [dx, dw, gout.sum(axis=(0, 2, 3), keepdims=True) if need_b else None]
 
 
 def _fft_length(size: int) -> int:
@@ -127,7 +93,7 @@ def _spectrum(a: np.ndarray, lengths: tuple) -> np.ndarray:
     return np.fft.rfft2(a.astype(np.float64), s=lengths)
 
 
-def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
+def _conv_dense(x: Tensor4, weight: Tensor4) -> Tensor4:
     _, _, h, w_in = x.shape
     p = weight.shape[2] // 2                             # k = 2p + 1
     lengths = (_fft_length(h + 2 * p), _fft_length(w_in + 2 * p))
@@ -135,8 +101,8 @@ def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4
     flipped = _spectrum(weight.data[:, :, ::-1, ::-1], lengths)
     out = np.fft.irfft2(np.einsum("ncij,ocij->noij", _spectrum(x.data, lengths), flipped),
                         s=lengths)[crop].astype(x.dtype)
-    need_x, need_w, need_b = _needs(x, weight, bias)
-    has_b, dtype = bias is not None, x.dtype
+    need_x, need_w = _needs(x, weight)
+    dtype = x.dtype
     x_kept = x.data if need_w else None
     w_kept = weight.data if need_x else None
 
@@ -151,9 +117,9 @@ def _conv_dense(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4
                                            _spectrum(x_kept, lengths)), s=lengths)
             rows, cols = (np.arange(-p, p + 1) % size for size in lengths)   # lags -p..p
             dw = corr[:, :, rows[:, None], cols].astype(dtype)
-        return _conv_grads(gout, dx, dw, has_b, need_b)
+        return [dx, dw]
 
-    return _record_conv(out, x, weight, bias, backward_fn)
+    return make_result(out, "conv2d", (x, weight), backward_fn)
 
 
 def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
@@ -173,10 +139,15 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
             dw = np.matmul(go, x_kept.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
         if need_x:
             dx = np.matmul(w_kept.T, go).reshape(x_shape)
-        return _conv_grads(gout, dx, dw, has_b, need_b)
+        if not has_b:
+            return [dx, dw]
+        return [dx, dw, gout.sum(axis=(0, 2, 3), keepdims=True) if need_b else None]
 
     out = np.matmul(w2, x3).reshape(n, cout, h, w_in)
-    return _record_conv(out, x, weight, bias, backward_fn)
+    if not has_b:
+        return make_result(out, "conv2d", (x, weight), backward_fn)
+    out += bias.data                                  # a fresh array
+    return make_result(out, "conv2d", (x, weight, bias), backward_fn)
 
 
 def _pad_planes(a: np.ndarray) -> np.ndarray:
@@ -243,11 +214,11 @@ def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.nda
     return out.reshape(n, c, h, w)
 
 
-def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
+def _conv_depthwise3(x: Tensor4, weight: Tensor4) -> Tensor4:
     _, c, h, w_in = x.shape
     taps = weight.data.reshape(c, 9)
-    need_x, need_w, need_b = _needs(x, weight, bias)
-    w_shape, has_b = weight.shape, bias is not None
+    need_x, need_w = _needs(x, weight)
+    w_shape = weight.shape
     x_kept = x.data if need_w else None
     taps_kept = taps if need_x else None
 
@@ -265,18 +236,17 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Te
             for t, off in enumerate(_tap_offsets(w_in)):
                 dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
             dw = dw.reshape(w_shape)
-        return _conv_grads(gout, dx, dw, has_b, need_b)
+        return [dx, dw]
 
-    return _record_conv(_shifted_sum(_pad_planes(x.data), taps, h, w_in), x, weight, bias,
-                        backward_fn)
+    return make_result(_shifted_sum(_pad_planes(x.data), taps, h, w_in), "conv2d", (x, weight),
+                       backward_fn)
 
 
 def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tensor4:
     """Stride-1 2-d cross-correlation, zero-padded by ``k // 2`` so the
     output keeps the input's spatial size.
 
-    ``bias``, when given, is a per-output-channel vector stored as
-    ``[1, cout, 1, 1]``. The kernel ``k x k`` must be square and odd, else
+    The kernel ``k x k`` must be square and odd, else
     ``ConfigurationError``. The weight's shape over ``x``'s ``cin`` channels
     picks one of three kernels, each recorded on the tape as ``conv2d``:
 
@@ -284,24 +254,34 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       stored, forward and backward.
     - **depthwise 3x3**, ``[cin, 1, 3, 3]`` (tested before dense, so
       ``[1, 1, 3, 3]`` over one channel is depthwise): nine shifted
-      multiply-adds over the zero-padded input planes, tile by tile in
-      bands of rows over groups of planes of at most :data:`_TILE`
-      elements, each tile written straight into the output; bitwise the
-      whole-plane sum. The backward runs the same sum over the padded
-      gradient with the kernel flipped, and pads the input again for the
-      weight gradient.
-    - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): ``irfft2`` of the
-      input's spectra summed over ``cin`` against the flipped weight's,
-      cropped at ``[p:p+h, p:p+w]`` (``p = k // 2``); ``dx`` sums the
-      gradient's over ``cout`` against the weight's, and the weight gradient
-      is ``irfft2`` of ``conj(G) * X`` summed over the batch, read at the lags
-      ``(i - p) mod L``. Results are cast back to the input's dtype.
+      multiply-adds over zero-padded flat planes, run in cache-sized tiles
+      (a band of image rows over a group of planes, :data:`_TILE` elements
+      at most), each tile written straight into the output, so no
+      whole-plane temporary is made. Each output entry sees the same nine
+      products in the same order as a whole-plane pass, so the values do
+      not depend on the tiling. The backward runs the same sum over the
+      padded gradient with the kernel flipped, and pads the input again for
+      the weight gradient.
+    - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): products of float64
+      ``rfft2`` spectra over planes zero-padded to ``L``, the smallest
+      2*3*5-smooth length >= ``size + k - 1`` per axis, so that they are
+      linear convolutions: ``irfft2`` of the input's spectra summed over
+      ``cin`` against the flipped weight's, cropped at ``[p:p+h, p:p+w]``
+      (``p = k // 2``); ``dx`` sums the gradient's over ``cout`` against the
+      weight's, and the weight gradient is ``irfft2`` of ``conj(G) * X``
+      summed over the batch, read at the lags ``(i - p) mod L``. Results are
+      cast back to the input's dtype.
 
-    Any other weight shape is a ``DimensionError``. Every kernel's backward
-    keeps the input array only when the weight needs a gradient and the
-    weight array only when the input does, never a padded copy, a patch
-    matrix or a spectrum, which the dense backward rebuilds; with a frozen
-    weight (Grad-CAM) the input is freed once the forward code drops it.
+    Any other weight shape is a ``DimensionError``. Only the pointwise
+    kernel takes a ``bias`` (``[1, cout, 1, 1]``), as only the network's 1x1
+    convs carry one; a bias with a depthwise or dense weight is a
+    ``DimensionError``.
+
+    Every kernel's backward keeps the input array only when the weight needs
+    a gradient and the weight array only when the input does, never a padded
+    copy, a patch matrix or a spectrum, which the dense backward rebuilds;
+    with a frozen weight (Grad-CAM) the input is freed once the forward code
+    drops it.
     """
     _same_dtype(*( (x, weight) + ((bias,) if bias is not None else ()) ))
     cin = x.shape[1]
@@ -312,10 +292,13 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
         raise DimensionError(f"bias must have shape (1,{cout},1,1), got {bias.shape}")
     if kh == 1 and wcin == cin:
         return _conv_pointwise(x, weight, bias)
+    if bias is not None:
+        raise DimensionError(f"conv2d takes a bias only with a pointwise [cout,{cin},1,1] "
+                             f"weight, got weight {weight.shape}")
     if kh == 3 and wcin == 1 and cout == cin:
-        return _conv_depthwise3(x, weight, bias)
+        return _conv_depthwise3(x, weight)
     if wcin == cin:
-        return _conv_dense(x, weight, bias)
+        return _conv_dense(x, weight)
     raise DimensionError(
         f"conv2d weight {weight.shape} over {cin} input channels is none of "
         f"pointwise [cout,{cin},1,1], depthwise [{cin},1,3,3] or dense [cout,{cin},k,k]")

@@ -224,6 +224,10 @@ class Tape:
         tape) is skipped, and so is a ``None`` gradient, which a rule
         returns for an input that needs none.
 
+        A leaf's gradient goes into its buffer as soon as a rule returns it;
+        an op output's gradients are summed and passed on when its own rule
+        runs.
+
         Gradients are routed by tensor key, not by the tensors: the tape
         holds no op output, so an output nothing else holds is freed during
         the forward pass, and a marked output is reached through its
@@ -248,7 +252,6 @@ class Tape:
                              "run the forward pass inside `with Tape() as tape:`")
         self._consumed = True
         pending: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
-        leaf_tensors: dict[int, Tensor4] = {}
         ops = self.ops
         while ops:
             rec = ops.pop()
@@ -263,17 +266,12 @@ class Tape:
                 if g is None:
                     continue
                 if leaf is not None:
-                    if not leaf.requires_grad or leaf.grad is None:
-                        continue
-                    leaf_tensors[key] = leaf
-                if key in pending:
+                    if leaf.requires_grad and leaf.grad is not None:
+                        leaf.grad += g
+                elif key in pending:
                     pending[key] = pending[key] + g
                 else:
                     pending[key] = g
-        for key, t in leaf_tensors.items():
-            g = pending.pop(key, None)
-            if g is not None:
-                t.grad += g
 
 
 def make_result(data: np.ndarray, name: str, inputs: Sequence[Tensor4],

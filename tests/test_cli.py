@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from sarunet.cli import main
 from sarunet.data import FrameSeries, load_nwds, save_nwds
+from sarunet.tensor import write_t4
 
 
 def run(*argv):
@@ -544,6 +546,21 @@ def test_infinite_frame_value_is_data_error(synth_file, tmp_path, capsys, comman
     code = run(command, "--data", data, *args, out)
     assert code == 3
     assert "+inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frames_without_pixels_are_data_error(tmp_path, capsys):
+    """An NWDS container of 64x0 frames stops ``train`` with exit 3 naming
+    the frame shape, before the rain gate divides by a zero pixel count."""
+    data = tmp_path / "no_pixels.nwds"
+    with open(data, "wb") as f:
+        f.write(b"NWDS" + struct.pack("<IBQ", 5, 0, 40))     # 5 min, raw, 40 frames
+        for _ in range(40):
+            write_t4(f, np.zeros((1, 1, 64, 0), np.float32))
+    out = tmp_path / "out"
+    assert run("train", "--data", data, "--in-frames", 6, "--lead-minutes", 30,
+               "--out-dir", out) == 3
+    assert "(40, 64, 0)" in capsys.readouterr().err
     assert not out.exists()
 
 

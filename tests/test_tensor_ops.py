@@ -73,17 +73,6 @@ class TestConv2d:
             err = np.abs(a.data - b).max() / max(np.abs(a.data).max(), 1e-12)
             assert err <= 1e-5
 
-    def test_dense_3x3_with_bias(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(1, 2, 9, 9))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64),
-                       t(b.reshape(1, 3, 1, 1), dtype=np.float64))
-        ref = conv2d_loops(x, w, bias=b, padding=1)
-        assert y.shape == (1, 3, 9, 9)
-        np.testing.assert_allclose(y.data, ref, rtol=1e-12)
-
     def test_shape_errors(self):
         x = t(np.ones((1, 3, 4, 4)))
         for kernel in [(2, 3, 2, 2), (2, 3, 3, 5), (3, 1, 3, 1)]:   # even, not square
@@ -94,6 +83,15 @@ class TestConv2d:
                 ops.conv2d(x, t(np.ones(weight)))
         with pytest.raises(DimensionError, match="bias"):
             ops.conv2d(x, t(np.ones((2, 3, 1, 1))), t(np.ones((1, 3, 1, 1))))
+
+    @pytest.mark.parametrize("weight", [(3, 1, 3, 3), (2, 3, 3, 3), (1, 3, 7, 7)],
+                             ids=["depthwise", "dense_3x3", "dense_7x7"])
+    def test_bias_only_with_pointwise_weight(self, weight):
+        """Only the pointwise kernel takes a bias; with a depthwise or dense
+        weight a bias of the right shape is refused, naming the weight."""
+        bias = t(np.ones((1, weight[0], 1, 1)))
+        with pytest.raises(DimensionError, match=re.escape(str(weight))):
+            ops.conv2d(t(np.ones((1, 3, 4, 4))), t(np.ones(weight)), bias)
 
 
 @pytest.mark.parametrize("weight,cin,kernel", [
@@ -119,8 +117,8 @@ KERNEL_SHAPES = [(1, 3, 5, 7), (3, 2, 6, 4), (3, 2, 1, 6), (1, 3, 5, 1)]
 
 
 def kernel_case(kind, shape, with_bias, seed=0):
-    """Float64 input, weight and optional bias that take the ``kind``
-    kernel, and the loop oracle's keywords for the same conv."""
+    """Float64 input, weight and optional bias (pointwise only) that take
+    the ``kind`` kernel, and the loop oracle's keywords for the same conv."""
     rng = np.random.default_rng(seed)
     n, c, h, w = shape
     if kind == "pointwise":
@@ -143,19 +141,17 @@ def no_dense_kernel(monkeypatch):
 @pytest.mark.parametrize("kind", ["pointwise", "depthwise"])
 class TestConvKernels:
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_matches_loop_oracle(self, kind, shape, with_bias):
-        x, w, b, oracle_kw = kernel_case(kind, shape, with_bias)
-        bt = None if b is None else t(b.reshape(1, -1, 1, 1), dtype=np.float64)
-        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64), bt)
-        ref = conv2d_loops(x, w, bias=b, **oracle_kw)
+    def test_matches_loop_oracle(self, kind, shape):
+        x, w, _, oracle_kw = kernel_case(kind, shape, False)
+        y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64))
+        ref = conv2d_loops(x, w, **oracle_kw)
         np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_gradients_match_finite_differences(self, kind, shape):
-        x, w, b, _ = kernel_case(kind, shape, True, seed=1)
+        x, w, b, _ = kernel_case(kind, shape, kind == "pointwise", seed=1)
         params = [t(a, dtype=np.float64, requires_grad=True)
-                  for a in (x, w, b.reshape(1, -1, 1, 1))]
+                  for a in (x, w) + ((b.reshape(1, -1, 1, 1),) if b is not None else ())]
 
         def loss():
             y = ops.conv2d(*params)
@@ -167,6 +163,14 @@ class TestConvKernels:
         for p in params:
             num = finite_diff(lambda: loss().item(), p.data, h=1e-5)
             assert grad_rel_err(p.grad, num) <= 1e-7
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_pointwise_bias_matches_loop_oracle(shape):
+    x, w, b, _ = kernel_case("pointwise", shape, True)
+    y = ops.conv2d(t(x, dtype=np.float64), t(w, dtype=np.float64),
+                   t(b.reshape(1, -1, 1, 1), dtype=np.float64))
+    np.testing.assert_allclose(y.data, conv2d_loops(x, w, bias=b), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.usefixtures("no_dense_kernel")
@@ -220,26 +224,22 @@ class TestDenseKernel:
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_matches_loop_oracle(self, k, shape, with_bias):
+    def test_matches_loop_oracle(self, k, shape):
         rng = np.random.default_rng(k)
         n, cin, h, w_in = shape
         x, w = rng.normal(size=shape), rng.normal(size=(3, cin, k, k))
-        b, gout = rng.normal(size=3), rng.normal(size=(n, 3, h, w_in))
-        params = [t(a, dtype=np.float64, requires_grad=True)
-                  for a in (x, w) + ((b.reshape(1, 3, 1, 1),) if with_bias else ())]
+        gout = rng.normal(size=(n, 3, h, w_in))
+        params = [t(a, dtype=np.float64, requires_grad=True) for a in (x, w)]
         with Tape() as tape:
             y = ops.conv2d(*params)
         (rec,) = tape.ops
         grads = rec.backward_fn(gout)
-        np.testing.assert_allclose(y.data, conv2d_loops(x, w, bias=b if with_bias else None,
-                                                        padding=k // 2),
+        np.testing.assert_allclose(y.data, conv2d_loops(x, w, padding=k // 2),
                                    rtol=1e-12, atol=1e-12)
+        assert len(grads) == 2
         for got, want in zip(grads, dense_loop_grads(x, w, gout)):
             assert got.shape == want.shape and got.dtype == np.float64
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-11)
-        if with_bias:
-            np.testing.assert_allclose(grads[2].ravel(), gout.sum(axis=(0, 2, 3)))
 
     def test_zero_input_gives_exact_zeros(self):
         rng = np.random.default_rng(8)
