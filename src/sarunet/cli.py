@@ -14,7 +14,10 @@ artifact-producing command writes one JSON manifest (config snapshot, seed,
 sha256 hashes of input files, output paths, wall-clock timings); its
 ``config`` record holds every option except the paths and ``--force``, plus
 values the run derived. Manifest timing fields and the ``seconds`` history
-column are the only outputs that vary between identical reruns.
+column are the only outputs that vary between identical reruns. A command
+hashes its input files (sha256 of each whole file) on one worker thread
+while it reads and computes, and joins that thread before it writes its
+first output or returns, error or not.
 
 ``train`` and ``evaluate`` build rain-gated windows over the whole series
 and split the window list chronologically by anchor (70/15/15); the
@@ -44,6 +47,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -63,11 +67,49 @@ _EXIT_NUMERIC = 4
 
 
 def _sha256(path: Path) -> str:
+    """Hex sha256 of the file, read into one reused 1 MiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    buf = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
+
+
+class _Digests:
+    """``_sha256`` of each input path, on one worker thread that runs while
+    the ``with`` block does the command's own work. Leaving the block joins
+    the thread on every path, so an error of the command's own wins over the
+    worker's and no thread outlives the command. ``collect()``, called after
+    the block and before the first output is written (``--force`` may
+    overwrite an input), returns ``{str(path): digest}`` or raises the error
+    the worker met."""
+
+    def __init__(self, *paths: Path):
+        self._paths = paths
+        self._digests: dict[str, str] = {}
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, name="sarunet-sha256")
+
+    def _run(self) -> None:
+        try:
+            for path in self._paths:
+                self._digests[str(path)] = _sha256(path)
+        except Exception as e:      # raised on the command's thread by collect()
+            self._error = e
+
+    def __enter__(self) -> "_Digests":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._thread.join()
+
+    def collect(self) -> dict[str, str]:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._digests
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -384,24 +426,26 @@ def cmd_train(args) -> int:
     _require(args, ["data", "out_dir"])
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    series = data.load_nwds(data_path)
-    spec, fraction = _window_setup(args, series)
-    artifacts = [out_dir / "model.ckpt", out_dir / "history.csv",
-                 out_dir / "manifest.json"]
-    _refuse_overwrite(artifacts, args.force)
-    datasets, scale = _assemble(series, spec, fraction, need=("train", "val"))
-    train_ds, val_ds, _test_ds = datasets
-    out_ch = len(spec.target_offsets)
-    config = ModelConfig(in_channels=spec.input_frames, out_channels=out_ch,
-                         base_channels=args.base_channels, variant=args.variant,
-                         cbam_reduction=args.cbam_reduction)
-    model = build(config, seed=args.seed)
+    with _Digests(data_path) as digests:
+        series = data.load_nwds(data_path)
+        spec, fraction = _window_setup(args, series)
+        artifacts = [out_dir / "model.ckpt", out_dir / "history.csv",
+                     out_dir / "manifest.json"]
+        _refuse_overwrite(artifacts, args.force)
+        datasets, scale = _assemble(series, spec, fraction, need=("train", "val"))
+        train_ds, val_ds, _test_ds = datasets
+        out_ch = len(spec.target_offsets)
+        config = ModelConfig(in_channels=spec.input_frames, out_channels=out_ch,
+                             base_channels=args.base_channels, variant=args.variant,
+                             cbam_reduction=args.cbam_reduction)
+        model = build(config, seed=args.seed)
+    inputs = digests.collect()
     tc = TrainConfig(max_epochs=args.max_epochs, batch_size=args.batch_size,
                      seed=args.seed, early_stop_patience=args.early_stop_patience)
     result = fit(model, train_ds, val_ds, tc, out_dir=out_dir)
     extras = _checkpoint_extras(spec, series, scale, fraction)
     save_checkpoint(out_dir / "model.ckpt", model, extras)
-    _write_manifest(out_dir / "manifest.json", args, {str(data_path): _sha256(data_path)},
+    _write_manifest(out_dir / "manifest.json", args, inputs,
                     [out_dir / "model.ckpt", out_dir / "history.csv"], started,
                     splits=_split_summary(datasets), norm_scale=scale,
                     best_epoch=result.best_epoch, best_val_mse=result.best_val_loss,
@@ -422,46 +466,45 @@ def cmd_evaluate(args) -> int:
     _check_threshold(args.threshold)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    series = data.load_nwds(data_path)
-    inputs = {str(data_path): _sha256(data_path)}
+    ckpt = Path(args.checkpoint) if args.checkpoint else None
+    with _Digests(data_path, *([] if ckpt is None else [ckpt])) as digests:
+        series = data.load_nwds(data_path)
+        model = None
+        if ckpt is not None:
+            model, spec, scale, fraction = _load_trained(ckpt, series)
+            _checkpoint_setup(args, spec, fraction, series.interval_minutes)
+        else:
+            if args.baseline != "persistence":
+                raise UsageError("evaluation without --checkpoint needs "
+                                 "--baseline persistence")
+            spec, fraction = _window_setup(args, series)
+            scale = None
 
-    model = None
-    if args.checkpoint:
-        ckpt = Path(args.checkpoint)
-        model, spec, scale, fraction = _load_trained(ckpt, series)
-        _checkpoint_setup(args, spec, fraction, series.interval_minutes)
-        inputs[str(ckpt)] = _sha256(ckpt)
-    else:
-        if args.baseline != "persistence":
-            raise UsageError("evaluation without --checkpoint needs "
-                             "--baseline persistence")
-        spec, fraction = _window_setup(args, series)
-        scale = None
+        artifacts = [out_dir / "report.csv", out_dir / "report.txt",
+                     out_dir / "per_lead.csv", out_dir / "manifest.json"]
+        _refuse_overwrite(artifacts, args.force)
+        datasets, scale = _assemble(series, spec, fraction, scale=scale,
+                                    need=("test",))
+        test_ds = datasets[2]
+        leads = _lead_minutes_tuple(spec, series.interval_minutes)
+        input_minutes = spec.input_frames * series.interval_minutes
 
-    artifacts = [out_dir / "report.csv", out_dir / "report.txt",
-                 out_dir / "per_lead.csv", out_dir / "manifest.json"]
-    _refuse_overwrite(artifacts, args.force)
-    datasets, scale = _assemble(series, spec, fraction, scale=scale,
-                                need=("test",))
-    test_ds = datasets[2]
-    leads = _lead_minutes_tuple(spec, series.interval_minutes)
-    input_minutes = spec.input_frames * series.interval_minutes
+        def setup_for(name):
+            return EvalSetup(model_name=name, input_minutes=input_minutes,
+                             lead_minutes=leads, unit=series.unit, scale=scale,
+                             interval_minutes=series.interval_minutes,
+                             threshold_mm_per_h=args.threshold)
 
-    def setup_for(name):
-        return EvalSetup(model_name=name, input_minutes=input_minutes,
-                         lead_minutes=leads, unit=series.unit, scale=scale,
-                         interval_minutes=series.interval_minutes,
-                         threshold_mm_per_h=args.threshold)
-
-    reports = []
-    if model is not None:
-        reports.append(evaluate_setup(
-            model, test_ds, setup_for(_model_display_name(model.config.variant)),
-            batch_size=args.batch_size))
-    if args.baseline == "persistence":
-        reports.append(evaluate_setup("persistence", test_ds,
-                                      setup_for("persistence"),
-                                      batch_size=args.batch_size))
+        reports = []
+        if model is not None:
+            reports.append(evaluate_setup(
+                model, test_ds, setup_for(_model_display_name(model.config.variant)),
+                batch_size=args.batch_size))
+        if args.baseline == "persistence":
+            reports.append(evaluate_setup("persistence", test_ds,
+                                          setup_for("persistence"),
+                                          batch_size=args.batch_size))
+    inputs = digests.collect()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(out_dir / "report.csv", reports)
     write_per_lead_csv(out_dir / "per_lead.csv", reports)
@@ -501,17 +544,18 @@ def cmd_predict(args) -> int:
     data_path = Path(args.data)
     out = Path(args.out)
     _refuse_overwrite([out], args.force)
-    model, series, x, scale = _load_window(ckpt, data_path, args.window_index,
-                                           "--window-index")
-    pred = check_prediction(model.forward(x)[0])
-    if series.unit == "binary":
-        frames = binarize(pred.data[0], series.unit)
-    else:
-        frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
+    with _Digests(ckpt, data_path) as digests:
+        model, series, x, scale = _load_window(ckpt, data_path, args.window_index,
+                                               "--window-index")
+        pred = check_prediction(model.forward(x)[0])
+        if series.unit == "binary":
+            frames = binarize(pred.data[0], series.unit)
+        else:
+            frames = np.maximum(pred.data[0], 0.0) * np.float32(scale)  # clamp: rain >= 0
+    inputs = digests.collect()
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_nwds(out, data.FrameSeries(frames, series.interval_minutes, series.unit))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args,
-                    {str(ckpt): _sha256(ckpt), str(data_path): _sha256(data_path)},
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args, inputs,
                     [out], started)
     print(f"wrote {out} ({frames.shape[0]} predicted frame(s))")
     return 0
@@ -525,19 +569,21 @@ def cmd_explain(args) -> int:
     ckpt = Path(args.checkpoint)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    model, series, x, scale = _load_window(ckpt, data_path, args.input_window,
-                                           "--input-window")
-    if args.targets == "all":
-        grid = suite_grid(model)
-        layers = list(grid)
-    else:
-        grid = {}
-        layers = [n.strip() for n in args.targets.split(",") if n.strip()]
-        if not layers:
-            raise UsageError("--targets needs 'all' or a comma-separated name list")
-    maps = explain_suite(model, x, layers, unit=series.unit, scale=scale,
-                         interval_minutes=series.interval_minutes,
-                         threshold_mm_per_h=args.threshold)
+    with _Digests(ckpt, data_path) as digests:
+        model, series, x, scale = _load_window(ckpt, data_path, args.input_window,
+                                               "--input-window")
+        if args.targets == "all":
+            grid = suite_grid(model)
+            layers = list(grid)
+        else:
+            grid = {}
+            layers = [n.strip() for n in args.targets.split(",") if n.strip()]
+            if not layers:
+                raise UsageError("--targets needs 'all' or a comma-separated name list")
+        maps = explain_suite(model, x, layers, unit=series.unit, scale=scale,
+                             interval_minutes=series.interval_minutes,
+                             threshold_mm_per_h=args.threshold)
+    inputs = digests.collect()
 
     index_path = out_dir / "index.csv"
     files = [out_dir / (hm.layer.replace(".", "_") + ext)
@@ -557,9 +603,7 @@ def cmd_explain(args) -> int:
             section, row, col = grid.get(hm.layer, ("custom", -1, -1))
             f.write(f"{hm.layer},{section},{row},{col},"
                     f"{nwds_path.name},{hm.raw_max!r}\n")
-    _write_manifest(out_dir / "manifest.json", args,
-                    {str(ckpt): _sha256(ckpt), str(data_path): _sha256(data_path)},
-                    outputs, started)
+    _write_manifest(out_dir / "manifest.json", args, inputs, outputs, started)
     print(f"wrote {len(maps)} heatmap(s) to {out_dir}")
     return 0
 

@@ -140,6 +140,55 @@ def bilinear_double_adjoint(g):
     return dx
 
 
+def batch_norm_train_loops(x, gamma, beta, eps):
+    """Train-mode batch norm by scalar loops over each channel's ``n*h*w``
+    values, in float64: ``(out, mean, var, grads)`` with the biased batch
+    variance, where ``grads(gout)`` gives ``(dx, dgamma, dbeta)`` by the
+    chain rule through the mean and the variance, step by step as in
+    Ioffe & Szegedy (arXiv 1502.03167), Algorithm 1's backward."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    cells = list(np.ndindex(n, h, w))
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape, dtype=np.float64)
+    mean, var, istd = np.empty(c), np.empty(c), np.empty(c)
+    for ch in range(c):
+        total = 0.0
+        for b, i, j in cells:
+            total += x[b, ch, i, j]
+        mean[ch] = total / m
+        sq = 0.0
+        for b, i, j in cells:
+            sq += (x[b, ch, i, j] - mean[ch]) ** 2
+        var[ch] = sq / m
+        istd[ch] = 1.0 / np.sqrt(var[ch] + eps)
+        for b, i, j in cells:
+            xhat = (x[b, ch, i, j] - mean[ch]) * istd[ch]
+            out[b, ch, i, j] = float(gamma[ch]) * xhat + float(beta[ch])
+
+    def grads(gout):
+        dx = np.empty(x.shape, dtype=np.float64)
+        dgamma, dbeta = np.zeros(c), np.zeros(c)
+        for ch in range(c):
+            g = float(gamma[ch])
+            dvar = dmean = 0.0
+            for b, i, j in cells:
+                go = float(gout[b, ch, i, j])
+                centred = x[b, ch, i, j] - mean[ch]
+                dbeta[ch] += go
+                dgamma[ch] += go * centred * istd[ch]
+                dvar += go * g * centred * -0.5 * istd[ch] ** 3
+                dmean += -go * g * istd[ch]
+            for b, i, j in cells:
+                dmean += dvar * -2.0 * (x[b, ch, i, j] - mean[ch]) / m
+            for b, i, j in cells:
+                centred = x[b, ch, i, j] - mean[ch]
+                dx[b, ch, i, j] = (float(gout[b, ch, i, j]) * g * istd[ch]
+                                   + dvar * 2.0 * centred / m + dmean / m)
+        return dx, dgamma, dbeta
+    return out, mean, var, grads
+
+
 def cbam_reference(x, w1, w2, sw):
     """Descriptor-level CBAM: materialize avg/max descriptors, run the shared
     perceptron on each, sum, sigmoid, gate; then channel-avg/max maps, 7x7

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
+import shutil
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -584,7 +588,10 @@ def test_non_finite_prediction_is_numeric_error(request, tmp_path, capsys,
                                                 command, out_flag, setup):
     """A finite checkpoint whose weights overflow the forward pass exits 4,
     with nothing written: no ``inf`` MSE in a report, no ``nan`` raw_max in
-    an index, and no cloud mask binarized from non-finite values."""
+    an index, and no cloud mask binarized from non-finite values. The
+    ``dec0`` shortcut bias of 3e38 puts every channel into the output conv
+    at about 3e38 or above (the other path adds a ReLU output), whatever
+    the activations, so the output weights of 3e38 overflow."""
     from sarunet.model import load_checkpoint, save_checkpoint
     if setup == "cloud":
         data, ckpt = request.getfixturevalue("cloud_run")
@@ -592,7 +599,9 @@ def test_non_finite_prediction_is_numeric_error(request, tmp_path, capsys,
         data = request.getfixturevalue("synth_file")
         ckpt = request.getfixturevalue("trained_dir") / "model.ckpt"
     model, meta = load_checkpoint(ckpt)
-    dict(model.named_parameters())["out.weight"].data[...] = 3e38
+    params = dict(model.named_parameters())
+    params["dec0.block.shortcut.bias"].data[...] = 3e38
+    params["out.weight"].data[...] = 3e38
     huge = tmp_path / "huge.ckpt"
     save_checkpoint(huge, model, meta)
     out = tmp_path / "out"
@@ -601,6 +610,89 @@ def test_non_finite_prediction_is_numeric_error(request, tmp_path, capsys,
     assert code == 4
     assert "prediction is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", ["train", "evaluate", "evaluate_checkpoint", "predict",
+                                  "explain"])
+def test_manifest_records_the_sha256_of_every_input(synth_file, trained_dir, tmp_path,
+                                                    case):
+    ckpt = trained_dir / "model.ckpt"
+    out = tmp_path / "out"
+    argv, manifest, inputs = {
+        "train": ((), trained_dir / "manifest.json", [synth_file]),
+        "evaluate": (("evaluate", "--data", synth_file, "--baseline", "persistence",
+                      "--in-frames", 6, "--lead-minutes", 30, "--out-dir", out),
+                     out / "manifest.json", [synth_file]),
+        "evaluate_checkpoint": (("evaluate", "--checkpoint", ckpt, "--data", synth_file,
+                                 "--out-dir", out), out / "manifest.json", [synth_file, ckpt]),
+        "predict": (("predict", "--checkpoint", ckpt, "--data", synth_file, "--out", out),
+                    tmp_path / "out.manifest.json", [ckpt, synth_file]),
+        "explain": (("explain", "--checkpoint", ckpt, "--data", synth_file,
+                     "--targets", "enc0.block", "--out-dir", out),
+                    out / "manifest.json", [ckpt, synth_file]),
+    }[case]
+    if argv:
+        assert run(*argv) == 0
+    assert json.loads(manifest.read_text())["inputs_sha256"] == \
+        {str(p): sha256_of(p) for p in inputs}
+
+
+def test_predict_over_its_own_input_records_the_input_as_read(synth_file, trained_dir,
+                                                              tmp_path):
+    """The digests are collected before the first output is written, so an
+    input that ``--force`` overwrites is recorded as the command read it."""
+    data = tmp_path / "series.nwds"
+    shutil.copy(synth_file, data)
+    digest = sha256_of(data)
+    assert run("predict", "--checkpoint", trained_dir / "model.ckpt", "--data", data,
+               "--out", data, "--force") == 0
+    assert load_nwds(data).frames.shape == (1, 32, 32)
+    manifest = json.loads((tmp_path / "series.nwds.manifest.json").read_text())
+    assert manifest["inputs_sha256"][str(data)] == digest
+
+
+@pytest.mark.parametrize("command,bad,out_flag", [
+    ("predict", "missing data", "--out"), ("predict", "both missing", "--out"),
+    ("explain", "data is a directory", "--out-dir"),
+    ("explain", "checkpoint is a directory", "--out-dir")])
+def test_bad_input_path_exits_3_and_leaves_no_thread(synth_file, trained_dir, tmp_path,
+                                                     capsys, monkeypatch, command, bad,
+                                                     out_flag):
+    """The command's own error on an input path is the one reported, even
+    where the hashing worker failed first on another path (both missing:
+    the worker hashes the checkpoint first, the command reads the data
+    first), and the worker, slowed here so that it is still running when
+    the command fails, is joined before ``main`` returns."""
+    from sarunet import cli
+    sha256 = cli._sha256
+
+    def slow_sha256(path):
+        time.sleep(0.05)
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", slow_sha256)
+    missing, directory = tmp_path / "missing", tmp_path / "dir"
+    directory.mkdir()
+    ckpt, data, named, errno = {
+        "missing data": (trained_dir / "model.ckpt", missing, missing,
+                         "[Errno 2] No such file or directory"),
+        "both missing": (tmp_path / "missing.ckpt", missing, missing,
+                         "[Errno 2] No such file or directory"),
+        "data is a directory": (trained_dir / "model.ckpt", directory, directory,
+                                "[Errno 21] Is a directory"),
+        "checkpoint is a directory": (directory, synth_file, directory,
+                                      "[Errno 21] Is a directory"),
+    }[bad]
+    before = threading.enumerate()
+    code = run(command, "--checkpoint", ckpt, "--data", data, out_flag, tmp_path / "out")
+    assert threading.enumerate() == before
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {errno}: {str(named)!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestPredict:
