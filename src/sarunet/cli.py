@@ -430,6 +430,7 @@ def cmd_train(args) -> int:
         series = data.load_nwds(data_path)
         spec, fraction = _window_setup(args, series)
         artifacts = [out_dir / "model.ckpt", out_dir / "history.csv",
+                     out_dir / "best.ckpt", out_dir / "last.ckpt",
                      out_dir / "manifest.json"]
         _refuse_overwrite(artifacts, args.force)
         datasets, scale = _assemble(series, spec, fraction, need=("train", "val"))
@@ -445,8 +446,7 @@ def cmd_train(args) -> int:
     result = fit(model, train_ds, val_ds, tc, out_dir=out_dir)
     extras = _checkpoint_extras(spec, series, scale, fraction)
     save_checkpoint(out_dir / "model.ckpt", model, extras)
-    _write_manifest(out_dir / "manifest.json", args, inputs,
-                    [out_dir / "model.ckpt", out_dir / "history.csv"], started,
+    _write_manifest(out_dir / "manifest.json", args, inputs, artifacts[:4], started,
                     splits=_split_summary(datasets), norm_scale=scale,
                     best_epoch=result.best_epoch, best_val_mse=result.best_val_loss,
                     params=param_count(model),
@@ -500,10 +500,10 @@ def cmd_evaluate(args) -> int:
             reports.append(evaluate_setup(
                 model, test_ds, setup_for(_model_display_name(model.config.variant)),
                 batch_size=args.batch_size))
-        if args.baseline == "persistence":
-            reports.append(evaluate_setup("persistence", test_ds,
-                                          setup_for("persistence"),
-                                          batch_size=args.batch_size))
+        if args.baseline == "persistence":       # scored last, listed first
+            reports.insert(0, evaluate_setup("persistence", test_ds,
+                                             setup_for("persistence"),
+                                             batch_size=args.batch_size))
     inputs = digests.collect()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(out_dir / "report.csv", reports)

@@ -1,5 +1,5 @@
 """Evaluation: binarization at a rain-rate threshold, confusion counting,
-ratio metrics, and report assembly.
+ratio metrics, and the reports of one evaluated setup.
 
 Precipitation frames hold accumulation per frame interval in hundredths of a
 millimeter, so the rain rate of a pixel is ``value * 0.01 * (60 / interval)``
@@ -7,7 +7,8 @@ mm/h; normalized values are rescaled by the dataset scale first. The rate
 threshold uses the >= convention. Binary cloud data is thresholded at 0.5
 directly. Confusion counts accumulate over a whole split before ratios are
 taken (micro-averaging); a metric with a zero denominator reports 0.0
-instead of NaN.
+instead of NaN. The report writers take the reports of one input/lead
+setup, one per model, and write their rows in the order given.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from .tensor import Tensor4
 
 __all__ = [
     "ConfusionCounts", "MetricReport", "EvalSetup", "SquaredErrorSum", "binarize",
-    "confusion", "metrics", "evaluate_setup", "report_rows_sorted", "write_report_csv",
-    "render_report_table", "REPORT_COLUMNS", "MODEL_ORDER",
+    "confusion", "metrics", "evaluate_setup", "write_report_csv", "render_report_table",
+    "REPORT_COLUMNS",
 ]
 
 REPORT_COLUMNS = ("model", "mse", "precision", "recall", "accuracy", "f1")
-MODEL_ORDER = {"persistence": 0, "smaat-config": 1, "sar-unet": 2}
 
 _MM_PER_RAW_UNIT = 0.01
 
@@ -83,8 +83,7 @@ class EvalSetup:
 @dataclass
 class MetricReport:
     setup: EvalSetup
-    mse: float                       # normalized units (headline)
-    mse_physical: float              # raw units: mse * scale^2
+    mse: float                       # normalized units
     values: MetricValues
     per_lead: list[LeadStats] = field(default_factory=list)
 
@@ -212,43 +211,31 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
     pixels = len(data) * tbin[0, 0].size                # per lead
     lead_counts = [ConfusionCounts.from_positives(*h, pixels) for h in hits.T.tolist()]
     counts = ConfusionCounts.from_positives(*hits.sum(axis=1).tolist(), pixels * n_leads)
-    mse = sse.mean()
     per_lead = [LeadStats(setup.lead_minutes[k], lead_sse[k].mean(),
                           metrics(lead_counts[k]))
                 for k in range(n_leads)]
-    return MetricReport(setup=setup, mse=mse,
-                        mse_physical=mse * setup.scale * setup.scale,
-                        values=metrics(counts), per_lead=per_lead)
+    return MetricReport(setup=setup, mse=sse.mean(), values=metrics(counts),
+                        per_lead=per_lead)
 
 
 # -- report rendering -----------------------------------------------------------
 
-def report_rows_sorted(reports: Sequence[MetricReport]) -> list[MetricReport]:
-    """Fixed comparison-table ordering: input amount, then lead time, then
-    the persistence / smaat-config / sar-unet model order."""
-    def key(r: MetricReport):
-        return (r.setup.input_minutes, r.setup.lead_minutes,
-                MODEL_ORDER.get(r.setup.model_name, 99), r.setup.model_name)
-
-    return sorted(reports, key=key)
-
-
 def write_report_csv(path, reports: Sequence[MetricReport]) -> None:
-    rows = report_rows_sorted(reports)
+    """One row per report of one setup, in the order given."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(REPORT_COLUMNS) + "\n")
-        for r in rows:
+        for r in reports:
             v = r.values
             f.write(f"{r.setup.model_name},{r.mse!r},{v.precision!r},"
                     f"{v.recall!r},{v.accuracy!r},{v.f1!r}\n")
 
 
 def write_per_lead_csv(path, reports: Sequence[MetricReport]) -> None:
-    """Plot-ready per-lead-time averages."""
-    rows = report_rows_sorted(reports)
+    """Plot-ready per-lead-time averages of the reports of one setup, report
+    by report in the order given."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("model,lead_minutes,mse,precision,recall,accuracy,f1\n")
-        for r in rows:
+        for r in reports:
             for ls in r.per_lead:
                 v = ls.values
                 f.write(f"{r.setup.model_name},{ls.lead_minutes},{ls.mse!r},"
@@ -256,47 +243,39 @@ def write_per_lead_csv(path, reports: Sequence[MetricReport]) -> None:
 
 
 def render_report_table(reports: Sequence[MetricReport]) -> str:
-    """Aligned text table (MSE, Precision, Recall, Accuracy, F1 score) with a
-    ``*`` marker on the best value per column within each setup group; lowest
-    MSE wins, highest wins elsewhere. A footer states the normalization scale
-    and the physical-unit MSE per model."""
-    rows = report_rows_sorted(reports)
-    groups: dict[tuple, list[MetricReport]] = {}
-    for r in rows:
-        groups.setdefault((r.setup.input_minutes, r.setup.lead_minutes), []).append(r)
+    """Aligned text table (MSE, Precision, Recall, Accuracy, F1 score) of one
+    or more reports of one setup, in the order given, with a ``*`` marker on
+    the best value per column when there is more than one row; lowest MSE
+    wins, highest wins elsewhere. A footer states the setup's normalization
+    scale and the physical-unit MSE per model."""
+    best = {
+        "mse": min(r.mse for r in reports),
+        "precision": max(r.values.precision for r in reports),
+        "recall": max(r.values.recall for r in reports),
+        "accuracy": max(r.values.accuracy for r in reports),
+        "f1": max(r.values.f1 for r in reports),
+    }
+
+    def cell(value, name):
+        mark = "*" if value == best[name] and len(reports) > 1 else " "
+        return f"{value:.4f}{mark}"
 
     header = ["Input", "Lead", "Model", "MSE", "Precision", "Recall",
               "Accuracy", "F1 score"]
-    lines = []
-    for (inp, leads), members in groups.items():
-        best = {
-            "mse": min(m.mse for m in members),
-            "precision": max(m.values.precision for m in members),
-            "recall": max(m.values.recall for m in members),
-            "accuracy": max(m.values.accuracy for m in members),
-            "f1": max(m.values.f1 for m in members),
-        }
-        for m in members:
-            def cell(value, name):
-                mark = "*" if value == best[name] and len(members) > 1 else " "
-                return f"{value:.4f}{mark}"
-
-            lead_txt = "/".join(str(x) for x in leads)
-            lines.append([f"{inp} min", f"{lead_txt} min", m.setup.model_name,
-                          cell(m.mse, "mse"), cell(m.values.precision, "precision"),
-                          cell(m.values.recall, "recall"),
-                          cell(m.values.accuracy, "accuracy"),
-                          cell(m.values.f1, "f1")])
-    widths = [max(len(header[i]), *(len(row[i]) for row in lines)) if lines else len(header[i])
+    setup = reports[0].setup
+    lead_txt = "/".join(str(x) for x in setup.lead_minutes)
+    lines = [[f"{setup.input_minutes} min", f"{lead_txt} min", r.setup.model_name,
+              cell(r.mse, "mse"), cell(r.values.precision, "precision"),
+              cell(r.values.recall, "recall"), cell(r.values.accuracy, "accuracy"),
+              cell(r.values.f1, "f1")]
+             for r in reports]
+    widths = [max(len(header[i]), *(len(row[i]) for row in lines))
               for i in range(len(header))]
     out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
     out.append("  ".join("-" * w for w in widths))
     for row in lines:
         out.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
-    if rows:
-        scale = rows[0].setup.scale
-        out.append("")
-        out.append(f"normalization scale s = {scale!r}; physical-unit MSE = normalized * s^2:")
-        for r in rows:
-            out.append(f"  {r.setup.model_name}: {r.mse_physical!r}")
+    scale = setup.scale
+    out += ["", f"normalization scale s = {scale!r}; physical-unit MSE = normalized * s^2:"]
+    out += [f"  {r.setup.model_name}: {r.mse * scale * scale!r}" for r in reports]
     return "\n".join(out) + "\n"

@@ -332,7 +332,7 @@ def fit(model: Model, train_data: WindowDataset, val_data: WindowDataset,
         train_mse = sse.mean()
         val_mse = _split_mse(model, val_data, config.batch_size)
         scheduler_step(state, val_mse)
-        if state.best_epoch == state.epoch or state.epoch == 1:
+        if state.best_epoch == state.epoch:
             best_params, best_buffers = _snapshot(model)
             if out_path is not None:
                 save_checkpoint(out_path / "best.ckpt", model)

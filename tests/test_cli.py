@@ -129,6 +129,24 @@ class TestTrain:
         header = (trained_dir / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,train_mse,val_mse,lr,seconds"
 
+    def test_manifest_lists_every_output(self, trained_dir):
+        outputs = json.loads((trained_dir / "manifest.json").read_text())["outputs"]
+        assert sorted(o.rpartition("/")[2] for o in outputs) == sorted(
+            p.name for p in trained_dir.iterdir() if p.name != "manifest.json")
+
+    @pytest.mark.parametrize("name", ["best.ckpt", "last.ckpt"])
+    def test_refuses_to_overwrite_a_fit_checkpoint(self, synth_file, tmp_path, name):
+        """``fit`` writes best.ckpt and last.ckpt into the output directory,
+        so either one already there stops the run unless --force is given."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / name).write_bytes(b"keep")
+        assert run("train", "--data", synth_file, "--in-frames", 6, "--lead-minutes", 30,
+                   "--base-channels", 4, "--cbam-reduction", 4, "--max-epochs", 1,
+                   "--out-dir", out) == 3
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == b"keep"
+
     def test_manifest_records_parameter_counts(self, trained_dir):
         """The paper's "small" claim shows in every run: SAR-UNet against a
         plain UNet at the same widths."""
@@ -579,6 +597,28 @@ def cloud_run(tmp_path_factory):
                "--cbam-reduction", 4, "--max-epochs", 1, "--batch-size", 4,
                "--out-dir", root / "run") == 0
     return data, root / "run" / "model.ckpt"
+
+
+@pytest.mark.parametrize("setup", ["precip", "cloud"])
+def test_reports_do_not_depend_on_batch_size(request, tmp_path, setup):
+    """Evaluate writes the same report bytes for any batch size, up to one
+    batch that holds the whole test split (``SquaredErrorSum``)."""
+    if setup == "cloud":
+        data, ckpt = request.getfixturevalue("cloud_run")
+    else:
+        data = request.getfixturevalue("synth_file")
+        ckpt = request.getfixturevalue("trained_dir") / "model.ckpt"
+    reports = {}
+    for batch_size in (1, 4, 1000):
+        out = tmp_path / f"batch{batch_size}"
+        assert run("evaluate", "--checkpoint", ckpt, "--data", data,
+                   "--baseline", "persistence", "--batch-size", batch_size,
+                   "--out-dir", out) == 0
+        reports[batch_size] = [(out / name).read_bytes()
+                               for name in ("report.csv", "per_lead.csv", "report.txt")]
+    test_windows = json.loads((out / "manifest.json").read_text())["splits"]["windows"]["test"]
+    assert 4 < test_windows <= 1000
+    assert reports[1] == reports[4] == reports[1000]
 
 
 @pytest.mark.parametrize("command,out_flag,setup", [

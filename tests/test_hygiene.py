@@ -1,9 +1,9 @@
 """Source hygiene: every name a program module imports at module level is
 used in that module (``__init__.py`` is skipped, since it imports to
-re-export), the CLI defers only the model stack, every public op is used,
-every attribute set on ``self`` is read, the model traces only the layers
-Grad-CAM explains, and backward closures hold arrays and plain values
-only."""
+re-export), the CLI defers only the model stack, every public name is read
+by the program, the benchmark's tracer installs, every attribute set on
+``self`` is read, the model traces only the layers Grad-CAM explains, and
+backward closures hold arrays and plain values only."""
 
 import ast
 import os
@@ -71,20 +71,54 @@ def test_importing_the_cli_loads_no_model_stack():
     assert not loaded & {f"sarunet.{m}" for m in ("ops",) + MODEL_STACK}
 
 
-def test_every_public_op_is_used_by_the_program():
-    """Each name in ``ops.__all__`` is read by another program module: an op
-    that only tests call is dead code (and the benchmark's tracer wraps
-    every listed name as an op kind)."""
-    from sarunet import ops
-    used = set()
-    for path in MODULES:
-        if path.name == "ops.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    unused = [name for name in ops.__all__ if name not in used]
-    assert not unused, f"ops.__all__ names no program module uses: {unused}"
+# Public names the program itself never reads, each with its reason.
+UNREAD_PUBLIC_NAMES = {
+    # The scalar counting reference that tests/test_metrics.py's
+    # per_lead_reference checks evaluate_setup's one-pass counts against;
+    # the benchmark's tracer also wraps it by name.
+    ("metrics", "confusion"),
+}
+
+
+def public_names(path):
+    """The names in a module's ``__all__``, or None if it has none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if public_names(p) is not None],
+                         ids=lambda p: p.name)
+def test_every_public_name_is_read_by_the_program(path):
+    """Each name in a module's ``__all__`` is read somewhere in the program:
+    a name that only tests read is dead code (and the benchmark's tracer
+    wraps every name in ``ops.__all__`` as an op kind)."""
+    read = set()
+    for other in SRC.glob("*.py"):
+        tree = ast.parse(other.read_text(encoding="utf-8"), filename=str(other))
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read |= {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = [name for name in public_names(path)
+              if name not in read and (path.stem, name) not in UNREAD_PUBLIC_NAMES]
+    assert not unread, f"{path.name} __all__ names the program never reads: {unread}"
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer wraps program functions and methods by name,
+    so deleting or renaming one of them breaks its install. It runs in a
+    subprocess because installing patches the sarunet modules for the whole
+    process."""
+    root = SRC.parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        str(root / d) for d in ("src", "perfbench"))}
+    proc = subprocess.run([sys.executable, "-c", "import tracing; tracing.Tracer().install()"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_attribute_set_on_self_is_read():

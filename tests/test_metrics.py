@@ -10,9 +10,8 @@ from sarunet.data import (FrameSeries, WindowDataset, WindowSpec, make_windows,
                           synth_generate)
 from sarunet.errors import UsageError
 from sarunet.metrics import (REPORT_COLUMNS, ConfusionCounts, EvalSetup,
-                             binarize, confusion, evaluate_setup, metrics,
-                             render_report_table, report_rows_sorted,
-                             write_report_csv)
+                             MetricValues, binarize, confusion, evaluate_setup,
+                             metrics, render_report_table, write_report_csv)
 from sarunet.model import ModelConfig, build, persistence_forward
 
 from oracles import confusion_loops
@@ -145,11 +144,6 @@ class TestEvaluateSetup:
         r2 = evaluate_setup("persistence", doubled, setup)
         assert r1.mse == r2.mse
 
-    def test_physical_mse_scaling(self):
-        data, scale = _tiny_eval_data()
-        r = evaluate_setup("persistence", data, _setup("persistence", scale))
-        assert r.mse_physical == r.mse * scale * scale
-
     def test_per_lead_rows(self):
         series = synth_generate(seed=4, n_frames=20, height=32, width=32)
         wins = make_windows(series, WindowSpec(2, (1, 2, 3)))
@@ -227,11 +221,6 @@ class TestReportRendering:
             rows.append(evaluate_setup("persistence", data, _setup(name, scale)))
         return rows
 
-    def test_row_ordering(self):
-        rows = report_rows_sorted(self._reports())
-        assert [r.setup.model_name for r in rows] == \
-            ["persistence", "smaat-config", "sar-unet"]
-
     def test_csv_columns_and_determinism(self, tmp_path):
         reports = self._reports()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -246,5 +235,43 @@ class TestReportRendering:
         txt = render_report_table(self._reports())
         for col in ("MSE", "Precision", "Recall", "Accuracy", "F1 score"):
             assert col in txt
-        assert "*" in txt
+        # three scores of one predictor tie in every column, so all are marked
+        assert _table_marks(txt) == {name: [True] * 5
+                                     for name in ("sar-unet", "persistence", "smaat-config")}
         assert "normalization scale" in txt
+
+
+def _table_marks(table):
+    """{model: [marked?] for MSE, precision, recall, accuracy, F1} from the
+    rows of a rendered table (above the blank line before the footer)."""
+    rows = table.split("\n\n")[0].splitlines()[2:]
+    return {f[4]: [cell.endswith("*") for cell in f[5:]] for f in map(str.split, rows)}
+
+
+class TestReportMarkers:
+    """``*`` marks the best value of each column: the lowest MSE and the
+    highest precision, recall, accuracy and F1; a tie marks every row that
+    holds it, and a table of one row marks nothing."""
+
+    def _report(self, name, mse, *values):
+        data, scale = _tiny_eval_data()
+        r = evaluate_setup("persistence", data, _setup(name, scale))
+        return dataclasses.replace(r, mse=mse, values=MetricValues(*values))
+
+    def test_one_report_has_no_marker(self):
+        table = render_report_table([self._report("persistence", 0.1, 0.5, 0.4, 0.9, 0.3)])
+        assert _table_marks(table) == {"persistence": [False] * 5}
+
+    def test_two_reports_mark_the_best_of_each_column(self):
+        reports = [self._report("persistence", 0.1, 0.5, 0.4, 0.9, 0.3),
+                   self._report("sar-unet", 0.2, 0.4, 0.6, 0.8, 0.35)]
+        assert _table_marks(render_report_table(reports)) == {
+            "persistence": [True, True, False, True, False],
+            "sar-unet": [False, False, True, False, True]}
+
+    def test_a_tie_marks_both_rows(self):
+        reports = [self._report("persistence", 0.2, 0.5, 0.4, 0.9, 0.3),
+                   self._report("sar-unet", 0.1, 0.5, 0.4, 0.9, 0.3)]
+        assert _table_marks(render_report_table(reports)) == {
+            "persistence": [False, True, True, True, True],
+            "sar-unet": [True, True, True, True, True]}
