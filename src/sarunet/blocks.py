@@ -41,18 +41,15 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 class BatchNorm2d:
-    """Per-channel batch norm: trainable gamma/beta plus running buffers."""
+    """Per-channel batch norm's parameters: trainable gamma/beta plus running
+    buffers. :meth:`DscLayer.forward` runs it fused with the pointwise conv
+    before it (:func:`~sarunet.ops.pointwise_batch_norm`)."""
 
     def __init__(self, channels: int, dtype=np.float32):
         self.gamma = parameter(np.ones((1, channels, 1, 1)), dtype=dtype)
         self.beta = parameter(np.zeros((1, channels, 1, 1)), dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def forward(self, x: Tensor4, train: bool) -> Tensor4:
-        return ops.batch_norm(x, self.gamma, self.beta,
-                              self.running_mean, self.running_var,
-                              train=train)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "gamma"), self.gamma
@@ -88,18 +85,21 @@ class DscLayer:
     """Depthwise 3x3 (a ``[cin, 1, 3, 3]`` weight, pad 1) then pointwise 1x1
     convolution, spatial-size preserving and bias-free: every DSC stage
     feeds a batch norm, whose ``beta`` supplies the shift and whose mean
-    subtraction would cancel a bias added here."""
+    subtraction would cancel a bias added here. ``forward`` runs the
+    pointwise conv and that batch norm as one op."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
         self.cin = cin
         self.depthwise = _kaiming_uniform(rng, (cin, 1, 3, 3), 9, dtype)
         self.pointwise = _kaiming_uniform(rng, (cout, cin, 1, 1), cin, dtype)
 
-    def forward(self, x: Tensor4) -> Tensor4:
+    def forward(self, x: Tensor4, bn: BatchNorm2d, train: bool) -> Tensor4:
+        """The stage up to its activation: ``bn`` over the DSC output."""
         if x.shape[1] != self.cin:
             raise DimensionError(f"DscLayer expects {self.cin} channels, got {x.shape[1]}")
         mid = ops.conv2d(x, self.depthwise)
-        return ops.conv2d(mid, self.pointwise)
+        return ops.pointwise_batch_norm(mid, self.pointwise, bn.gamma, bn.beta,
+                                        bn.running_mean, bn.running_var, train=train)
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "depthwise"), self.depthwise
@@ -118,8 +118,8 @@ class DoubleDscBlock:
         self.bn2 = BatchNorm2d(cout, dtype)
 
     def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
-        h = ops.relu(self.bn1.forward(self.dsc1.forward(x), train))
-        return ops.relu(self.bn2.forward(self.dsc2.forward(h), train))
+        h = ops.relu(self.dsc1.forward(x, self.bn1, train))
+        return ops.relu(self.dsc2.forward(h, self.bn2, train))
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield from self.dsc1.named_parameters(_join(prefix, "dsc1"))

@@ -13,11 +13,14 @@ ignored unparsed, so one file can serve ``train`` and ``evaluate``. Every
 artifact-producing command writes one JSON manifest (config snapshot, seed,
 sha256 hashes of input files, output paths, wall-clock timings); its
 ``config`` record holds every option except the paths and ``--force``, plus
-values the run derived. Manifest timing fields and the ``seconds`` history
-column are the only outputs that vary between identical reruns. A command
-hashes its input files (sha256 of each whole file) on one worker thread
-while it reads and computes, and joins that thread before it writes its
-first output or returns, error or not.
+values the run derived. Unless given ``--force``, a command exits 3 and
+writes nothing when one of its outputs, its manifest included, already
+exists; it checks before it trains, scores, predicts or explains. Manifest
+timing fields and the ``seconds`` history column are the only outputs that
+vary between identical reruns. A command hashes its input files (sha256 of
+each whole file) on one worker thread while it reads and computes, and
+joins that thread before it writes its first output or returns, error or
+not.
 
 ``train`` and ``evaluate`` build rain-gated windows over the whole series
 and split the window list chronologically by anchor (70/15/15); the
@@ -394,7 +397,7 @@ def cmd_synth(args) -> int:
     _require(args, ["out"])
     out = Path(args.out)
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-    _refuse_overwrite([out], args.force)
+    _refuse_overwrite([out, manifest_path], args.force)
     try:
         wind = tuple(float(p) for p in args.wind.split(","))
     except ValueError:
@@ -543,7 +546,8 @@ def cmd_predict(args) -> int:
     ckpt = Path(args.checkpoint)
     data_path = Path(args.data)
     out = Path(args.out)
-    _refuse_overwrite([out], args.force)
+    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
+    _refuse_overwrite([out, manifest_path], args.force)
     with _Digests(ckpt, data_path) as digests:
         model, series, x, scale = _load_window(ckpt, data_path, args.window_index,
                                                "--window-index")
@@ -555,8 +559,7 @@ def cmd_predict(args) -> int:
     inputs = digests.collect()
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_nwds(out, data.FrameSeries(frames, series.interval_minutes, series.unit))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args, inputs,
-                    [out], started)
+    _write_manifest(manifest_path, args, inputs, [out], started)
     print(f"wrote {out} ({frames.shape[0]} predicted frame(s))")
     return 0
 
@@ -580,15 +583,15 @@ def cmd_explain(args) -> int:
             layers = [n.strip() for n in args.targets.split(",") if n.strip()]
             if not layers:
                 raise UsageError("--targets needs 'all' or a comma-separated name list")
+        # the file names follow from the layer names: refuse before the pass
+        index_path = out_dir / "index.csv"
+        files = [out_dir / (n.replace(".", "_") + ext) for n in layers
+                 for ext in (".nwds", ".ppm")]
+        _refuse_overwrite(files + [index_path, out_dir / "manifest.json"], args.force)
         maps = explain_suite(model, x, layers, unit=series.unit, scale=scale,
                              interval_minutes=series.interval_minutes,
                              threshold_mm_per_h=args.threshold)
     inputs = digests.collect()
-
-    index_path = out_dir / "index.csv"
-    files = [out_dir / (hm.layer.replace(".", "_") + ext)
-             for hm in maps for ext in (".nwds", ".ppm")]
-    _refuse_overwrite(files + [index_path], args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(index_path, "w", encoding="utf-8") as f:
         f.write("target,section,row,col,file,raw_max\n")

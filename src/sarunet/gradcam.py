@@ -22,7 +22,7 @@ from . import ops
 from .data import FrameSeries, save_nwds
 from .errors import UsageError
 from .metrics import binarize
-from .model import Model, check_prediction
+from .model import Model, check_prediction, gradient_layer
 from .tensor import Tape, Tensor4
 
 __all__ = [
@@ -124,7 +124,12 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
     call raises. The traced activations are the gradient roots, so the tape
     holds only the ops downstream of the first of them, and no parameter's
     ``grad`` buffer is written. A prediction that is not finite raises
-    ``NumericError`` (see :func:`~sarunet.model.check_prediction`)."""
+    ``NumericError`` (see :func:`~sarunet.model.check_prediction`).
+
+    A residual level's ``block``, ``block.dsc_path`` and ``block.shortcut``
+    share one gradient (see :func:`~sarunet.model.gradient_layer`): one
+    buffer on the block output, retained when any of the three is
+    requested, from which each of their maps reads its alpha."""
     repeated = sorted({n for n in layers if layers.count(n) > 1})
     if repeated:
         raise UsageError(f"explain target(s) {repeated} given more than once")
@@ -149,11 +154,8 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
-    out = []
-    for n in layers:
-        act = trace[n]
-        out.append(_combine(act.data, act.grad, height, width, n))
-    return out
+    return [_combine(trace[n].data, trace[gradient_layer(n)].grad, height, width, n)
+            for n in layers]
 
 
 # -- rendering -------------------------------------------------------------------

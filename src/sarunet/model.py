@@ -29,7 +29,8 @@ from .errors import ConfigurationError, DataError, DimensionError, NumericError,
 from .tensor import Tensor4, active_tape, read_section, write_section
 
 __all__ = [
-    "ModelConfig", "Model", "build", "check_prediction", "persistence_forward",
+    "ModelConfig", "Model", "build", "check_prediction", "gradient_layer",
+    "persistence_forward",
     "save_checkpoint", "load_checkpoint", "write_checkpoint_section",
     "read_checkpoint_section", "plain_unet_param_count",
 ]
@@ -75,9 +76,29 @@ class ModelConfig:
                     f"channel count, violated at {c}")
 
 
+_SUB_PATHS = (".dsc_path", ".shortcut")
+
+
+def gradient_layer(name: str) -> str:
+    """The traced layer whose ``grad`` holds the gradient of layer ``name``:
+    for a residual sub-path (``enc1.block.dsc_path``), its block
+    (``enc1.block``), else ``name`` itself. The block output is the sum of
+    its two sub-paths, and nothing else reads them, so the add hands its
+    gradient to both unchanged and the three layers share it."""
+    for suffix in _SUB_PATHS:
+        if name.endswith(suffix):
+            return name[:-len(suffix)]
+    return name
+
+
 class _Tap:
-    """Collects the requested activations, marking each to retain its
-    gradient.
+    """Collects the requested activations, and marks the layers that hold
+    their gradients (:func:`gradient_layer`) to retain them.
+
+    A residual level's block output, ``dsc_path`` and ``shortcut`` share one
+    gradient buffer, on the block output: it is retained, and the block
+    output collected, whenever any of the three is requested, and the
+    sub-paths keep no buffer of their own.
 
     Under a tape, a requested activation that nothing upstream makes
     differentiable (all parameters frozen, as in Grad-CAM) becomes a
@@ -90,25 +111,38 @@ class _Tap:
         if unknown:
             raise UsageError(
                 f"unknown layer name(s) {sorted(unknown)}; valid names: {sorted(valid)}")
+        self.holders = {gradient_layer(n) for n in self.wanted}
         self.got: dict[str, Tensor4] = {}
 
     def put(self, name: str, t: Tensor4) -> Tensor4:
         if name in self.wanted:
             if not t.requires_grad and active_tape() is not None:
                 t.requires_grad = True
+            self.got[name] = t
+        if name in self.holders:
             t.retain_grad()
             self.got[name] = t
         return t
 
 
-class Model:
-    """Built network: parameters, fixed wiring, and the forward pass."""
+class _NoDraws:
+    """Stands in for the generator of a model whose every value a checkpoint
+    supplies: each weight starts as zeros instead of a Kaiming draw."""
 
-    def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
+    @staticmethod
+    def uniform(low: float, high: float, size: tuple) -> np.ndarray:
+        return np.zeros(size)
+
+
+class Model:
+    """Built network: parameters, fixed wiring, and the forward pass. The
+    weights are drawn from ``rng`` in construction order (see
+    :func:`build`)."""
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
         enc_ch = config.encoder_channels()
         dec_ch = config.decoder_channels()
         block_cls = ResidualDscBlock if config.variant == "sar" else DoubleDscBlock
@@ -176,7 +210,10 @@ class Model:
                 trace_request: Iterable[str] = ()
                 ) -> tuple[Tensor4, dict[str, Tensor4]]:
         """The prediction, and the activations of the ``trace_request``
-        layers (names from :meth:`trace_names`) keyed by name."""
+        layers (names from :meth:`trace_names`) keyed by name. A requested
+        residual sub-path also brings its block's output, which holds the
+        gradient the three share: after a backward pass, layer ``n``'s
+        gradient is ``trace[gradient_layer(n)].grad``."""
         n, c, h, w = x.shape
         if c != self.config.in_channels:
             raise DimensionError(
@@ -211,7 +248,7 @@ class Model:
 
 def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     """Deterministically initialize a model from ``seed``."""
-    return Model(config, seed, dtype)
+    return Model(config, np.random.default_rng(seed), dtype)
 
 
 def check_prediction(pred: Tensor4) -> Tensor4:
@@ -308,7 +345,7 @@ def read_checkpoint_section(f, path="<stream>") -> tuple["Model", dict[str, str]
     except ValueError as e:
         raise DataError(f"{path}: unparseable checkpoint config value: {e}") from None
     dtype = next(iter(tensors.values())).dtype if tensors else np.float32
-    model = Model(config, seed=0, dtype=dtype)
+    model = Model(config, _NoDraws(), dtype)
     for name, dst in _named_arrays(model):
         if name not in tensors:
             raise DataError(f"{path}: checkpoint missing tensor {name!r}")

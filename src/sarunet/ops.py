@@ -13,33 +13,48 @@ op input or output (see :mod:`sarunet.tensor`), so an output that no rule
 reads is freed once the forward code drops it. A rule captures arrays,
 shapes as tuples, flags and scalar values, never a :class:`Tensor4` or a
 class object, and copies nothing: it captures an op's input or output
-array itself, and what one elementwise pass or one copy can rebuild, it
-rebuilds. Batch norm keeps its input only for the ``gamma`` gradient or a
-train-mode ``dx``, ``gamma`` only for ``dx``, and the per-channel mean and
-inverse deviation, and recomputes the normalized input with the forward's
-own expression; so eval batch norm with a frozen ``gamma`` keeps nothing of
-its input. relu and sigmoid read their output; max pooling and global max
-keep their input and output and find the winning entry again from
-``x == out``; bilinear upsampling and ``concat_channels`` keep nothing;
-:func:`mul` and :func:`mul_broadcast` keep each factor only when the other
-needs a gradient. Every rule captures its arrays directly, never through a
-nested function, so a count of the closure cells sees them all.
+array itself, and what one elementwise pass, one copy or one matmul can
+rebuild, it rebuilds. What each rule keeps:
+
+- the conv kernels: the input only for the weight gradient and the weight
+  only for ``dx`` (see :func:`conv2d`);
+- :func:`pointwise_batch_norm` (a DSC stage's pointwise conv and batch
+  norm as one op): the conv's input and weight, each only when a gradient
+  reads it, ``gamma`` only for the product's gradient, and the per-channel
+  mean and inverse deviation; never the product or the normalized product,
+  which the ``gamma`` gradient and a train-mode product gradient rebuild
+  with the forward's matmul and normalization, so eval mode with frozen
+  parameters keeps only the weight and ``gamma``;
+- :func:`relu`: its output's signs, one bit per entry
+  (``np.packbits(out > 0)``), and only when its input requires grad;
+- :func:`sigmoid`: its output;
+- :func:`max_pool2`: one byte per window naming the winning tap;
+- :func:`global_pool` max: its input and the maximum, finding the winner
+  again from ``x == out``; the mean and the reductions: shapes only;
+- :func:`upsample_bilinear2`, :func:`add`, :func:`sub` and
+  :func:`concat_channels`: nothing;
+- :func:`mul` and :func:`mul_broadcast`: each factor only when the other
+  needs a gradient.
+
+Every rule captures its arrays directly, never through a nested function,
+so a count of the closure cells sees them all.
 
 A backward rule computes only the gradients something reads, as PyTorch's
-``needs_input_grad`` does. The three conv kernels, batch norm, :func:`mul`
-and :func:`mul_broadcast` read each input's ``requires_grad`` at forward
-time and keep the flags in the closure as booleans. A ``None`` gradient
-means no gradient is needed: the rule returns ``None`` in the slot of an
-input that needs none and skips that input's work. So a frozen weight costs
-no weight gradient, and the model input costs no ``dx``. The other rules
-compute every input gradient, and :meth:`~sarunet.tensor.Tape.backward`
-drops the ones nothing needs.
+``needs_input_grad`` does. The three conv kernels,
+:func:`pointwise_batch_norm`, :func:`mul` and :func:`mul_broadcast` read
+each input's ``requires_grad`` at forward time and keep the flags in the
+closure as booleans. A ``None`` gradient means no gradient is needed: the
+rule returns ``None`` in the slot of an input that needs none and skips
+that input's work. So a frozen weight costs no weight gradient, and the
+model input costs no ``dx``. The other rules compute every input gradient,
+and :meth:`~sarunet.tensor.Tape.backward` drops the ones nothing needs.
 
 :func:`conv2d` is stride-1 and always pads by ``k // 2`` (a "same"
 convolution, the only kind the network runs); its docstring describes the
 three kernels the weight's shape picks, and the bias rule.
 
-:func:`batch_norm` uses the fixed :data:`BN_EPS` and :data:`BN_MOMENTUM`.
+:func:`pointwise_batch_norm` uses the fixed :data:`BN_EPS` and
+:data:`BN_MOMENTUM`.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from .errors import ConfigurationError, DimensionError, UsageError
 from .tensor import Tensor4, make_result
 
 __all__ = [
-    "conv2d", "batch_norm", "relu", "sigmoid", "add", "sub", "mul", "mul_broadcast",
+    "conv2d", "pointwise_batch_norm", "relu", "sigmoid", "add", "sub", "mul", "mul_broadcast",
     "concat_channels", "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
 ]
 
@@ -122,6 +137,27 @@ def _conv_dense(x: Tensor4, weight: Tensor4) -> Tensor4:
     return make_result(out, "conv2d", (x, weight), backward_fn)
 
 
+def _pointwise(x3: np.ndarray, w2: np.ndarray, shape: tuple) -> np.ndarray:
+    """The pointwise product ``w2 @ x3`` (``[cout, cin]`` over ``[n, cin,
+    h*w]``) as a fresh ``shape`` array. A rule that recomputes it with this
+    call gets the forward's bytes."""
+    return np.matmul(w2, x3).reshape(shape)
+
+
+def _pointwise_grads(gout: np.ndarray, x3: Optional[np.ndarray], w2: Optional[np.ndarray],
+                     x_shape: tuple, w_shape: tuple, need_x: bool, need_w: bool) -> tuple:
+    """``(dx, dw)`` of :func:`_pointwise` for the output gradient ``gout``,
+    each ``None`` unless needed; ``dw`` reads ``x3`` and ``dx`` reads ``w2``."""
+    n, cout = gout.shape[:2]
+    go = gout.reshape(n, cout, -1)
+    dx = dw = None
+    if need_w:
+        dw = np.matmul(go, x3.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    if need_x:
+        dx = np.matmul(w2.T, go).reshape(x_shape)
+    return dx, dw
+
+
 def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Tensor4:
     n, cin, h, w_in = x.shape
     cout = weight.shape[0]
@@ -133,17 +169,12 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     w_kept = w2 if need_x else None
 
     def backward_fn(gout: np.ndarray):
-        go = gout.reshape(n, cout, h * w_in)
-        dx = dw = None
-        if need_w:
-            dw = np.matmul(go, x_kept.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-        if need_x:
-            dx = np.matmul(w_kept.T, go).reshape(x_shape)
+        dx, dw = _pointwise_grads(gout, x_kept, w_kept, x_shape, w_shape, need_x, need_w)
         if not has_b:
             return [dx, dw]
         return [dx, dw, gout.sum(axis=(0, 2, 3), keepdims=True) if need_b else None]
 
-    out = np.matmul(w2, x3).reshape(n, cout, h, w_in)
+    out = _pointwise(x3, w2, (n, cout, h, w_in))
     if not has_b:
         return make_result(out, "conv2d", (x, weight), backward_fn)
     out += bias.data                                  # a fresh array
@@ -225,9 +256,7 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4) -> Tensor4:
     def backward_fn(gout: np.ndarray):
         gp = _pad_planes(gout)
         dx = dw = None
-        if need_x:
-            dx = _shifted_sum(gp, taps_kept[:, ::-1], h, w_in)   # the flipped kernel
-        if need_w:
+        if need_w:                     # first, so the padded input is freed before dx
             xp = _pad_planes(x_kept)
             length = h * (w_in + 2)
             centre = _tap_offsets(w_in)[4]
@@ -236,6 +265,9 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4) -> Tensor4:
             for t, off in enumerate(_tap_offsets(w_in)):
                 dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
             dw = dw.reshape(w_shape)
+            xp = None
+        if need_x:
+            dx = _shifted_sum(gp, taps_kept[:, ::-1], h, w_in)   # the flipped kernel
         return [dx, dw]
 
     return make_result(_shifted_sum(_pad_planes(x.data), taps, h, w_in), "conv2d", (x, weight),
@@ -306,39 +338,57 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
 
 # -- batch normalization ------------------------------------------------------
 
-def _normalize(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-    """``xhat`` of batch norm, in one fresh buffer; the backward rebuilds it
-    bitwise from the same call instead of keeping it."""
-    c = x.shape[1]
-    xhat = x - mean.reshape(1, c, 1, 1)
-    xhat *= inv_std.reshape(1, c, 1, 1)
-    return xhat
+def _normalize(y: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """``xhat`` of batch norm, written over ``y``, a fresh pointwise product
+    that nothing else reads; the backward rebuilds it bitwise from the same
+    product instead of keeping it."""
+    c = y.shape[1]
+    y -= mean.reshape(1, c, 1, 1)
+    y *= inv_std.reshape(1, c, 1, 1)
+    return y
 
 
-def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
-               running_mean: np.ndarray, running_var: np.ndarray, *,
-               train: bool) -> Tensor4:
-    """Per-channel normalization over ``(n, h, w)``, with the variance
-    epsilon :data:`BN_EPS`.
+def pointwise_batch_norm(x: Tensor4, weight: Tensor4, gamma: Tensor4, beta: Tensor4,
+                         running_mean: np.ndarray, running_var: np.ndarray, *,
+                         train: bool) -> Tensor4:
+    """A DSC stage's bias-free pointwise conv (``weight`` ``[cout, cin, 1,
+    1]``) and the batch norm after it, as one op recorded as
+    ``batch_norm``: per-channel normalization of the product over ``(n, h,
+    w)``, with the variance epsilon :data:`BN_EPS`. The values are bitwise
+    those of the pointwise :func:`conv2d` followed by the normalization.
 
     Train mode uses biased batch statistics and folds them into the running
     buffers in place (``running = (1-m)*running + m*batch``, with ``m`` the
     fixed :data:`BN_MOMENTUM`); eval mode normalizes with the running
-    buffers. Differentiable w.r.t. input, gamma and beta in both modes.
+    buffers. Differentiable w.r.t. input, weight, gamma and beta in both
+    modes.
+
+    The product is not kept. Where the backward needs the normalized
+    product (for the ``gamma`` gradient or a train-mode input gradient), it
+    recomputes it with the forward's matmul from the input and the weight,
+    which the weight and input gradients read anyway.
     """
-    _same_dtype(x, gamma, beta)
-    n, c, h, w = x.shape
-    if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
-        raise DimensionError(f"gamma/beta must be (1,{c},1,1), got {gamma.shape}/{beta.shape}")
-    if running_mean.shape != (c,) or running_var.shape != (c,):
-        raise DimensionError(f"running stats must be ({c},)")
+    _same_dtype(x, weight, gamma, beta)
+    n, cin, h, w = x.shape
+    cout = weight.shape[0]
+    if weight.shape != (cout, cin, 1, 1):
+        raise DimensionError(f"pointwise weight must be ({cout},{cin},1,1), got {weight.shape}")
+    if gamma.shape != (1, cout, 1, 1) or beta.shape != (1, cout, 1, 1):
+        raise DimensionError(
+            f"gamma/beta must be (1,{cout},1,1), got {gamma.shape}/{beta.shape}")
+    if running_mean.shape != (cout,) or running_var.shape != (cout,):
+        raise DimensionError(f"running stats must be ({cout},)")
     m = n * h * w
     if train and m < 2:
         raise DimensionError(f"batch_norm train mode needs n*h*w >= 2, got {m}")
     dt = x.dtype
+    x3 = x.data.reshape(n, cin, h * w)                 # a view: Tensor4 data is contiguous
+    w2 = weight.data.reshape(cout, cin)
+    out_shape = (n, cout, h, w)
+    y = _pointwise(x3, w2, out_shape)
     if train:
-        mean = x.data.mean(axis=(0, 2, 3), dtype=dt)
-        var = x.data.var(axis=(0, 2, 3), dtype=dt)     # biased
+        mean = y.mean(axis=(0, 2, 3), dtype=dt)
+        var = y.var(axis=(0, 2, 3), dtype=dt)         # biased
         running_mean *= (1.0 - BN_MOMENTUM)
         running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
         running_var *= (1.0 - BN_MOMENTUM)
@@ -347,55 +397,65 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         mean = running_mean.astype(dt)
         var = running_var.astype(dt)
     inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
-    out = _normalize(x.data, mean, inv_std)
+    out = _normalize(y, mean, inv_std)
     out *= gamma.data
     out += beta.data
-    need_x, need_gamma, need_beta = _needs(x, gamma, beta)
-    need_xhat = need_gamma or (need_x and train)
-    x_kept = x.data if need_xhat else None
-    gamma_kept = gamma.data if need_x else None
+    need_x, need_w, need_gamma, need_beta = _needs(x, weight, gamma, beta)
+    need_y = need_x or need_w                          # the product's gradient
+    need_xhat = need_gamma or (need_y and train)
+    x_shape, w_shape = x.shape, weight.shape
+    x_kept = x3 if need_w or need_xhat else None
+    w_kept = w2 if need_x or need_xhat else None
+    gamma_kept = gamma.data if need_y else None
 
     def backward_fn(gout: np.ndarray):
-        dx = dgamma = dbeta = None
-        if need_xhat:
-            xhat = _normalize(x_kept, mean, inv_std)
+        dx = dw = dgamma = dbeta = None
+        xhat = _normalize(_pointwise(x_kept, w_kept, out_shape), mean, inv_std) \
+            if need_xhat else None
         if need_gamma:
-            dgamma = (gout * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+            dgamma = (gout * xhat).sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
         if need_beta:
-            dbeta = gout.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        if need_x:
-            dxhat = gout * gamma_kept
-            istd = inv_std.reshape(1, c, 1, 1)
+            dbeta = gout.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
+        if need_y:
+            # dy = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) in
+            # train mode, istd * dxhat in eval mode, written over dxhat and
+            # xhat: each in-place step is the same float operation
+            dy = gout * gamma_kept                       # dxhat
             if train:
-                mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                dx = istd * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-            else:
-                dx = istd * dxhat
-        return [dx, dgamma, dbeta]
+                mean_dxhat = dy.mean(axis=(0, 2, 3), keepdims=True)
+                mean_dxhat_xhat = (dy * xhat).mean(axis=(0, 2, 3), keepdims=True)
+                dy -= mean_dxhat
+                xhat *= mean_dxhat_xhat
+                dy -= xhat
+            xhat = None                                  # freed before the matmuls
+            dy *= inv_std.reshape(1, cout, 1, 1)
+            dx, dw = _pointwise_grads(dy, x_kept, w_kept, x_shape, w_shape, need_x, need_w)
+        return [dx, dw, dgamma, dbeta]
 
-    return make_result(out, "batch_norm", (x, gamma, beta), backward_fn)
+    return make_result(out, "batch_norm", (x, weight, gamma, beta), backward_fn)
 
 
 # -- elementwise --------------------------------------------------------------
 
 def relu(x: Tensor4) -> Tensor4:
     out = np.maximum(x.data, 0)
+    shape = out.shape
+    # out > 0 iff x > 0: relu'(0) = 0; a bit per entry is all backward reads
+    signs = np.packbits(out > 0) if x.requires_grad else None
 
     def backward_fn(gout):
-        return [gout * (out > 0)]        # out > 0 iff x > 0: relu'(0) = 0
+        return [gout * np.unpackbits(signs, count=gout.size).reshape(shape)]
 
     return make_result(out, "relu", (x,), backward_fn)
 
 
 def sigmoid(x: Tensor4) -> Tensor4:
-    # numerically stable split over sign
+    # numerically stable over sign: exp(-|x|) never overflows, and each
+    # side of the split is 1/(1+exp(-x)) or exp(x)/(1+exp(x)) exactly
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    out = np.where(d >= 0, 1.0 / den, e / den)
 
     def backward_fn(gout):
         return [gout * out * (1.0 - out)]
@@ -490,29 +550,33 @@ def max_pool2(x: Tensor4) -> Tensor4:
 
     Ties go to the first tap in row-major window order, in the value (a
     ``-0.0``/``+0.0`` tie keeps the first tap's sign) and in the gradient.
-    The backward keeps the input and output arrays and nothing more: it
-    routes ``gout`` to the first tap equal to the output.
+    When ``x`` requires grad, the forward also writes each window's winner,
+    the first tap equal to the output, as a one-byte code (0-3, row-major;
+    3 also when no tap equals it, a NaN window), and the backward keeps that
+    code and nothing more: it routes ``gout`` to the winning tap.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"max_pool2 needs even spatial dims, got {h}x{w}")
-    xd = x.data
-    a, b, cc, d = (xd[:, :, i::2, j::2] for i, j in _POOL_TAPS)
+    taps = [x.data[:, :, i::2, j::2] for i, j in _POOL_TAPS]
+    a, b, cc, d = taps
     # np.maximum returns its second argument on a tie, so each call takes
     # the later tap first and the earlier one wins
     out = np.maximum(d, cc)
     np.maximum(out, np.maximum(b, a), out=out)
+    winner = None
+    if x.requires_grad:
+        winner = np.full(out.shape, len(_POOL_TAPS) - 1, dtype=np.uint8)
+        hit = np.empty(out.shape, dtype=bool)
+        for t in (2, 1, 0):                     # an earlier tap overwrites a later one
+            np.copyto(winner, t, where=np.equal(taps[t], out, out=hit))
+    x_shape, dtype = x.shape, x.dtype
 
     def backward_fn(gout):
-        dx = np.empty_like(xd)
-        free = np.ones(out.shape, dtype=bool)       # windows not routed yet
-        hit = np.empty_like(free)
-        for i, j in _POOL_TAPS[:-1]:
-            np.equal(xd[:, :, i::2, j::2], out, out=hit)
-            hit &= free
-            _route(gout, hit, dx[:, :, i::2, j::2])
-            free ^= hit
-        _route(gout, free, dx[:, :, 1::2, 1::2])
+        dx = np.empty(x_shape, dtype=dtype)
+        hit = np.empty(winner.shape, dtype=bool)
+        for t, (i, j) in enumerate(_POOL_TAPS):
+            _route(gout, np.equal(winner, t, out=hit), dx[:, :, i::2, j::2])
         return [dx]
 
     return make_result(out, "max_pool2", (x,), backward_fn)

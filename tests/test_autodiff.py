@@ -253,32 +253,36 @@ class TestOpGradients:
         check_op_gradients(build, ops.conv2d, seeds=range(3))
 
     def test_batch_norm_train(self):
+        """The pointwise conv fused with its train-mode batch norm: input,
+        weight, gamma and beta."""
         def build(rng):
             return (tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True, dtype=F64),
-                    tensor(1.0 + 0.1 * rng.normal(size=(1, 2, 1, 1)),
+                    tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True, dtype=F64),
+                    tensor(1.0 + 0.1 * rng.normal(size=(1, 3, 1, 1)),
                            requires_grad=True, dtype=F64),
-                    tensor(0.1 * rng.normal(size=(1, 2, 1, 1)),
+                    tensor(0.1 * rng.normal(size=(1, 3, 1, 1)),
                            requires_grad=True, dtype=F64))
 
-        def apply(x, g, b):
-            rm = np.zeros(2, dtype=F64)
-            rv = np.ones(2, dtype=F64)
-            return ops.batch_norm(x, g, b, rm, rv, train=True)
+        def apply(x, w, g, b):
+            rm = np.zeros(3, dtype=F64)
+            rv = np.ones(3, dtype=F64)
+            return ops.pointwise_batch_norm(x, w, g, b, rm, rv, train=True)
 
         check_op_gradients(build, apply, seeds=range(10), tol=1e-4)
 
     def test_batch_norm_eval(self):
-        rm = np.array([0.3, -0.2], dtype=F64)
-        rv = np.array([1.5, 0.7], dtype=F64)
+        rm = np.array([0.3, -0.2, 0.1], dtype=F64)
+        rv = np.array([1.5, 0.7, 1.1], dtype=F64)
 
         def build(rng):
             return (tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True, dtype=F64),
-                    tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True, dtype=F64),
-                    tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True, dtype=F64))
+                    tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True, dtype=F64),
+                    tensor(rng.normal(size=(1, 3, 1, 1)), requires_grad=True, dtype=F64),
+                    tensor(rng.normal(size=(1, 3, 1, 1)), requires_grad=True, dtype=F64))
 
         check_op_gradients(build,
-                           lambda x, g, b: ops.batch_norm(x, g, b, rm.copy(), rv.copy(),
-                                                          train=False),
+                           lambda x, w, g, b: ops.pointwise_batch_norm(
+                               x, w, g, b, rm.copy(), rv.copy(), train=False),
                            seeds=range(3))
 
     @pytest.mark.parametrize("op", [
@@ -358,9 +362,9 @@ def _rule_grads(apply_op, arrays, frozen, gout):
 
 
 def _bn(train):
-    def apply(x, g, b):
-        return ops.batch_norm(x, g, b, np.full(3, 0.2, np.float32), np.full(3, 1.5, np.float32),
-                              train=train)
+    def apply(x, w, g, b):
+        return ops.pointwise_batch_norm(x, w, g, b, np.full(3, 0.2, np.float32),
+                                        np.full(3, 1.5, np.float32), train=train)
     return apply
 
 
@@ -370,8 +374,8 @@ _SKIP_CASES = {
     "depthwise": (ops.conv2d, [(2, 3, 5, 4), (3, 1, 3, 3)]),
     "dense": (ops.conv2d, [(2, 3, 5, 4), (4, 3, 3, 3)]),
     "dense_7x7": (ops.conv2d, [(1, 2, 6, 5), (1, 2, 7, 7)]),
-    "batch_norm_train": (_bn(True), [(2, 3, 4, 4), (1, 3, 1, 1), (1, 3, 1, 1)]),
-    "batch_norm_eval": (_bn(False), [(2, 3, 4, 4), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    "batch_norm_train": (_bn(True), [(2, 4, 4, 4), (3, 4, 1, 1), (1, 3, 1, 1), (1, 3, 1, 1)]),
+    "batch_norm_eval": (_bn(False), [(2, 4, 4, 4), (3, 4, 1, 1), (1, 3, 1, 1), (1, 3, 1, 1)]),
     "mul": (ops.mul, [(2, 3, 4, 4), (2, 3, 4, 4)]),
     "mul_broadcast_channel": (ops.mul_broadcast, [(2, 3, 4, 4), (2, 3, 1, 1)]),
     "mul_broadcast_pixel": (ops.mul_broadcast, [(2, 3, 4, 4), (2, 1, 4, 4)]),

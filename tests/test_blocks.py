@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarunet import Tape, ops, tensor
-from sarunet.blocks import (Cbam, DoubleDscBlock, DscLayer, ResidualDscBlock,
-                            param_count)
+from sarunet.blocks import (BatchNorm2d, Cbam, DoubleDscBlock, DscLayer,
+                            ResidualDscBlock, param_count)
 from sarunet.errors import ConfigurationError, DimensionError
 
 from oracles import cbam_reference, depthwise_separable_loops, finite_diff, grad_rel_err
@@ -20,6 +20,9 @@ def _zero(t):
 
 
 class TestDscLayer:
+    """A DSC stage up to its activation: depthwise, then the pointwise conv
+    and its batch norm as one op."""
+
     def test_dirac_depthwise_identity_pointwise(self):
         rng = np.random.default_rng(0)
         layer = DscLayer(3, 3, rng)
@@ -27,21 +30,30 @@ class TestDscLayer:
         layer.depthwise.data[:, 0, 1, 1] = 1.0
         layer.pointwise.data[...] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
         x = tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32))
-        np.testing.assert_array_equal(layer.forward(x).data, x.data)
+        y = layer.forward(x, BatchNorm2d(3), train=False)     # running mean 0, variance 1
+        np.testing.assert_allclose(y.data, x.data / np.sqrt(np.float32(1.0 + ops.BN_EPS)),
+                                   rtol=1e-6)
 
     def test_matches_two_stage_loop_oracle(self):
         rng = np.random.default_rng(2)
         layer = DscLayer(3, 5, rng, dtype=F64)
+        bn = BatchNorm2d(5, dtype=F64)
+        bn.gamma.data[...] = rng.normal(size=(1, 5, 1, 1))
+        bn.beta.data[...] = rng.normal(size=(1, 5, 1, 1))
+        bn.running_mean[...] = rng.normal(size=5)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=5)
         x = rng.normal(size=(1, 3, 8, 8))
-        y = layer.forward(tensor(x, dtype=F64))
-        ref = depthwise_separable_loops(
-            x, layer.depthwise.data, layer.pointwise.data, None)
+        y = layer.forward(tensor(x, dtype=F64), bn, train=False)
+        per_channel = (None, slice(None), None, None)
+        ref = depthwise_separable_loops(x, layer.depthwise.data, layer.pointwise.data, None)
+        ref = (ref - bn.running_mean[per_channel]) / np.sqrt(
+            bn.running_var[per_channel] + ops.BN_EPS) * bn.gamma.data + bn.beta.data
         assert np.abs(y.data - ref).max() / np.abs(ref).max() <= 1e-9
 
     def test_channel_mismatch(self):
         layer = DscLayer(3, 5, np.random.default_rng(3))
         with pytest.raises(DimensionError):
-            layer.forward(tensor(np.zeros((1, 4, 4, 4))))
+            layer.forward(tensor(np.zeros((1, 4, 4, 4))), BatchNorm2d(5), train=False)
 
 
 class TestResidualDscBlock:

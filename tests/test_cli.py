@@ -95,6 +95,13 @@ class TestSynth:
         assert run("synth", "--frames", 5, "--size", 32, "--out", p,
                    "--force") == 0
 
+    def test_refuses_to_overwrite_its_manifest(self, tmp_path):
+        p = tmp_path / "x.nwds"
+        manifest = tmp_path / "x.nwds.manifest.json"
+        manifest.write_bytes(b"keep")
+        assert run("synth", "--frames", 5, "--size", 32, "--out", p) == 3
+        assert manifest.read_bytes() == b"keep" and not p.exists()
+
     def test_force_in_config_file_overwrites(self, tmp_path):
         p, cfg = tmp_path / "x.nwds", tmp_path / "force.cfg"
         cfg.write_text("force=true\n")
@@ -745,6 +752,18 @@ class TestPredict:
         assert series.frames.shape == (1, 32, 32)
         assert series.frames.min() >= 0.0
 
+    def test_refuses_to_overwrite_its_manifest(self, synth_file, trained_dir, tmp_path):
+        out = tmp_path / "p.nwds"
+        manifest = tmp_path / "p.nwds.manifest.json"
+        manifest.write_bytes(b"keep")
+        code = run("predict", "--checkpoint", trained_dir / "model.ckpt",
+                   "--data", synth_file, "--out", out)
+        assert code == 3
+        assert manifest.read_bytes() == b"keep" and not out.exists()
+        assert run("predict", "--checkpoint", trained_dir / "model.ckpt",
+                   "--data", synth_file, "--out", out, "--force") == 0
+        assert json.loads(manifest.read_text())["command"] == "predict"
+
     def test_cloud_prediction_is_binary_mask(self, tmp_path):
         cloud = tmp_path / "cloud.nwds"
         assert run("synth", "--frames", 40, "--size", 32, "--binary",
@@ -790,6 +809,44 @@ class TestExplain:
                     for r in rows if r.startswith("dec")}
         assert dec_rows["dec3.block"] == 0
         assert dec_rows["dec0.block"] == 3
+
+    def test_sub_path_alone_gives_the_suite_map(self, synth_file, trained_dir, tmp_path):
+        """A sub-path's gradient is its block's, so asked for alone it gives
+        the map bytes and ``raw_max`` of the full suite."""
+        ckpt = trained_dir / "model.ckpt"
+        for targets, out in (("all", "ex_suite"), ("enc1.block.dsc_path", "ex_sub")):
+            assert run("explain", "--checkpoint", ckpt, "--data", synth_file,
+                       "--targets", targets, "--out-dir", tmp_path / out) == 0
+        for ext in (".nwds", ".ppm"):
+            name = "enc1_block_dsc_path" + ext
+            assert (tmp_path / "ex_sub" / name).read_bytes() == \
+                (tmp_path / "ex_suite" / name).read_bytes()
+        rows = {}
+        for out in ("ex_suite", "ex_sub"):
+            for line in (tmp_path / out / "index.csv").read_text().splitlines()[1:]:
+                if line.startswith("enc1.block.dsc_path,"):
+                    rows[out] = line.rsplit(",", 1)[1]
+        assert rows["ex_sub"] == rows["ex_suite"] and float(rows["ex_sub"]) > 0.0
+
+    @pytest.mark.parametrize("existing", ["manifest.json", "enc0_block.ppm"])
+    def test_refuses_to_overwrite_before_grad_cam(self, synth_file, trained_dir, tmp_path,
+                                                  monkeypatch, existing):
+        """An existing output, the manifest of another command in the same
+        directory included, stops the run before the Grad-CAM pass."""
+        import sarunet.gradcam
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("explain_suite ran")
+        monkeypatch.setattr(sarunet.gradcam, "explain_suite", no_pass)
+        out = tmp_path / "ex"
+        out.mkdir()
+        (out / existing).write_bytes(b"keep")
+        code = run("explain", "--checkpoint", trained_dir / "model.ckpt",
+                   "--data", synth_file, "--targets", "enc0.block,enc1.cbam",
+                   "--out-dir", out)
+        assert code == 3
+        assert [p.name for p in out.iterdir()] == [existing]
+        assert (out / existing).read_bytes() == b"keep"
 
     def test_repeated_target_is_usage_error(self, synth_file, trained_dir, tmp_path,
                                             capsys):

@@ -9,7 +9,7 @@ from sarunet.data import load_nwds
 from sarunet.errors import UsageError
 from sarunet.gradcam import (color_table, explain_suite, rain_score, save_heatmap_nwds,
                              suite_grid, write_ppm)
-from sarunet.model import ModelConfig, build
+from sarunet.model import ModelConfig, build, gradient_layer
 
 from oracles import grad_rel_err
 
@@ -278,7 +278,13 @@ class TestExplainLeavesModelAlone:
             pred, ref = m.forward(x, train=False, trace_request=layers)
             score, mask = rain_score(pred, "raw", threshold_mm_per_h=0.0)
         assert mask.sum() > 0
+        subpaths = [n for n in layers if gradient_layer(n) != n]
+        assert len(subpaths) == 18 and all(ref[n].grad is None for n in subpaths)
+        for n in subpaths:             # buffers of their own, to check the sharing
+            ref[n].retain_grad()
         tape.backward(score)
+        for n in subpaths:
+            assert ref[n].grad.tobytes() == ref[gradient_layer(n)].grad.tobytes(), n
 
         traces = []
         forward = m.forward
@@ -291,13 +297,15 @@ class TestExplainLeavesModelAlone:
         explain_suite(m, x, layers, unit="raw", threshold_mm_per_h=0.0)
         (trace,) = traces
         for n in layers:
-            assert trace.get(n).grad.tobytes() == ref.get(n).grad.tobytes(), n
+            held = gradient_layer(n)
+            assert trace.get(held).grad.tobytes() == ref.get(held).grad.tobytes(), n
+        assert all(trace[n].grad is None for n in subpaths)
 
     def test_tape_starts_at_the_first_traced_layer(self, monkeypatch):
-        """The suite's tape records 185 ops, against 194 for a pass with
-        trainable parameters: enc0's two DSC stages (two convs, a batch norm
-        and a relu each) and its shortcut conv lie upstream of every target
-        and are not recorded."""
+        """The suite's tape records 169 ops, against 176 for a pass with
+        trainable parameters: enc0's two DSC stages (a depthwise conv, the
+        fused pointwise conv and batch norm, and a relu each) and its
+        shortcut conv lie upstream of every target and are not recorded."""
         lengths = []
         backward = Tape.backward
 
@@ -311,8 +319,8 @@ class TestExplainLeavesModelAlone:
         with Tape() as tape:
             pred, _ = m.forward(x, train=False, trace_request=list(suite_grid(m)))
             rain_score(pred, "raw", threshold_mm_per_h=0.0)
-        assert lengths == [185]
-        assert len(tape.ops) == 194
+        assert lengths == [169]
+        assert len(tape.ops) == 176
 
     def test_no_gradient_root_without_a_tape(self):
         m = tiny_model(base=4, seed=26)

@@ -11,7 +11,7 @@ import pytest
 from sarunet import Tape, Tensor4, ops, tensor
 from sarunet.blocks import param_count
 from sarunet.errors import ConfigurationError, DimensionError, UsageError
-from sarunet.model import (ModelConfig, build, load_checkpoint,
+from sarunet.model import (ModelConfig, build, gradient_layer, load_checkpoint,
                            persistence_forward, plain_unet_param_count,
                            save_checkpoint)
 from sarunet.train import mse_loss
@@ -254,20 +254,26 @@ class TestTapeMemory:
         records = list(tape.ops)
         tape.backward(loss)
         assert all(p.grad is not None for p in m.parameters())
-        traced = {trace.get(n).key for n in wanted}
+        # a residual sub-path's gradient is its block's: the block holds it
+        holders = {"enc0.block", "enc1.block", "enc2.cbam", "dec0.block"}
+        assert {gradient_layer(n) for n in wanted} == holders
+        assert set(trace) == set(wanted) | holders
         alive = [out for out in (rec.output() for rec in records) if out is not None]
         holding = {out.key for out in alive if out.grad is not None}
-        assert holding == traced
-        assert all(np.any(trace.get(n).grad != 0.0) for n in wanted)
+        assert holding == {trace[n].key for n in holders}
+        assert all(np.any(trace[n].grad != 0.0) for n in holders)
 
     def test_training_step_peak_memory(self, recorded):
         """One taped step at the paper's 288x288 input peaks at a small multiple
         of its op outputs: without gradient buffers on every output, without
         closure copies of op inputs or outputs, with the outputs that no
-        backward rule reads freed during the forward pass, and with each
-        rule's arrays freed as backward walks the tape. Measured: 0.83x
-        (1.18x while backward kept every closure until the tape was dropped,
-        1.46x while the tape held every op output)."""
+        backward rule reads freed during the forward pass, with each rule's
+        arrays freed as backward walks the tape, and with what one matmul or
+        a bit mask rebuilds not kept (the batch-norm input, the relu output,
+        the pooled input). Measured: 0.70x and 45.3 MiB (0.83x and 61.7 MiB
+        while batch norm kept its input, relu its output and max pooling
+        its input and output; 1.18x while backward kept every closure until
+        the tape was dropped, 1.46x while the tape held every op output)."""
         m = build(ModelConfig(in_channels=12, out_channels=6, base_channels=4,
                               cbam_reduction=4), seed=0)
         x = rand_input((1, 12, 288, 288), seed=3)
@@ -279,7 +285,8 @@ class TestTapeMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.95 * recorded.output_bytes
+        assert peak <= 0.75 * recorded.output_bytes
+        assert peak <= 50 * 2 ** 20
 
     def test_backward_closures_keep_only_tape_arrays(self, recorded):
         """Backward closures capture their arrays directly, so a count of the
@@ -290,7 +297,7 @@ class TestTapeMemory:
         tape, _, _ = recorded_step(m, rand_input((1, 2, 64, 64), seed=5),
                                    rand_input((1, 1, 64, 64), seed=6))
         held = {id(a) for a in (ref() for ref in recorded.arrays) if a is not None}
-        extra = {}
+        extra, codes = {}, {}
         for rec in tape.ops:
             for cell in rec.backward_fn.__closure__ or ():
                 v = cell.cell_contents
@@ -299,8 +306,12 @@ class TestTapeMemory:
                     assert not any(isinstance(a, (np.ndarray, Tensor4)) for a in inner), \
                         f"{rec.name} hides arrays in a nested closure"
                 if isinstance(v, np.ndarray) and id(_base(v)) not in held:
-                    extra[id(_base(v))] = _base(v).nbytes
-        # what is left: batch norm's per-channel statistics
+                    kept = codes if v.dtype == np.uint8 else extra
+                    kept[id(_base(v))] = _base(v).nbytes
+        # what is left: relu's sign bits and max pooling's winner bytes, a
+        # bit per relu output and a byte per pooled output, ...
+        assert sum(codes.values()) <= 0.01 * recorded.output_bytes
+        # ... and batch norm's per-channel statistics
         assert sum(extra.values()) <= 0.005 * recorded.output_bytes
 
 
@@ -328,7 +339,8 @@ class TestFreedEarly:
     runs, and the gradients do not change for it."""
 
     def test_batch_norm_outputs_in_a_training_step(self, monkeypatch):
-        norms = spy_outputs(monkeypatch, "batch_norm")    # relu reads its own output
+        # the pointwise conv fused with batch norm: relu keeps only signs
+        norms = spy_outputs(monkeypatch, "pointwise_batch_norm")
         m = build(tiny_config(), seed=0, dtype=np.float64)
         rng = np.random.default_rng(7)
         x = tensor(rng.normal(size=(2, 2, 32, 32)), dtype=np.float64)
@@ -479,6 +491,21 @@ class TestCheckpoint:
         y0, _ = m.forward(x)
         y1, _ = back.forward(x)
         assert y0.data.tobytes() == y1.data.tobytes()
+
+    def test_loading_draws_no_weights(self, tmp_path, monkeypatch):
+        """The checkpoint supplies every value, so the model it is read into
+        draws no initial weights."""
+        m = build(tiny_config(), seed=19)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        back, _ = load_checkpoint(path)
+        orig = dict(m.named_parameters())
+        for name, t in back.named_parameters():
+            assert t.data.tobytes() == orig[name].data.tobytes(), name
 
     def test_rejects_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"

@@ -319,14 +319,23 @@ def test_shifted_sum_bitwise_over_several_tiles(shape, tiles, dtype, flipped):
     _assert_shifted_sum_bitwise(dtype, *shape, flipped, seed=sum(shape))
 
 
+def _identity_bn(x, gamma, beta, rm, rv, train):
+    """Batch norm alone: the fused op over a frozen identity 1x1 weight."""
+    c = x.shape[1]
+    eye = t(np.eye(c).reshape(c, c, 1, 1), dtype=x.dtype)
+    return ops.pointwise_batch_norm(x, eye, gamma, beta, rm, rv, train=train)
+
+
 class TestBatchNorm:
+    """The pointwise conv fused with the batch norm after it."""
+
     def test_normalizes_batch(self):
         rng = np.random.default_rng(5)
         x = t(rng.normal(loc=3.0, scale=2.0, size=(4, 3, 6, 6)))
         gamma = t(np.ones((1, 3, 1, 1)))
         beta = t(np.zeros((1, 3, 1, 1)))
         rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
-        y = ops.batch_norm(x, gamma, beta, rm, rv, train=True)
+        y = _identity_bn(x, gamma, beta, rm, rv, train=True)
         assert np.abs(y.data.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(y.data.var(axis=(0, 2, 3)) - 1.0).max() < 1e-4
 
@@ -336,9 +345,8 @@ class TestBatchNorm:
         gamma = t(np.zeros((1, 2, 1, 1)))
         beta = t(np.full((1, 2, 1, 1), 0.25))
         rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
-        from sarunet import Tape
         with Tape() as tape:
-            y = ops.batch_norm(x, gamma, beta, rm, rv, train=True)
+            y = _identity_bn(x, gamma, beta, rm, rv, train=True)
             loss = ops.sum_all(y)
         assert np.all(y.data == 0.25)
         tape.backward(loss)
@@ -350,42 +358,63 @@ class TestBatchNorm:
         gamma = t(np.ones((1, 2, 1, 1)))
         beta = t(np.zeros((1, 2, 1, 1)))
         rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
-        ops.batch_norm(t(x), gamma, beta, rm, rv, train=True)
+        _identity_bn(t(x), gamma, beta, rm, rv, train=True)
         np.testing.assert_allclose(rm, ops.BN_MOMENTUM * x.mean(axis=(0, 2, 3)), rtol=1e-5)
-        y = ops.batch_norm(t(x), gamma, beta, rm, rv, train=False)
+        y = _identity_bn(t(x), gamma, beta, rm, rv, train=False)
         expect = (x - rm[None, :, None, None]) / np.sqrt(rv[None, :, None, None] + ops.BN_EPS)
         np.testing.assert_allclose(y.data, expect, rtol=1e-5)
 
-    def test_train_mode_matches_the_loop_oracle_in_float64(self):
-        """Output, running buffers and all three gradients of a float64
-        train-mode step agree with the loop oracle to 1e-12 of each
-        array's largest entry."""
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_matches_conv2d_and_the_loop_oracle_in_float64(self, train):
+        """Output, running buffers and all four gradients of a float64 step
+        agree, to 1e-12 of each array's largest entry, with ``conv2d``'s
+        product normalized by the loop oracle (train mode) or by the
+        running buffers (eval mode), the product's gradient taken back
+        through the 1x1 weight."""
         rng = np.random.default_rng(8)
-        x = t(rng.normal(loc=2.0, scale=3.0, size=(3, 4, 5, 6)), requires_grad=True,
-              dtype=np.float64)
-        gamma = t(rng.normal(size=(1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
-        beta = t(rng.normal(size=(1, 4, 1, 1)), requires_grad=True, dtype=np.float64)
+        f64 = dict(requires_grad=True, dtype=np.float64)
+        x = t(rng.normal(loc=2.0, scale=3.0, size=(3, 5, 5, 6)), **f64)
+        w = t(rng.normal(size=(4, 5, 1, 1)), **f64)
+        gamma = t(rng.normal(size=(1, 4, 1, 1)), **f64)
+        beta = t(rng.normal(size=(1, 4, 1, 1)), **f64)
         rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
         rm0, rv0 = rm.copy(), rv.copy()
-        gout = rng.normal(size=x.shape)
+        gout = rng.normal(size=(3, 4, 5, 6))
         with Tape() as tape:
-            y = ops.batch_norm(x, gamma, beta, rm, rv, train=True)
+            y = ops.pointwise_batch_norm(x, w, gamma, beta, rm, rv, train=train)
             loss = ops.sum_all(ops.mul(y, t(gout, dtype=np.float64)))
         tape.backward(loss)
-        out, mean, var, grads = batch_norm_train_loops(x.data, gamma.data.ravel(),
-                                                       beta.data.ravel(), ops.BN_EPS)
-        dx, dgamma, dbeta = grads(gout)
-        m = ops.BN_MOMENTUM
-        for got, want in ((y.data, out), (rm, (1 - m) * rm0 + m * mean),
-                          (rv, (1 - m) * rv0 + m * var), (x.grad, dx),
-                          (gamma.grad.ravel(), dgamma), (beta.grad.ravel(), dbeta)):
+        product = ops.conv2d(t(x.data, dtype=np.float64), t(w.data, dtype=np.float64)).data
+        g, b = gamma.data.ravel(), beta.data.ravel()
+        if train:
+            out, mean, var, grads = batch_norm_train_loops(product, g, b, ops.BN_EPS)
+            dproduct, dgamma, dbeta = grads(gout)
+            m = ops.BN_MOMENTUM
+            want_rm, want_rv = (1 - m) * rm0 + m * mean, (1 - m) * rv0 + m * var
+        else:
+            per_channel = (slice(None), None, None)
+            istd = 1.0 / np.sqrt(rv0 + ops.BN_EPS)
+            xhat = (product - rm0[per_channel]) * istd[per_channel]
+            out = xhat * g[per_channel] + b[per_channel]
+            dproduct = gout * (g * istd)[per_channel]
+            dgamma, dbeta = (gout * xhat).sum(axis=(0, 2, 3)), gout.sum(axis=(0, 2, 3))
+            want_rm, want_rv = rm0, rv0
+        dx = np.einsum("oc,nohw->nchw", w.data[:, :, 0, 0], dproduct)
+        dw = np.einsum("nohw,nchw->oc", dproduct, x.data).reshape(w.shape)
+        for got, want in ((y.data, out), (rm, want_rm), (rv, want_rv), (x.grad, dx),
+                          (w.grad, dw), (gamma.grad.ravel(), dgamma),
+                          (beta.grad.ravel(), dbeta)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_channel_mismatch(self):
         x = t(np.ones((1, 3, 4, 4)))
+        gamma, beta = t(np.ones((1, 2, 1, 1))), t(np.zeros((1, 2, 1, 1)))
+        rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
         with pytest.raises(DimensionError):
-            ops.batch_norm(x, t(np.ones((1, 2, 1, 1))), t(np.zeros((1, 2, 1, 1))),
-                           np.zeros(2, np.float32), np.ones(2, np.float32), train=True)
+            _identity_bn(x, gamma, beta, rm, rv, train=True)
+        with pytest.raises(DimensionError):            # a weight over 4 input channels
+            ops.pointwise_batch_norm(x, t(np.ones((2, 4, 1, 1))), gamma, beta, rm, rv,
+                                     train=True)
 
 
 class TestElementwise:
@@ -393,8 +422,47 @@ class TestElementwise:
         y = ops.relu(t(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)))
         np.testing.assert_array_equal(y.data.ravel(), [0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_is_gout_times_the_sign(self, dtype):
+        """The rule keeps one bit per entry, and its gradient is bitwise
+        ``gout * (out > 0)``: exact zeros in ``x`` pass nothing, and a
+        ``-0.0`` in ``gout`` keeps its sign where it passes."""
+        rng = np.random.default_rng(11)
+        xs = rng.normal(size=(2, 3, 5, 7)).astype(dtype)      # 210 entries, not whole bytes
+        xs.flat[::5] = 0.0
+        xs.flat[1::7] = -0.0
+        gout = rng.normal(size=xs.shape).astype(dtype)
+        gout.flat[::3] = -0.0
+        gout.flat[2::11] = 0.0
+        with Tape() as tape:
+            out = ops.relu(t(xs, requires_grad=True, dtype=dtype))
+        (rec,) = tape.ops
+        kept = [c.cell_contents for c in rec.backward_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert [(a.dtype, a.nbytes) for a in kept] == [(np.uint8, -(-xs.size // 8))]
+        (dx,) = rec.backward_fn(gout)
+        want = gout * (out.data > 0)
+        assert dx.dtype == want.dtype and bits(dx).tobytes() == bits(want).tobytes()
+
     def test_sigmoid_at_zero(self):
         assert ops.sigmoid(t(np.zeros((1, 1, 1, 1)))).item() == 0.5
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 8), (2, 3, 5, 7), (6, 1, 64, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_is_bitwise_the_split_over_sign(self, shape, dtype):
+        """``exp(-|x|)`` and one ``where`` give the bytes of the split that
+        evaluates ``1/(1+exp(-x))`` on ``x >= 0`` and ``exp(x)/(1+exp(x))``
+        elsewhere, at +-0.0, 88 and -104 as well."""
+        rng = np.random.default_rng(sum(shape))
+        d = (rng.normal(size=shape) * 20.0).astype(dtype)
+        d.flat[:6] = [0.0, -0.0, 88.0, -104.0, 1e-8, -1e-8]
+        want = np.empty_like(d)
+        pos = d >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ex = np.exp(d[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        got = ops.sigmoid(t(d, dtype=dtype)).data
+        assert got.dtype == want.dtype and bits(got).tobytes() == bits(want).tobytes()
 
     def test_concat_and_slice_roundtrip(self):
         rng = np.random.default_rng(8)
@@ -454,6 +522,15 @@ class TestPooling:
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionError):
             ops.max_pool2(t(np.ones((1, 1, 3, 4))))
+
+    def test_backward_keeps_one_byte_per_window(self):
+        x = t(np.random.default_rng(12).normal(size=(2, 3, 6, 8)), requires_grad=True)
+        with Tape() as tape:
+            ops.max_pool2(x)
+        (rec,) = tape.ops
+        kept = [c.cell_contents for c in rec.backward_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert [(a.dtype, a.shape) for a in kept] == [(np.uint8, (2, 3, 3, 4))]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_tie_goes_to_the_first_tap(self, dtype):
