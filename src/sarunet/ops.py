@@ -201,31 +201,37 @@ def _tap_offsets(w: int) -> list[int]:
 # buffer, so a tile's input slices, ``acc`` and ``term`` stay in L2
 _TILE = 32768
 
+# elements in the depthwise kernel's staging buffer of padded planes: two
+# tiles, or one plane where a plane is larger (a 288x288 one pads to 84390
+# elements; staged alone, it ran fastest on a 2-core Xeon)
+_STAGE = 2 * _TILE
 
-def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Per-channel 3x3 correlation of :func:`_pad_planes` output ``[n, c,
-    (h+3)*(w+2)]`` with ``taps`` ``[c, 9]`` (row-major): ``[n, c, h, w]``.
 
-    It runs tile by tile over the ``n*c`` flat planes. A tile is a band of
-    ``band = min(h, _TILE // (w+2))`` image rows over a group of up to
-    ``_TILE // (band*(w+2))`` planes, so an array no larger than one tile is
-    one tile. Per tile, tap 0's products go into ``acc``, the other eight
-    are each multiplied into ``term`` and added to ``acc``, and ``acc``
-    without its two padding columns is copied into the tile's rows of the
-    output. The two tile buffers are allocated once per call. Each output
-    entry sees the same nine products added in the same order as a
-    whole-plane pass, so the result is bitwise that of the whole-plane sum."""
-    n, c, size = planes.shape
-    nc, row = n * c, w + 2
-    flat = planes.reshape(nc, size)
-    if n > 1:
-        taps = np.concatenate((taps,) * n)          # plane k*c + i takes channel i's taps
+def _plane_taps(taps: np.ndarray, n: int) -> np.ndarray:
+    """``taps`` ``[c, 9]`` per flat plane of an ``[n, c]`` batch: plane
+    ``k*c + i`` takes channel ``i``'s taps."""
+    return np.concatenate((taps,) * n) if n > 1 else taps
+
+
+def _tiled_sum(flat: np.ndarray, taps: np.ndarray, out: np.ndarray, h: int, w: int) -> None:
+    """Per-plane 3x3 correlation of padded flat planes ``flat`` ``[k,
+    (h+3)*(w+2)]`` (as :func:`_pad_planes` lays them out) with ``taps``
+    ``[k, 9]`` (row-major), written into ``out`` ``[k, h, w]``.
+
+    It runs tile by tile. A tile is a band of ``band = min(h, _TILE //
+    (w+2))`` image rows over a group of up to ``_TILE // (band*(w+2))``
+    planes, so ``k`` planes no larger than one tile are one tile. Per tile,
+    tap 0's products go into ``acc``, the other eight are each multiplied
+    into ``term`` and added to ``acc``, and ``acc`` without its two padding
+    columns is copied into the tile's rows of ``out``. The two tile buffers
+    are allocated once per call. Each output entry sees the same nine
+    products added in the same order as a whole-plane pass, so the result
+    is bitwise that of the whole-plane sum."""
+    nc, row = flat.shape[0], w + 2
     offsets = _tap_offsets(w)
     band = max(1, min(h, _TILE // row))
     group = max(1, min(nc, _TILE // (band * row)))
-    dtype = np.result_type(planes, taps)
-    out = np.empty((nc, h, w), dtype=dtype)
-    acc_buf = np.empty(group * band * row, dtype=dtype)
+    acc_buf = np.empty(group * band * row, dtype=out.dtype)
     term_buf = np.empty_like(acc_buf)
     for p0 in range(0, nc, group):
         p1 = min(nc, p0 + group)
@@ -242,6 +248,31 @@ def _shifted_sum(planes: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.nda
                 np.multiply(flat[p0:p1, off + start:off + stop], cols[:, t], out=term)
                 acc += term
             out[p0:p1, r0:r1] = acc.reshape(shape[0], r1 - r0, row)[..., :w]
+
+
+def _shifted_sum(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 "same" correlation of ``a`` ``[n, c, h, w]`` with
+    ``taps`` ``[c, 9]`` (row-major): ``[n, c, h, w]``, by :func:`_tiled_sum`.
+
+    No padded copy of the whole of ``a`` is made. Its ``n*c`` planes are
+    padded a stage at a time into one zero-bordered buffer of at most
+    :data:`_STAGE` elements (one plane at least), each stage's interior
+    overwriting the last and the border staying zero, and each stage's
+    tiles run while it is still in cache. An array that fits in one stage
+    is padded once, as :func:`_pad_planes` would. The result is bitwise
+    that of :func:`_tiled_sum` over the whole padded array."""
+    n, c, h, w = a.shape
+    nc, size = n * c, (h + 3) * (w + 2)
+    stage = max(1, min(nc, _STAGE // size))
+    src = a.reshape(nc, h, w)
+    taps = _plane_taps(taps, n)
+    out = np.empty((nc, h, w), dtype=np.result_type(a, taps))
+    staged = np.zeros((stage, h + 3, w + 2), dtype=a.dtype)
+    flat = staged.reshape(stage, size)
+    for s0 in range(0, nc, stage):
+        s1 = min(nc, s0 + stage)
+        staged[:s1 - s0, 1:h + 1, 1:w + 1] = src[s0:s1]
+        _tiled_sum(flat[:s1 - s0], taps[s0:s1], out[s0:s1], h, w)
     return out.reshape(n, c, h, w)
 
 
@@ -254,24 +285,28 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4) -> Tensor4:
     taps_kept = taps if need_x else None
 
     def backward_fn(gout: np.ndarray):
+        flipped = taps_kept[:, ::-1] if need_x else None      # dx's kernel
+        if not need_w:                 # a frozen weight: dx staged, no padded copy
+            return [_shifted_sum(gout, flipped), None]
+        n = gout.shape[0]
         gp = _pad_planes(gout)
-        dx = dw = None
-        if need_w:                     # first, so the padded input is freed before dx
-            xp = _pad_planes(x_kept)
-            length = h * (w_in + 2)
-            centre = _tap_offsets(w_in)[4]
-            g = gp[:, :, centre:centre + length]         # gout, zero in the padding columns
-            dw = np.empty((c, 9), dtype=x_kept.dtype)    # the weight's dtype
-            for t, off in enumerate(_tap_offsets(w_in)):
-                dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
-            dw = dw.reshape(w_shape)
-            xp = None
-        if need_x:
-            dx = _shifted_sum(gp, taps_kept[:, ::-1], h, w_in)   # the flipped kernel
-        return [dx, dw]
+        gout = None                    # the only reference (see Tape.backward): freed here
+        xp = _pad_planes(x_kept)
+        length = h * (w_in + 2)
+        centre = _tap_offsets(w_in)[4]
+        g = gp[:, :, centre:centre + length]             # gout, zero in the padding columns
+        dw = np.empty((c, 9), dtype=x_kept.dtype)        # the weight's dtype
+        for t, off in enumerate(_tap_offsets(w_in)):
+            dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
+        xp = None                      # the padded input is freed before dx
+        dx = None
+        if need_x:                     # over the padded gradient dw already read
+            dx = np.empty((n, c, h, w_in), dtype=np.result_type(gp, flipped))
+            _tiled_sum(gp.reshape(n * c, -1), _plane_taps(flipped, n),
+                       dx.reshape(n * c, h, w_in), h, w_in)
+        return [dx, dw.reshape(w_shape)]
 
-    return make_result(_shifted_sum(_pad_planes(x.data), taps, h, w_in), "conv2d", (x, weight),
-                       backward_fn)
+    return make_result(_shifted_sum(x.data, taps), "conv2d", (x, weight), backward_fn)
 
 
 def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tensor4:
@@ -289,11 +324,15 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       multiply-adds over zero-padded flat planes, run in cache-sized tiles
       (a band of image rows over a group of planes, :data:`_TILE` elements
       at most), each tile written straight into the output, so no
-      whole-plane temporary is made. Each output entry sees the same nine
-      products in the same order as a whole-plane pass, so the values do
-      not depend on the tiling. The backward runs the same sum over the
-      padded gradient with the kernel flipped, and pads the input again for
-      the weight gradient.
+      whole-plane temporary is made. The planes are padded a stage at a
+      time (:data:`_STAGE` elements, one plane at least) into one reused
+      buffer, so no padded copy of the whole input is made either. Each output entry sees the same nine products
+      in the same order as a whole-plane pass, so the values depend on
+      neither the tiling nor the staging. ``dx`` is the same sum over the
+      gradient with the kernel flipped: staged when the weight is frozen
+      (Grad-CAM), else over the whole padded gradient that the weight
+      gradient reads, which also pads the whole input; the rule drops its
+      own reference to the gradient once it is padded.
     - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): products of float64
       ``rfft2`` spectra over planes zero-padded to ``L``, the smallest
       2*3*5-smooth length >= ``size + k - 1`` per axis, so that they are
@@ -421,6 +460,7 @@ def pointwise_batch_norm(x: Tensor4, weight: Tensor4, gamma: Tensor4, beta: Tens
             # train mode, istd * dxhat in eval mode, written over dxhat and
             # xhat: each in-place step is the same float operation
             dy = gout * gamma_kept                       # dxhat
+            gout = None                                  # the only reference: freed here
             if train:
                 mean_dxhat = dy.mean(axis=(0, 2, 3), keepdims=True)
                 mean_dxhat_xhat = (dy * xhat).mean(axis=(0, 2, 3), keepdims=True)

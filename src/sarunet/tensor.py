@@ -19,7 +19,9 @@ arrays it reads. So an op output that no rule reads is freed as soon as the
 forward code drops it, before backward runs. Backward consumes the tape, as
 PyTorch's autograd frees saved tensors after one backward: each record is
 popped before its rule runs, so a rule's arrays are freed once it has run,
-and a second backward on the same tape raises ``UsageError``.
+and a second backward on the same tape raises ``UsageError``. Each output
+gradient's only reference is its rule's, so a rule frees it after its last
+read (see :meth:`Tape.backward`).
 
 Tapes are thread-local: concurrent inference threads each open their own tape
 (or none) over shared read-only parameters. The parameters' ``requires_grad``
@@ -92,7 +94,8 @@ class Tensor4:
                              "convert with tensor()")
         self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = np.zeros_like(self.data) if requires_grad else None
+        self.grad: Optional[np.ndarray] = (np.zeros(self.data.shape, self.data.dtype)
+                                           if requires_grad else None)
         self.key = next(_keys)
 
     # -- introspection -----------------------------------------------------
@@ -115,7 +118,7 @@ class Tensor4:
         accumulate into. A no-op on a tensor that already has one, and on a
         tensor no gradient flows through."""
         if self.requires_grad and self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape, self.data.dtype)   # calloc: no write pass
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -241,6 +244,22 @@ class Tape:
         as the rule returns, and ``ops`` is empty at the end. A second call
         on the same tape raises ``UsageError``, also after a call that
         raised partway; record the forward pass again on a new tape.
+
+        Each output gradient is handed to its rule as the only reference,
+        as vDNN frees each array after its last use (Rhu et al., arXiv
+        1602.08124): it is popped off the pending sums in the call itself,
+        and the rule's returned list and its items are let go once routed,
+        before the next rule runs. This relies on CPython's reference rule
+        for calls: from 3.11 (which ``pyproject.toml`` requires, as the
+        memory tests assume it), a Python function called with an argument
+        that only the caller's evaluation stack holds takes that reference
+        over into its own frame, so the parameter is the only reference,
+        and a rule that rebinds it (``gout = None``) frees the array then.
+        (Under a wrapper that keeps its argument, as before 3.11, the
+        caller's reference lasts until the call returns: the values are the
+        same and only the peak is higher.) A rule must not write into its
+        gradient, as the same array may be pending for another input
+        (:func:`~sarunet.ops.add` returns one array for both).
         """
         if self._consumed:
             raise UsageError("backward already ran on this tape, which it consumes; "
@@ -255,13 +274,12 @@ class Tape:
         ops = self.ops
         while ops:
             rec = ops.pop()
-            out_grad = pending.pop(rec.key, None)
-            if out_grad is None:
+            if rec.key not in pending:
                 continue
             out = rec.output()
             if out is not None and out.grad is not None:
-                out.grad += out_grad
-            in_grads = rec.backward_fn(out_grad)
+                out.grad += pending[rec.key]
+            in_grads = rec.backward_fn(pending.pop(rec.key))      # the rule's own reference
             for key, leaf, g in zip(rec.inputs, rec.leaves, in_grads):
                 if g is None:
                     continue
@@ -272,6 +290,7 @@ class Tape:
                     pending[key] = pending[key] + g
                 else:
                     pending[key] = g
+            in_grads = g = None
 
 
 def make_result(data: np.ndarray, name: str, inputs: Sequence[Tensor4],

@@ -15,6 +15,7 @@ import pytest
 
 from sarunet import Tape, ops, tensor
 from sarunet.errors import UsageError
+from sarunet.tensor import make_result
 
 from oracles import finite_diff, grad_rel_err
 
@@ -234,6 +235,115 @@ class TestTapeMechanics:
             np.testing.assert_array_equal(got, want)
 
 
+def _zeroed_buffer(kind, dtype):
+    """A fresh gradient buffer and its tensor: a parameter's, or an op
+    output's after ``retain_grad``."""
+    data = np.arange(24, dtype=dtype).reshape(1, 2, 3, 4)
+    if kind == "parameter":
+        held = tensor(data, requires_grad=True, dtype=dtype)
+    else:
+        with Tape():
+            held = ops.relu(tensor(data, requires_grad=True, dtype=dtype))
+        held.retain_grad()
+    return held.grad, held
+
+
+@pytest.mark.parametrize("kind", ["parameter", "retained"])
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+class TestZeroedGradBuffer:
+    """A gradient buffer is allocated zeroed (calloc, no write pass), with
+    the layout the backward's in-place adds expect."""
+
+    def test_dtype(self, kind, dtype):
+        grad, held = _zeroed_buffer(kind, dtype)
+        assert grad.dtype == held.dtype == dtype
+
+    def test_shape(self, kind, dtype):
+        grad, held = _zeroed_buffer(kind, dtype)
+        assert grad.shape == held.shape
+
+    def test_c_order(self, kind, dtype):
+        grad, _ = _zeroed_buffer(kind, dtype)
+        assert grad.flags.c_contiguous and grad.flags.owndata
+
+    def test_zero_bytes(self, kind, dtype):
+        grad, _ = _zeroed_buffer(kind, dtype)
+        assert grad.tobytes() == bytes(grad.nbytes)          # +0.0 everywhere
+
+
+def _probe(y, handed):
+    """A scalar op over ``y`` whose rule hands ``y`` a fresh gradient and
+    keeps only a weak reference to it, in ``handed``."""
+    shape, dtype = y.shape, y.dtype
+
+    def rule(gout):
+        g = np.ones(shape, dtype)
+        handed.append(weakref.ref(g))
+        return [g]
+    return make_result(np.zeros((1, 1, 1, 1), dtype), "probe", (y,), rule)
+
+
+class TestGradientOwnership:
+    """``Tape.backward`` hands each output gradient to its rule as the only
+    reference and keeps none of the gradients a rule returns, so a rule
+    frees its gradient by dropping it."""
+
+    def test_depthwise_rule_frees_its_gradient_after_padding_it(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        x = tensor(_f32(rng, (1, 3, 8, 8)), requires_grad=True)
+        w = tensor(_f32(rng, (3, 1, 3, 3)), requires_grad=True)
+        handed, alive = [], []
+        with Tape() as tape:
+            loss = _probe(ops.conv2d(x, w), handed)
+        real = ops._pad_planes
+        monkeypatch.setattr(ops, "_pad_planes",
+                            lambda a: alive.append(handed[0]() is not None) or real(a))
+        tape.backward(loss)
+        assert alive == [True, False]      # padding the gradient, then the input
+
+    def test_batch_norm_rule_frees_its_gradient_before_the_matmuls(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        x = tensor(_f32(rng, (2, 3, 5, 5)), requires_grad=True)
+        w, gamma, beta = (tensor(_f32(rng, s), requires_grad=True)
+                          for s in ((4, 3, 1, 1), (1, 4, 1, 1), (1, 4, 1, 1)))
+        handed, alive = [], []
+        with Tape() as tape:
+            y = ops.pointwise_batch_norm(x, w, gamma, beta, np.zeros(4, np.float32),
+                                         np.ones(4, np.float32), train=True)
+            loss = _probe(y, handed)
+        del y
+        real = ops._pointwise_grads
+        monkeypatch.setattr(ops, "_pointwise_grads", lambda *a: alive.append(
+            handed[0]() is not None) or real(*a))
+        tape.backward(loss)
+        assert alive == [False]
+
+    def test_routed_gradients_are_not_held(self):
+        """Once a rule's gradients are routed, a leaf's into its buffer and
+        an op output's into the pending sums, backward keeps none of them:
+        the next rule sees the leaf's freed, and frees its own by dropping
+        it."""
+        rng = np.random.default_rng(42)
+        p, q = (tensor(_f32(rng, (1, 2, 3, 3)), requires_grad=True) for _ in range(2))
+        handed, alive = [], []
+
+        def first_rule(gout):
+            del gout
+            alive.append([ref() is not None for ref in handed])
+            return [None]
+
+        def last_rule(gout):
+            grads = [np.ones((1, 2, 3, 3), np.float32) for _ in range(2)]
+            handed.extend(weakref.ref(g) for g in grads)
+            return grads
+        with Tape() as tape:
+            a = make_result(np.zeros((1, 2, 3, 3), np.float32), "first", (p,), first_rule)
+            loss = make_result(np.zeros((1, 1, 1, 1), np.float32), "last", (a, q), last_rule)
+        tape.backward(loss)
+        assert alive == [[False, False]]   # the output's gradient, then the leaf's
+        np.testing.assert_array_equal(q.grad, np.ones((1, 2, 3, 3)))
+
+
 class TestOpGradients:
     def test_conv2d(self):
         """The dense kernel, 3x3."""
@@ -409,7 +519,7 @@ class TestSkipRules:
                         f"input {i} with {sorted(frozen)} frozen"
 
     @pytest.mark.parametrize("weight_shape, helper, calls", [
-        ((2, 1, 3, 3), "_pad_planes", 1),          # the gradient's planes only
+        ((2, 1, 3, 3), "_pad_planes", 0),          # staged: no whole-array padded copy
         ((1, 2, 7, 7), "_spectrum", 2),            # the gradient's and the weight's spectra
     ], ids=["depthwise", "dense"])
     def test_frozen_weight_skips_its_work(self, monkeypatch, weight_shape, helper, calls):

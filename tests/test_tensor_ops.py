@@ -193,8 +193,8 @@ def test_depthwise_forward_peak_memory():
 
 @pytest.mark.usefixtures("no_dense_kernel")
 def test_depthwise_tiled_forward_peak_memory():
-    """Over many tiles the forward holds the padded input, the output and
-    two tile buffers: no whole-plane temporary beyond those."""
+    """Over many tiles the forward holds the output, one stage of padded
+    planes and two tile buffers: no whole-plane temporary beyond those."""
     rng = np.random.default_rng(4)
     x = t(rng.normal(size=(1, 16, 144, 144)).astype(np.float32), requires_grad=True)
     w = t(rng.normal(size=(16, 1, 3, 3)).astype(np.float32), requires_grad=True)
@@ -206,6 +206,36 @@ def test_depthwise_tiled_forward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input bytes"
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["forward", "frozen-weight-dx"])
+def test_depthwise_staged_peak_memory(frozen):
+    """Over several stages, the forward and a frozen weight's ``dx``
+    (Grad-CAM's backward) hold their output, one staging buffer and two
+    tile buffers: no whole-array padded copy, which alone would take more
+    than the input's bytes."""
+    rng = np.random.default_rng(5)
+    x = t(rng.normal(size=(1, 24, 200, 200)).astype(np.float32), requires_grad=True)
+    w = t(rng.normal(size=(24, 1, 3, 3)).astype(np.float32), requires_grad=not frozen)
+    assert _stages(*x.shape) == (24, False)                   # a stage is one plane
+    gout = rng.normal(size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            ops.conv2d(x, w)
+        if frozen:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dx, dw = tape.ops[0].backward_fn(gout)
+            assert dw is None and dx.shape == x.shape
+        else:
+            base = 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    buffers = 203 * 202 + 2 * ops._TILE           # a stage (one padded plane), two tiles
+    assert peak <= x.data.nbytes + 4 * buffers + 2 ** 16, \
+        f"peak {peak / x.data.nbytes:.2f}x the input bytes"
 
 
 def dense_loop_grads(x, w, gout):
@@ -279,14 +309,28 @@ def _tiles(n, c, h, w):
     return -(-h // band), -(-n * c // group), h % band != 0, n * c % group != 0
 
 
+def _stages(n, c, h, w):
+    """(stages, partial stage) of the depthwise kernel's staged padding on
+    ``[n, c, h, w]``, from its stage-size rule."""
+    stage = max(1, min(n * c, ops._STAGE // ((h + 3) * (w + 2))))
+    return -(-n * c // stage), n * c % stage != 0
+
+
+def _padded_planes(a):
+    """``a`` zero-padded as the oracle reads it: one column each side, one
+    row on top and two below, each plane flattened."""
+    n, c = a.shape[:2]
+    return np.pad(a, ((0, 0), (0, 0), (1, 2), (1, 1))).reshape(n, c, -1)
+
+
 def _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed):
     rng = np.random.default_rng(seed)
-    planes = ops._pad_planes(rng.normal(size=(n, c, h, w)).astype(dtype))
+    a = rng.normal(size=(n, c, h, w)).astype(dtype)
     taps = rng.normal(size=(c, 9)).astype(dtype)
     if flipped:                                  # the backward's dx taps
         taps = taps[:, ::-1]
-    got = ops._shifted_sum(planes, taps, h, w)
-    want = shifted_sum_planes(planes, taps, h, w)
+    got = ops._shifted_sum(a, taps)
+    want = shifted_sum_planes(_padded_planes(a), taps, h, w)
     assert got.shape == want.shape == (n, c, h, w) and got.dtype == want.dtype
     assert got.flags.c_contiguous
     assert bits(got).tobytes() == bits(want).tobytes()
@@ -297,25 +341,32 @@ def _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed):
        c=st.integers(1, 40), h=st.integers(1, 300), w=st.integers(1, 300),
        flipped=st.booleans(), seed=st.integers(0, 2**16))
 def test_shifted_sum_matches_whole_plane_oracle_bitwise(dtype, n, c, h, w, flipped, seed):
-    """Tile by tile, the depthwise kernel gives the bytes of nine
-    whole-plane passes."""
+    """Stage by stage and tile by tile, the depthwise kernel gives the
+    bytes of nine whole-plane passes over the whole padded array."""
     assume(n * c * (h + 3) * (w + 2) <= 2**20)
     note(f"bands, groups, partial band, partial group: {_tiles(n, c, h, w)}")
+    note(f"stages, partial stage: {_stages(n, c, h, w)}")
     _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed)
 
 
-@pytest.mark.parametrize("shape,tiles", [
-    ((3, 40, 20, 20), (1, 2, False, True)),
-    ((3, 37, 60, 20), (1, 5, False, True)),
-    ((1, 2, 300, 300), (3, 2, True, False)),
-    ((3, 5, 250, 150), (2, 15, True, False)),
-], ids=["groups", "more-groups", "bands", "bands-batch"])
+@pytest.mark.parametrize("shape,tiles,stages", [
+    ((3, 40, 20, 20), (1, 2, False, True), (1, False)),
+    ((3, 37, 60, 20), (1, 5, False, True), (3, True)),
+    ((1, 2, 300, 300), (3, 2, True, False), (2, False)),
+    ((3, 5, 250, 150), (2, 15, True, False), (15, False)),
+    ((1, 7, 288, 288), (3, 7, True, False), (7, False)),
+    ((3, 7, 60, 60), (1, 3, False, True), (2, True)),
+    ((6, 64, 40, 40), (1, 21, False, True), (11, True)),
+    ((1, 64, 72, 72), (1, 11, False, True), (6, True)),
+], ids=["groups", "more-groups", "bands", "bands-batch", "stages-of-a-plane", "stages-batch",
+        "stages-groups", "stages-partial-group"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("flipped", [False, True], ids=["taps", "flipped"])
-def test_shifted_sum_bitwise_over_several_tiles(shape, tiles, dtype, flipped):
-    """Shapes split into several bands or several groups, each ending in a
+def test_shifted_sum_bitwise_over_several_tiles(shape, tiles, stages, dtype, flipped):
+    """Shapes split into several bands, groups or stages, each ending in a
     partial one, keep the whole-plane bytes."""
     assert _tiles(*shape) == tiles
+    assert _stages(*shape) == stages
     _assert_shifted_sum_bitwise(dtype, *shape, flipped, seed=sum(shape))
 
 
