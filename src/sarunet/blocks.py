@@ -137,6 +137,12 @@ class ResidualDscBlock:
 
     The sum itself is not re-activated; the shortcut carries a bias and no
     batch norm.
+
+    ``forward`` records the shortcut before the DSC path, so backward runs
+    the DSC path first and makes the shortcut's input gradient last, just
+    before it is summed with the DSC path's: it is not held through the
+    DSC path's backward. The sum is the same two terms in the other order,
+    so the bytes are the same.
     """
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
@@ -144,8 +150,8 @@ class ResidualDscBlock:
         self.shortcut = Conv2dLayer(cin, cout, 1, rng, dtype)
 
     def forward(self, x: Tensor4, train: bool, tap=None, prefix: str = "") -> Tensor4:
-        dsc_out = self.stack.forward(x, train)
         short_out = self.shortcut.forward(x)
+        dsc_out = self.stack.forward(x, train)
         if tap is not None:
             dsc_out = tap.put(_join(prefix, "dsc_path"), dsc_out)
             short_out = tap.put(_join(prefix, "shortcut"), short_out)

@@ -10,6 +10,11 @@ weighted activation combination is rectified, resized to input resolution by
 repeated bilinear doubling, and normalized by its maximum (kept as
 ``raw_max`` so intensity stays comparable across layers; an all-zero map
 stays all-zero rather than dividing 0/0).
+
+Maps are built while backward runs: a map needs only its layer's activation
+and finished gradient (Selvaraju et al., arXiv 1610.02391), so each is made
+as soon as the tape finishes that gradient, and the activations and the
+gradient buffer are then let go before backward reaches the layers below.
 """
 
 from __future__ import annotations
@@ -129,7 +134,16 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
     A residual level's ``block``, ``block.dsc_path`` and ``block.shortcut``
     share one gradient (see :func:`~sarunet.model.gradient_layer`): one
     buffer on the block output, retained when any of the three is
-    requested, from which each of their maps reads its alpha."""
+    requested, from which each of their maps reads its alpha.
+
+    Maps are built as each gradient completes: the tape's completion hook
+    (:attr:`~sarunet.tensor.Tape.on_grad_complete`) hands over each buffer
+    once backward has passed its layer, the maps that read it are made
+    then, and their activations and the buffer are let go, so the traced
+    layers above do not stay alive through the rest of the pass. A buffer
+    on a gradient root (the first traced layer when nothing upstream of it
+    is traced, such as ``enc1.block`` alone) has no record on the tape and
+    is final only when backward returns; its maps are made then."""
     repeated = sorted({n for n in layers if layers.count(n) > 1})
     if repeated:
         raise UsageError(f"explain target(s) {repeated} given more than once")
@@ -138,6 +152,19 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
     if not layers:
         return []
     height, width = x.shape[2], x.shape[3]
+    readers: dict[str, list[str]] = {}          # holder -> the layers reading its grad
+    for n in layers:
+        readers.setdefault(gradient_layer(n), []).append(n)
+    maps: dict[str, Heatmap] = {}
+
+    def finish(holder: str) -> None:
+        """Make the maps that read ``holder``'s gradient, then drop their
+        activations and the holder (with its buffer) from the trace."""
+        grad = trace[holder].grad
+        for n in readers.pop(holder):
+            maps[n] = _combine(trace.pop(n).data, grad, height, width, n)
+        trace.pop(holder, None)
+
     params = model.parameters()
     flags = [p.requires_grad for p in params]
     for p in params:
@@ -150,12 +177,19 @@ def explain_suite(model: Model, x: Tensor4, layers: list[str], *,
                                      threshold_mm_per_h=threshold_mm_per_h)
         if mask.sum() == 0:
             return [_zero_map(height, width, n) for n in layers]
+        holder_of = {trace[h].key: h for h in readers}
+
+        def complete(out: Tensor4) -> None:
+            if out.key in holder_of:
+                finish(holder_of[out.key])
+        tape.on_grad_complete = complete
         tape.backward(score)
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
-    return [_combine(trace[n].data, trace[gradient_layer(n)].grad, height, width, n)
-            for n in layers]
+    for holder in list(readers):                 # gradient roots: final only now
+        finish(holder)
+    return [maps[n] for n in layers]
 
 
 # -- rendering -------------------------------------------------------------------

@@ -213,7 +213,8 @@ class Model:
         layers (names from :meth:`trace_names`) keyed by name. A requested
         residual sub-path also brings its block's output, which holds the
         gradient the three share: after a backward pass, layer ``n``'s
-        gradient is ``trace[gradient_layer(n)].grad``."""
+        gradient is ``trace[gradient_layer(n)].grad``. Each encoder skip is
+        let go once its decoder level's concat has copied it."""
         n, c, h, w = x.shape
         if c != self.config.in_channels:
             raise DimensionError(
@@ -240,7 +241,7 @@ class Model:
             if self.dec_reduce[d] is not None:
                 cur = self.dec_reduce[d].forward(cur)
             cur = ops.upsample_bilinear2(cur)
-            cur = ops.concat_channels(skips[d], cur)
+            cur = ops.concat_channels(skips.pop(), cur)     # level d's skip, freed once copied
             name = f"dec{d}.block"
             cur = tap.put(name, self.dec_blocks[d].forward(cur, train, tap, name))
         return self.out_conv.forward(cur), tap.got

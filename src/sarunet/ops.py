@@ -181,18 +181,11 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     return make_result(out, "conv2d", (x, weight, bias), backward_fn)
 
 
-def _pad_planes(a: np.ndarray) -> np.ndarray:
-    """``[n, c, h, w]`` zero-padded by one column each side, one row on top
-    and two below, each plane flattened to ``[n, c, (h+3)*(w+2)]``. Tap
-    ``(i, j)`` of a 3x3 window is then the contiguous slice at offset
-    ``i*(w+2)+j``, of length ``h*(w+2)``; the second row below keeps the
-    last tap's slice in bounds."""
-    n, c, h, w = a.shape
-    p = np.zeros((n, c, h + 3, w + 2), dtype=a.dtype)
-    p[:, :, 1:h + 1, 1:w + 1] = a
-    return p.reshape(n, c, (h + 3) * (w + 2))
-
-
+# The depthwise kernel pads each ``[h, w]`` plane by one column each side,
+# one row on top and two below, and flattens it to ``(h+3)*(w+2)`` entries.
+# Tap ``(i, j)`` of a 3x3 window is then the contiguous slice at offset
+# ``i*(w+2)+j``, of length ``h*(w+2)``; the second row below keeps the last
+# tap's slice in bounds.
 def _tap_offsets(w: int) -> list[int]:
     return [i * (w + 2) + j for i in range(3) for j in range(3)]
 
@@ -215,7 +208,7 @@ def _plane_taps(taps: np.ndarray, n: int) -> np.ndarray:
 
 def _tiled_sum(flat: np.ndarray, taps: np.ndarray, out: np.ndarray, h: int, w: int) -> None:
     """Per-plane 3x3 correlation of padded flat planes ``flat`` ``[k,
-    (h+3)*(w+2)]`` (as :func:`_pad_planes` lays them out) with ``taps``
+    (h+3)*(w+2)]`` (see the layout above :func:`_tap_offsets`) with ``taps``
     ``[k, 9]`` (row-major), written into ``out`` ``[k, h, w]``.
 
     It runs tile by tile. A tile is a band of ``band = min(h, _TILE //
@@ -259,8 +252,8 @@ def _shifted_sum(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     :data:`_STAGE` elements (one plane at least), each stage's interior
     overwriting the last and the border staying zero, and each stage's
     tiles run while it is still in cache. An array that fits in one stage
-    is padded once, as :func:`_pad_planes` would. The result is bitwise
-    that of :func:`_tiled_sum` over the whole padded array."""
+    is padded once, as a whole. The result is bitwise that of
+    :func:`_tiled_sum` over the whole padded array."""
     n, c, h, w = a.shape
     nc, size = n * c, (h + 3) * (w + 2)
     stage = max(1, min(nc, _STAGE // size))
@@ -276,8 +269,51 @@ def _shifted_sum(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out.reshape(n, c, h, w)
 
 
+def _channel_groups(n: int, c: int, size: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` channel bounds of :func:`_depthwise_dw`'s groups: as
+    many channels as fill :data:`_STAGE` padded elements over the batch,
+    but at least two, and a trailing lone channel joins the group before
+    it. ``einsum`` sums a group of two or more planes as it sums them in
+    the whole array, but a lone plane among several in another order."""
+    k = min(c, max(2, _STAGE // (n * size)))
+    starts = list(range(0, c, k))
+    if len(starts) > 1 and c - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [c]))
+
+
+def _depthwise_dw(gout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``[c, 9]`` weight gradient of the depthwise 3x3 correlation of ``x``
+    given output gradient ``gout`` (both ``[n, c, h, w]``): tap ``t``'s
+    entry is the sum over the batch and the plane of ``gout`` times ``x``
+    shifted by that tap. Both are padded a channel group at a time
+    (:func:`_channel_groups`) into two zero-bordered buffers per group
+    size, each group's interior overwriting the last, so no padded copy of
+    a whole array is made; the result is bitwise that of the nine
+    ``einsum`` over the whole padded arrays."""
+    n, c, h, w = gout.shape
+    size, length = (h + 3) * (w + 2), h * (w + 2)
+    offsets = _tap_offsets(w)
+    centre = offsets[4]
+    dw = np.empty((c, 9), dtype=x.dtype)                 # the weight's dtype
+    buffers = {}
+    for c0, c1 in _channel_groups(n, c, size):
+        k = c1 - c0
+        if k not in buffers:
+            buffers[k] = (np.zeros((n, k, h + 3, w + 2), dtype=gout.dtype),
+                          np.zeros((n, k, h + 3, w + 2), dtype=x.dtype))
+        gp, xp = buffers[k]
+        gp[:, :, 1:h + 1, 1:w + 1] = gout[:, c0:c1]
+        xp[:, :, 1:h + 1, 1:w + 1] = x[:, c0:c1]
+        g = gp.reshape(n, k, size)[:, :, centre:centre + length]   # zero in the padding columns
+        xf = xp.reshape(n, k, size)
+        for t, off in enumerate(offsets):
+            dw[c0:c1, t] = np.einsum("ncl,ncl->c", g, xf[:, :, off:off + length])
+    return dw
+
+
 def _conv_depthwise3(x: Tensor4, weight: Tensor4) -> Tensor4:
-    _, c, h, w_in = x.shape
+    c = x.shape[1]
     taps = weight.data.reshape(c, 9)
     need_x, need_w = _needs(x, weight)
     w_shape = weight.shape
@@ -285,26 +321,9 @@ def _conv_depthwise3(x: Tensor4, weight: Tensor4) -> Tensor4:
     taps_kept = taps if need_x else None
 
     def backward_fn(gout: np.ndarray):
-        flipped = taps_kept[:, ::-1] if need_x else None      # dx's kernel
-        if not need_w:                 # a frozen weight: dx staged, no padded copy
-            return [_shifted_sum(gout, flipped), None]
-        n = gout.shape[0]
-        gp = _pad_planes(gout)
-        gout = None                    # the only reference (see Tape.backward): freed here
-        xp = _pad_planes(x_kept)
-        length = h * (w_in + 2)
-        centre = _tap_offsets(w_in)[4]
-        g = gp[:, :, centre:centre + length]             # gout, zero in the padding columns
-        dw = np.empty((c, 9), dtype=x_kept.dtype)        # the weight's dtype
-        for t, off in enumerate(_tap_offsets(w_in)):
-            dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
-        xp = None                      # the padded input is freed before dx
-        dx = None
-        if need_x:                     # over the padded gradient dw already read
-            dx = np.empty((n, c, h, w_in), dtype=np.result_type(gp, flipped))
-            _tiled_sum(gp.reshape(n * c, -1), _plane_taps(flipped, n),
-                       dx.reshape(n * c, h, w_in), h, w_in)
-        return [dx, dw.reshape(w_shape)]
+        dw = _depthwise_dw(gout, x_kept).reshape(w_shape) if need_w else None
+        dx = _shifted_sum(gout, taps_kept[:, ::-1]) if need_x else None   # flipped kernel
+        return [dx, dw]
 
     return make_result(_shifted_sum(x.data, taps), "conv2d", (x, weight), backward_fn)
 
@@ -326,13 +345,13 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       at most), each tile written straight into the output, so no
       whole-plane temporary is made. The planes are padded a stage at a
       time (:data:`_STAGE` elements, one plane at least) into one reused
-      buffer, so no padded copy of the whole input is made either. Each output entry sees the same nine products
-      in the same order as a whole-plane pass, so the values depend on
-      neither the tiling nor the staging. ``dx`` is the same sum over the
-      gradient with the kernel flipped: staged when the weight is frozen
-      (Grad-CAM), else over the whole padded gradient that the weight
-      gradient reads, which also pads the whole input; the rule drops its
-      own reference to the gradient once it is padded.
+      buffer, so no padded copy of the whole input is made either. Each
+      output entry sees the same nine products in the same order as a
+      whole-plane pass, so the values depend on neither the tiling nor the
+      staging. ``dx`` is the same staged sum over the gradient with the
+      kernel flipped. The weight gradient pads the gradient and the input a
+      group of two or more channels at a time (:func:`_depthwise_dw`), so
+      the backward, too, makes no padded copy of a whole array.
     - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): products of float64
       ``rfft2`` spectra over planes zero-padded to ``L``, the smallest
       2*3*5-smooth length >= ``size + k - 1`` per axis, so that they are

@@ -23,6 +23,13 @@ and a second backward on the same tape raises ``UsageError``. Each output
 gradient's only reference is its rule's, so a rule frees it after its last
 read (see :meth:`Tape.backward`).
 
+A tape also carries one completion hook, :attr:`Tape.on_grad_complete`:
+backward calls it with each op output that has a ``grad`` buffer as soon
+as that buffer is final, so a reader of the gradient (Grad-CAM) can use it
+and let the output go mid-backward instead of after the whole pass. It is
+set on the tape rather than passed to ``backward``, so ``backward(loss)``
+keeps the one signature that wrappers of it call.
+
 Tapes are thread-local: concurrent inference threads each open their own tape
 (or none) over shared read-only parameters. The parameters' ``requires_grad``
 flags are shared, though: :func:`sarunet.gradcam.explain_suite` turns them
@@ -192,12 +199,17 @@ class Tape:
 
     :meth:`backward` consumes the tape and runs once per tape; a second
     pass needs the forward pass recorded again on a new tape.
+
+    ``on_grad_complete``, None by default, is the completion hook that
+    :meth:`backward` calls with each op output whose ``grad`` buffer this
+    pass has just finished; set it before calling :meth:`backward`.
     """
 
     def __init__(self):
         self.ops: list[_OpRecord] = []
         self._produced: set[int] = set()        # keys of the recorded outputs
         self._consumed = False
+        self.on_grad_complete: Optional[Callable[[Tensor4], None]] = None
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -230,6 +242,18 @@ class Tape:
         A leaf's gradient goes into its buffer as soon as a rule returns it;
         an op output's gradients are summed and passed on when its own rule
         runs.
+
+        An op output's gradient is final when its record is popped: every op
+        that read the output was recorded after it, so their rules have
+        run. That is when a marked output's ``grad`` takes the sum, and
+        then, before the output's own rule runs, :attr:`on_grad_complete`
+        (if set) is called with the output, and backward drops its own
+        reference to it. So the hook can read the finished gradient and
+        release the output and its buffer while the rest of the pass runs,
+        as Grad-CAM does. A leaf, such as a gradient root, has no record and
+        gets no call: its buffer is final only when ``backward`` returns.
+        The hook is an attribute, not a parameter, so that ``backward``
+        keeps the ``backward(tape, loss)`` signature its wrappers call.
 
         Gradients are routed by tensor key, not by the tensors: the tape
         holds no op output, so an output nothing else holds is freed during
@@ -279,6 +303,9 @@ class Tape:
             out = rec.output()
             if out is not None and out.grad is not None:
                 out.grad += pending[rec.key]
+                if self.on_grad_complete is not None:
+                    self.on_grad_complete(out)
+            out = None                 # ours dropped: an output the hook let go of is freed now
             in_grads = rec.backward_fn(pending.pop(rec.key))      # the rule's own reference
             for key, leaf, g in zip(rec.inputs, rec.leaves, in_grads):
                 if g is None:

@@ -302,3 +302,21 @@ def shifted_sum_planes(planes, taps, h, w):
                     out=term)
         acc += term
     return np.ascontiguousarray(acc.reshape(acc.shape[0], acc.shape[1], h, w + 2)[..., :w])
+
+
+def depthwise_dw_padded(gout, x):
+    """The depthwise 3x3 weight gradient ``[c, 9]`` over whole padded
+    arrays: ``gout`` and ``x`` ``[n, c, h, w]`` each zero-padded and
+    flattened as :func:`shifted_sum_planes` reads them, and tap ``(i, j)``'s
+    entry one ``einsum`` of ``gout`` against ``x`` at offset ``i*(w+2)+j``,
+    over the batch and the plane at once."""
+    n, c, h, w = x.shape
+    gp, xp = (np.pad(a, ((0, 0), (0, 0), (1, 2), (1, 1))).reshape(n, c, -1)
+              for a in (gout, x))
+    length = h * (w + 2)
+    offsets = [i * (w + 2) + j for i in range(3) for j in range(3)]
+    g = gp[:, :, offsets[4]:offsets[4] + length]
+    dw = np.empty((c, 9), dtype=x.dtype)
+    for t, off in enumerate(offsets):
+        dw[:, t] = np.einsum("ncl,ncl->c", g, xp[:, :, off:off + length])
+    return dw

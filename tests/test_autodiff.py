@@ -288,18 +288,27 @@ class TestGradientOwnership:
     reference and keeps none of the gradients a rule returns, so a rule
     frees its gradient by dropping it."""
 
-    def test_depthwise_rule_frees_its_gradient_after_padding_it(self, monkeypatch):
+    def test_depthwise_rule_frees_its_gradient_when_it_returns(self, monkeypatch):
+        """The gradient lives through the weight gradient and ``dx``, which
+        both read it, and is gone before the rule upstream runs."""
         rng = np.random.default_rng(40)
         x = tensor(_f32(rng, (1, 3, 8, 8)), requires_grad=True)
         w = tensor(_f32(rng, (3, 1, 3, 3)), requires_grad=True)
         handed, alive = [], []
         with Tape() as tape:
-            loss = _probe(ops.conv2d(x, w), handed)
-        real = ops._pad_planes
-        monkeypatch.setattr(ops, "_pad_planes",
-                            lambda a: alive.append(handed[0]() is not None) or real(a))
+            loss = _probe(ops.conv2d(ops.relu(x), w), handed)
+        def spy(fn):
+            def spied(*args):
+                alive.append(handed[0]() is not None)
+                return fn(*args)
+            return spied
+        monkeypatch.setattr(ops, "_depthwise_dw", spy(ops._depthwise_dw))
+        monkeypatch.setattr(ops, "_shifted_sum", spy(ops._shifted_sum))
+        upstream = tape.ops[0]                       # the relu
+        upstream.backward_fn = spy(upstream.backward_fn)
+        del upstream
         tape.backward(loss)
-        assert alive == [True, False]      # padding the gradient, then the input
+        assert alive == [True, True, False]          # dw, dx, then the relu's rule
 
     def test_batch_norm_rule_frees_its_gradient_before_the_matmuls(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -519,7 +528,7 @@ class TestSkipRules:
                         f"input {i} with {sorted(frozen)} frozen"
 
     @pytest.mark.parametrize("weight_shape, helper, calls", [
-        ((2, 1, 3, 3), "_pad_planes", 0),          # staged: no whole-array padded copy
+        ((2, 1, 3, 3), "_depthwise_dw", 0),        # no weight gradient: dx alone
         ((1, 2, 7, 7), "_spectrum", 2),            # the gradient's and the weight's spectra
     ], ids=["depthwise", "dense"])
     def test_frozen_weight_skips_its_work(self, monkeypatch, weight_shape, helper, calls):

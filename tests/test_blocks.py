@@ -86,6 +86,18 @@ class TestResidualDscBlock:
         short = blk.shortcut.forward(x)
         np.testing.assert_array_equal(out.data, dsc.data + short.data)
 
+    def test_shortcut_is_recorded_before_the_dsc_path(self):
+        """So backward makes the shortcut's input gradient last, just before
+        it is summed with the DSC path's."""
+        rng = np.random.default_rng(9)
+        blk = ResidualDscBlock(2, 3, rng)
+        x = tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
+        with Tape() as tape:
+            blk.forward(x, train=True)
+        weights = [rec.leaves[1] for rec in tape.ops if rec.name == "conv2d"]
+        assert weights[0] is blk.shortcut.weight
+        assert weights[1] is blk.stack.dsc1.depthwise
+
     def test_odd_spatial_dims_allowed(self):
         blk = ResidualDscBlock(2, 3, np.random.default_rng(7))
         y = blk.forward(tensor(np.zeros((1, 2, 5, 7), np.float32)), train=False)

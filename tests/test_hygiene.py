@@ -121,6 +121,40 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+_TRACED_EXPLAIN = """
+import sys
+import tracing
+tracer = tracing.Tracer().install()
+from sarunet.cli import main
+out = sys.argv[1]
+assert main(["synth", "--seed", "7", "--frames", "60", "--size", "32", "--wind", "1,0",
+             "--out", out + "/s.nwds"]) == 0
+assert main(["train", "--data", out + "/s.nwds", "--base-channels", "4",
+             "--cbam-reduction", "4", "--in-frames", "6", "--lead-minutes", "30",
+             "--seed", "1", "--batch-size", "4", "--max-epochs", "2",
+             "--out-dir", out + "/run"]) == 0
+backward_s = tracer.totals()["tensor.backward_s"]
+assert main(["explain", "--checkpoint", out + "/run/model.ckpt", "--data",
+             out + "/s.nwds", "--targets", "all", "--out-dir", out + "/maps"]) == 0
+assert tracer.totals()["tensor.backward_s"] > backward_s     # explain's pass ran traced
+"""
+
+
+def test_benchmark_tracer_runs_an_explain(tmp_path):
+    """A toy-size ``explain`` under the installed tracer, in a subprocess:
+    the tracer wraps calls such as ``Tape.backward(tape, loss)`` with their
+    exact signatures, so a change to one of them breaks here, as it would
+    break every traced benchmark run."""
+    root = SRC.parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        str(root / d) for d in ("src", "perfbench"))}
+    proc = subprocess.run([sys.executable, "-c", _TRACED_EXPLAIN, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "maps" / "index.csv").read_text().splitlines()[1:]
+    assert len(rows) == 32 and any(float(r.rsplit(",", 1)[1]) > 0.0 for r in rows)
+
+
 def test_every_attribute_set_on_self_is_read():
     """Each attribute a program module assigns on ``self`` is loaded, by that
     name, somewhere in the program: state that nothing reads is dead."""

@@ -366,6 +366,28 @@ class TestFreedEarly:
             rows = tuple(np.array(idx).T)
             assert np.abs(p.grad[rows] - num[rows]).max() <= 1e-5 * np.abs(p.grad).max(), name
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_skip_freed_once_its_concat_has_copied_it(self, monkeypatch, train):
+        """Level d's CBAM output is gone by the time dec d's block runs: the
+        decoder takes each skip off its list for the concat."""
+        m = build(tiny_config(), seed=0)
+        passed = []
+        real = ops.concat_channels
+
+        def concat(a, b):
+            passed.append(weakref.ref(a))
+            return real(a, b)
+        monkeypatch.setattr(ops, "concat_channels", concat)
+        dead = {}
+        for d, blk in enumerate(m.dec_blocks):
+            def checked(*args, d=d, run=blk.forward):
+                dead[d] = passed[-1]() is None          # the skip dec d's concat copied
+                return run(*args)
+            blk.forward = checked
+        with Tape():
+            m.forward(rand_input((1, 2, 32, 32), seed=3), train=train)
+        assert dead == {0: True, 1: True, 2: True, 3: True}
+
     def test_closure_arrays_freed_as_backward_walks(self):
         """Backward pops each record before its rule runs, so by the time
         the first-recorded rule runs, the arrays held only by the

@@ -15,8 +15,8 @@ from sarunet.errors import ConfigurationError, DataError, DimensionError, UsageE
 from sarunet.tensor import read_t4, write_t4
 
 from oracles import (batch_norm_train_loops, bilinear_double, bilinear_double_adjoint,
-                     conv2d_loops, finite_diff, grad_rel_err, max_pool2_windows,
-                     shifted_sum_planes)
+                     conv2d_loops, depthwise_dw_padded, finite_diff, grad_rel_err,
+                     max_pool2_windows, shifted_sum_planes)
 
 
 def t(arr, **kw):
@@ -208,32 +208,39 @@ def test_depthwise_tiled_forward_peak_memory():
     assert peak < 2.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input bytes"
 
 
-@pytest.mark.parametrize("frozen", [False, True], ids=["forward", "frozen-weight-dx"])
-def test_depthwise_staged_peak_memory(frozen):
-    """Over several stages, the forward and a frozen weight's ``dx``
-    (Grad-CAM's backward) hold their output, one staging buffer and two
-    tile buffers: no whole-array padded copy, which alone would take more
+@pytest.mark.parametrize("part", ["forward", "frozen-weight-dx", "backward"])
+def test_depthwise_staged_peak_memory(part):
+    """Over several stages, the forward, a frozen weight's ``dx``
+    (Grad-CAM's backward) and a training backward hold their output (``dx``;
+    the weight gradient is 9 entries a channel), one staging buffer and two
+    tile buffers, and the training backward two padded channel groups (two
+    planes each): no whole-array padded copy, which alone would take more
     than the input's bytes."""
     rng = np.random.default_rng(5)
     x = t(rng.normal(size=(1, 24, 200, 200)).astype(np.float32), requires_grad=True)
-    w = t(rng.normal(size=(24, 1, 3, 3)).astype(np.float32), requires_grad=not frozen)
+    w = t(rng.normal(size=(24, 1, 3, 3)).astype(np.float32),
+          requires_grad=part != "frozen-weight-dx")
     assert _stages(*x.shape) == (24, False)                   # a stage is one plane
+    plane = 203 * 202                                         # padded
+    assert ops._channel_groups(1, 24, plane) == [(c, c + 2) for c in range(0, 24, 2)]
     gout = rng.normal(size=x.shape).astype(np.float32)
     tracemalloc.start()
     try:
         with Tape() as tape:
             ops.conv2d(x, w)
-        if frozen:
+        if part != "forward":
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             dx, dw = tape.ops[0].backward_fn(gout)
-            assert dw is None and dx.shape == x.shape
+            assert dx.shape == x.shape and (dw is None) == (part == "frozen-weight-dx")
         else:
             base = 0
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    buffers = 203 * 202 + 2 * ops._TILE           # a stage (one padded plane), two tiles
+    buffers = plane + 2 * ops._TILE               # a stage (one padded plane), two tiles
+    if part == "backward":
+        buffers += 2 * 2 * plane                  # the padded groups of gout and the input
     assert peak <= x.data.nbytes + 4 * buffers + 2 ** 16, \
         f"peak {peak / x.data.nbytes:.2f}x the input bytes"
 
@@ -368,6 +375,32 @@ def test_shifted_sum_bitwise_over_several_tiles(shape, tiles, stages, dtype, fli
     assert _tiles(*shape) == tiles
     assert _stages(*shape) == stages
     _assert_shifted_sum_bitwise(dtype, *shape, flipped, seed=sum(shape))
+
+
+@pytest.mark.parametrize("shape,groups", [
+    ((1, 1, 8, 8), [(0, 1)]),
+    ((2, 5, 31, 31), [(0, 5)]),
+    ((6, 4, 96, 96), [(0, 2), (2, 4)]),
+    ((6, 3, 96, 96), [(0, 3)]),
+    ((1, 5, 288, 288), [(0, 2), (2, 5)]),
+    ((1, 32, 288, 288), [(c, c + 2) for c in range(0, 32, 2)]),
+    ((2, 12, 144, 144), [(c, c + 2) for c in range(0, 12, 2)]),
+    ((1, 23, 72, 72), [(0, 11), (11, 23)]),
+], ids=["one-plane", "one-group", "batch-pairs", "batch-trailing-three",
+        "trailing-three", "paper-dec0", "batch-paper-level1", "merged-trailing-group"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_depthwise_dw_bitwise_over_channel_groups(shape, groups, dtype):
+    """Padded a channel group at a time, never a lone channel among
+    several, the weight gradient keeps the bytes of the nine ``einsum``
+    over the whole padded arrays."""
+    n, c, h, w = shape
+    assert ops._channel_groups(n, c, (h + 3) * (w + 2)) == groups
+    rng = np.random.default_rng(sum(shape))
+    gout, x = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    got = ops._depthwise_dw(gout, x)
+    want = depthwise_dw_padded(gout, x)
+    assert got.shape == (c, 9) and got.dtype == dtype
+    assert bits(got).tobytes() == bits(want).tobytes()
 
 
 def _identity_bn(x, gamma, beta, rm, rv, train):
