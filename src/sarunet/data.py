@@ -264,9 +264,11 @@ def load_nwds(path) -> FrameSeries:
 
     Another format raises ``UsageError``; a truncated or corrupt container
     raises ``DataError``. The first record sets the header every record must
-    repeat (shape ``[1,1,H,W]`` and dtype). The frame count is checked
-    against the file length before anything is allocated, and the first
-    faulty record raises its own ``read_t4`` error (or, if it parses, the
+    repeat (shape ``[1,1,H,W]`` and dtype). One loop reads the records into
+    an array of the frame count or of as many records as the file holds,
+    whichever is fewer, so a count past the end of the file allocates
+    nothing larger than the file. The first faulty record, or the first
+    past the end, raises its own ``read_t4`` error (or, if it parses, the
     one-shape error). Bytes after the last record are ignored."""
     with open(path, "rb") as f:
         read_magic(f, _NWDS_MAGIC, f"{path}: NWDS container")
@@ -283,18 +285,11 @@ def load_nwds(path) -> FrameSeries:
         f.seek(start)
         head = f.read(record - first.nbytes)
         fits = (f.seek(0, io.SEEK_END) - start) // record
-        if count > fits:
-            # the count runs past the file: reading headers only, raise the
-            # error of the first record that differs from the first or is cut
-            for k in range(fits + 1):
-                f.seek(start + k * record)
-                if k == fits or f.read(len(head)) != head:
-                    _raise_record_fault(f, path, start + k * record)
-        frames = np.empty((count,) + first.shape[2:], first.dtype.newbyteorder("<"))
+        frames = np.empty((min(count, fits),) + first.shape[2:], first.dtype.newbyteorder("<"))
         f.seek(start)
         buf = bytearray(len(head))
         for k in range(count):
-            if (f.readinto(buf) != len(buf) or buf != head
+            if (k == fits or f.readinto(buf) != len(buf) or buf != head
                     or f.readinto(frames[k]) != first.nbytes):
                 _raise_record_fault(f, path, start + k * record)
     return FrameSeries(frames, interval, _CODE_UNITS[code])

@@ -190,82 +190,53 @@ def _tap_offsets(w: int) -> list[int]:
     return [i * (w + 2) + j for i in range(3) for j in range(3)]
 
 
-# elements in one tile of the depthwise kernel: 128 KiB of float32 per tile
-# buffer, so a tile's input slices, ``acc`` and ``term`` stay in L2
-_TILE = 32768
-
-# elements in the depthwise kernel's staging buffer of padded planes: two
-# tiles, or one plane where a plane is larger (a 288x288 one pads to 84390
-# elements; staged alone, it ran fastest on a 2-core Xeon)
-_STAGE = 2 * _TILE
-
-
-def _plane_taps(taps: np.ndarray, n: int) -> np.ndarray:
-    """``taps`` ``[c, 9]`` per flat plane of an ``[n, c]`` batch: plane
-    ``k*c + i`` takes channel ``i``'s taps."""
-    return np.concatenate((taps,) * n) if n > 1 else taps
-
-
-def _tiled_sum(flat: np.ndarray, taps: np.ndarray, out: np.ndarray, h: int, w: int) -> None:
-    """Per-plane 3x3 correlation of padded flat planes ``flat`` ``[k,
-    (h+3)*(w+2)]`` (see the layout above :func:`_tap_offsets`) with ``taps``
-    ``[k, 9]`` (row-major), written into ``out`` ``[k, h, w]``.
-
-    It runs tile by tile. A tile is a band of ``band = min(h, _TILE //
-    (w+2))`` image rows over a group of up to ``_TILE // (band*(w+2))``
-    planes, so ``k`` planes no larger than one tile are one tile. Per tile,
-    tap 0's products go into ``acc``, the other eight are each multiplied
-    into ``term`` and added to ``acc``, and ``acc`` without its two padding
-    columns is copied into the tile's rows of ``out``. The two tile buffers
-    are allocated once per call. Each output entry sees the same nine
-    products added in the same order as a whole-plane pass, so the result
-    is bitwise that of the whole-plane sum."""
-    nc, row = flat.shape[0], w + 2
-    offsets = _tap_offsets(w)
-    band = max(1, min(h, _TILE // row))
-    group = max(1, min(nc, _TILE // (band * row)))
-    acc_buf = np.empty(group * band * row, dtype=out.dtype)
-    term_buf = np.empty_like(acc_buf)
-    for p0 in range(0, nc, group):
-        p1 = min(nc, p0 + group)
-        cols = taps[p0:p1, :, None]                 # cols[:, t] is tap t per plane
-        for r0 in range(0, h, band):
-            r1 = min(h, r0 + band)
-            shape = (p1 - p0, (r1 - r0) * row)
-            acc = acc_buf[:shape[0] * shape[1]].reshape(shape)
-            term = term_buf[:acc.size].reshape(shape)
-            start, stop = r0 * row, r1 * row
-            np.multiply(flat[p0:p1, start:stop], cols[:, 0], out=acc)
-            for t in range(1, 9):
-                off = offsets[t]
-                np.multiply(flat[p0:p1, off + start:off + stop], cols[:, t], out=term)
-                acc += term
-            out[p0:p1, r0:r1] = acc.reshape(shape[0], r1 - r0, row)[..., :w]
+# elements in the depthwise kernel's staging buffer of padded planes, or one
+# plane where a plane is larger. A 288x288 stage, ``acc`` and ``term`` then
+# take about 1 MiB of float32, within a core's 2 MiB of L2 on a 2-core Xeon.
+# There, at the plane sizes of a 288x288, base-16 model, stages of 32768
+# ran up to 31% slower (at 144x144), 131072 moved by -12% to +14%, and
+# 262144 ran up to 87% slower (at 288x288).
+_STAGE = 65536
 
 
 def _shifted_sum(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Per-channel 3x3 "same" correlation of ``a`` ``[n, c, h, w]`` with
-    ``taps`` ``[c, 9]`` (row-major): ``[n, c, h, w]``, by :func:`_tiled_sum`.
+    ``taps`` ``[c, 9]`` (row-major): ``[n, c, h, w]``.
 
-    No padded copy of the whole of ``a`` is made. Its ``n*c`` planes are
-    padded a stage at a time into one zero-bordered buffer of at most
-    :data:`_STAGE` elements (one plane at least), each stage's interior
-    overwriting the last and the border staying zero, and each stage's
-    tiles run while it is still in cache. An array that fits in one stage
-    is padded once, as a whole. The result is bitwise that of
-    :func:`_tiled_sum` over the whole padded array."""
+    Its ``n*c`` planes are padded a stage at a time into one zero-bordered
+    buffer of at most :data:`_STAGE` elements (one plane at least; see the
+    layout above :func:`_tap_offsets`), each stage's interior overwriting
+    the last and the border staying zero, so no padded copy of the whole of
+    ``a`` is made. Each stage is summed whole: tap 0's products go into
+    ``acc``, the other eight are each multiplied into ``term`` and added to
+    ``acc``, and ``acc`` without its two padding columns is copied into the
+    stage's output planes. The three buffers are allocated once per call.
+    Each output entry sees the same nine products added in the same order
+    as a pass over the whole padded array, so the result is bitwise that of
+    one."""
     n, c, h, w = a.shape
-    nc, size = n * c, (h + 3) * (w + 2)
+    nc, size, length = n * c, (h + 3) * (w + 2), h * (w + 2)
     stage = max(1, min(nc, _STAGE // size))
+    offsets = _tap_offsets(w)
     src = a.reshape(nc, h, w)
-    taps = _plane_taps(taps, n)
+    taps = np.tile(taps, (n, 1))                      # plane k*c + i takes channel i's taps
     out = np.empty((nc, h, w), dtype=np.result_type(a, taps))
     staged = np.zeros((stage, h + 3, w + 2), dtype=a.dtype)
     flat = staged.reshape(stage, size)
+    acc_buf = np.empty((stage, length), dtype=out.dtype)
+    term_buf = np.empty_like(acc_buf)
     for s0 in range(0, nc, stage):
         s1 = min(nc, s0 + stage)
-        staged[:s1 - s0, 1:h + 1, 1:w + 1] = src[s0:s1]
-        _tiled_sum(flat[:s1 - s0], taps[s0:s1], out[s0:s1], h, w)
+        k = s1 - s0
+        staged[:k, 1:h + 1, 1:w + 1] = src[s0:s1]
+        cols = taps[s0:s1, :, None]                   # cols[:, t] is tap t per plane
+        acc, term = acc_buf[:k], term_buf[:k]
+        np.multiply(flat[:k, :length], cols[:, 0], out=acc)
+        for t in range(1, 9):
+            off = offsets[t]
+            np.multiply(flat[:k, off:off + length], cols[:, t], out=term)
+            acc += term
+        out[s0:s1] = acc.reshape(k, h, w + 2)[..., :w]
     return out.reshape(n, c, h, w)
 
 
@@ -340,18 +311,17 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4] = None) -> Tenso
       stored, forward and backward.
     - **depthwise 3x3**, ``[cin, 1, 3, 3]`` (tested before dense, so
       ``[1, 1, 3, 3]`` over one channel is depthwise): nine shifted
-      multiply-adds over zero-padded flat planes, run in cache-sized tiles
-      (a band of image rows over a group of planes, :data:`_TILE` elements
-      at most), each tile written straight into the output, so no
-      whole-plane temporary is made. The planes are padded a stage at a
-      time (:data:`_STAGE` elements, one plane at least) into one reused
-      buffer, so no padded copy of the whole input is made either. Each
-      output entry sees the same nine products in the same order as a
-      whole-plane pass, so the values depend on neither the tiling nor the
-      staging. ``dx`` is the same staged sum over the gradient with the
-      kernel flipped. The weight gradient pads the gradient and the input a
-      group of two or more channels at a time (:func:`_depthwise_dw`), so
-      the backward, too, makes no padded copy of a whole array.
+      multiply-adds over zero-padded flat planes. The planes are padded a
+      stage at a time (:data:`_STAGE` elements, one plane at least) into
+      one reused buffer, and each stage is summed whole and written
+      straight into the output: one blocking level, so no padded copy of
+      the whole input and no whole-array temporary is made. Each output
+      entry sees the same nine products in the same order as a pass over
+      the whole padded input, so the values do not depend on the staging.
+      ``dx`` is the same staged sum over the gradient with the kernel
+      flipped. The weight gradient pads the gradient and the input a group
+      of two or more channels at a time (:func:`_depthwise_dw`), so the
+      backward, too, makes no padded copy of a whole array.
     - **dense**, ``[cout, cin, k, k]`` (CBAM's 7x7): products of float64
       ``rfft2`` spectra over planes zero-padded to ``L``, the smallest
       2*3*5-smooth length >= ``size + k - 1`` per axis, so that they are

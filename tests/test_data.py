@@ -287,13 +287,11 @@ class TestNwdsAgainstRecordOracle:
         write_records(path, frames, dtypes)
         return bytearray(path.read_bytes()), 17 + (k or 0) * self.RECORD
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    @pytest.mark.parametrize("fault", [
-        "magic", "dtype_code", "taller", "shorter", "header_cut", "payload_cut"])
-    def test_faulty_record_raises_as_oracle(self, nwds_dir, fault, k):
-        p = nwds_dir / "faulty.nwds"
+    def faulty_frames(self, path, fault, k):
+        """:meth:`three_frames` with ``fault`` in record ``k``, written to
+        ``path``; returns the file's bytes."""
         shape = {"taller": (self.H + 1, self.W), "shorter": (self.H - 1, self.W)}.get(fault)
-        raw, off = self.three_frames(p, k, shape)
+        raw, off = self.three_frames(path, k, shape)
         if fault == "magic":
             raw[off:off + 4] = b"T5v1"
         elif fault == "dtype_code":
@@ -302,7 +300,15 @@ class TestNwdsAgainstRecordOracle:
             raw = raw[:off + 10]
         elif fault == "payload_cut":
             raw = raw[:off + 37 + 5]
-        p.write_bytes(bytes(raw))
+        path.write_bytes(bytes(raw))
+        return raw
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("fault", [
+        "magic", "dtype_code", "taller", "shorter", "header_cut", "payload_cut"])
+    def test_faulty_record_raises_as_oracle(self, nwds_dir, fault, k):
+        p = nwds_dir / "faulty.nwds"
+        self.faulty_frames(p, fault, k)
         want = outcome(load_nwds_records, p)
         assert isinstance(want, tuple), "the oracle must reject the fault"
         assert outcome(load_nwds, p) == want
@@ -321,6 +327,22 @@ class TestNwdsAgainstRecordOracle:
         p.write_bytes(bytes(raw))
         want = outcome(load_nwds_records, p)
         assert want[0] is DataError
+        assert outcome(load_nwds, p) == want
+
+    @pytest.mark.parametrize("count", [4, 2**40], ids=["count4", "count2^40"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("fault", ["magic", "dtype_code", "taller", "shorter"])
+    def test_faulty_record_before_a_count_past_the_file_raises_its_own_error(
+            self, nwds_dir, fault, k, count):
+        """A frame count past the end of the file does not hide a faulty
+        record the file holds: the load raises that record's own error, the
+        oracle's for the same file with its true count of three."""
+        p = nwds_dir / "faulty_past.nwds"
+        raw = self.faulty_frames(p, fault, k)
+        want = outcome(load_nwds_records, p)
+        assert isinstance(want, tuple), "the oracle must reject the fault"
+        raw[9:17] = struct.pack("<Q", count)
+        p.write_bytes(bytes(raw))
         assert outcome(load_nwds, p) == want
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -363,6 +385,26 @@ def test_load_peak_memory_is_about_one_frame_array(tmp_path, shape, unit):
     finally:
         tracemalloc.stop()
     assert series.frames.tobytes() == frames.tobytes()
+    assert peak <= 1.6 * frames.nbytes, f"peak {peak / frames.nbytes:.2f}x the frame bytes"
+
+
+def test_count_past_the_file_allocates_no_more_than_the_file(tmp_path):
+    """A series whose frame count is patched to 2**40 reads every record the
+    file holds, then raises the cut record's error: its peak stays at about
+    one array of the file's frames, not of the count."""
+    frames = np.random.default_rng(3).exponential(50.0, size=(200, 48, 40)).astype(np.float32)
+    p = tmp_path / "past.nwds"
+    save_nwds(p, FrameSeries(frames, 15, "raw"))
+    raw = bytearray(p.read_bytes())
+    raw[9:17] = struct.pack("<Q", 2**40)
+    p.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            load_nwds(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 1.6 * frames.nbytes, f"peak {peak / frames.nbytes:.2f}x the frame bytes"
 
 

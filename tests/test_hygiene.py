@@ -1,9 +1,10 @@
 """Source hygiene: every name a program module imports at module level is
 used in that module (``__init__.py`` is skipped, since it imports to
-re-export), the CLI defers only the model stack, every public name is read
-by the program, the benchmark's tracer installs, every attribute set on
-``self`` is read, the model traces only the layers Grad-CAM explains, and
-backward closures hold arrays and plain values only."""
+re-export), the CLI defers only the model stack, every public and every
+private name is read by the program, the benchmark's tracer installs,
+every attribute set on ``self`` is read, the model traces only the layers
+Grad-CAM explains, and backward closures hold arrays and plain values
+only."""
 
 import ast
 import os
@@ -97,15 +98,51 @@ def test_every_public_name_is_read_by_the_program(path):
     """Each name in a module's ``__all__`` is read somewhere in the program:
     a name that only tests read is dead code (and the benchmark's tracer
     wraps every name in ``ops.__all__`` as an op kind)."""
-    read = set()
-    for other in SRC.glob("*.py"):
-        tree = ast.parse(other.read_text(encoding="utf-8"), filename=str(other))
-        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        read |= {n.id for n in ast.walk(tree)
-                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read = program_reads()
     unread = [name for name in public_names(path)
               if name not in read and (path.stem, name) not in UNREAD_PUBLIC_NAMES]
     assert not unread, f"{path.name} __all__ names the program never reads: {unread}"
+
+
+def program_reads():
+    """Every name the program loads and every attribute it reads."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read |= {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return read
+
+
+def private_names(tree):
+    """Each private module-level function, class and constant, and each
+    private method: a name with one leading underscore, with its line."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs += [t for t in targets if isinstance(t, ast.Name)]
+    for node in defs:
+        name = node.id if isinstance(node, ast.Name) else node.name
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_read_by_the_program(path):
+    """Each private function, class, constant and method is read somewhere
+    in the program: one that nothing reads, or that only tests read, is
+    dead code."""
+    read = program_reads()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = [f"{path.name}:{line} {name}" for name, line in private_names(tree)
+              if name not in read]
+    assert not unread, f"private names the program never reads: {unread}"
 
 
 def test_benchmark_tracer_installs():

@@ -192,9 +192,10 @@ def test_depthwise_forward_peak_memory():
 
 
 @pytest.mark.usefixtures("no_dense_kernel")
-def test_depthwise_tiled_forward_peak_memory():
-    """Over many tiles the forward holds the output, one stage of padded
-    planes and two tile buffers: no whole-plane temporary beyond those."""
+def test_depthwise_staged_forward_peak_memory():
+    """Over several stages the forward holds the output, one stage of
+    padded planes and its two sum buffers: no whole-array temporary beyond
+    those."""
     rng = np.random.default_rng(4)
     x = t(rng.normal(size=(1, 16, 144, 144)).astype(np.float32), requires_grad=True)
     w = t(rng.normal(size=(16, 1, 3, 3)).astype(np.float32), requires_grad=True)
@@ -212,10 +213,11 @@ def test_depthwise_tiled_forward_peak_memory():
 def test_depthwise_staged_peak_memory(part):
     """Over several stages, the forward, a frozen weight's ``dx``
     (Grad-CAM's backward) and a training backward hold their output (``dx``;
-    the weight gradient is 9 entries a channel), one staging buffer and two
-    tile buffers, and the training backward two padded channel groups (two
-    planes each): no whole-array padded copy, which alone would take more
-    than the input's bytes."""
+    the weight gradient is 9 entries a channel), one stage of padded planes
+    and its two sum buffers (``acc`` and ``term``, a stage's planes without
+    their three padding rows), and the training backward two padded channel
+    groups (two planes each): no whole-array padded copy, which alone would
+    take more than the input's bytes."""
     rng = np.random.default_rng(5)
     x = t(rng.normal(size=(1, 24, 200, 200)).astype(np.float32), requires_grad=True)
     w = t(rng.normal(size=(24, 1, 3, 3)).astype(np.float32),
@@ -238,7 +240,7 @@ def test_depthwise_staged_peak_memory(part):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    buffers = plane + 2 * ops._TILE               # a stage (one padded plane), two tiles
+    buffers = plane + 2 * 200 * 202               # a stage (one padded plane), acc and term
     if part == "backward":
         buffers += 2 * 2 * plane                  # the padded groups of gout and the input
     assert peak <= x.data.nbytes + 4 * buffers + 2 ** 16, \
@@ -308,14 +310,6 @@ class TestDenseKernel:
         assert peak <= 16 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input bytes"
 
 
-def _tiles(n, c, h, w):
-    """(bands, groups, partial band, partial group) of the tiled depthwise
-    kernel on ``[n, c, h, w]``, from its tile-size rule."""
-    band = min(h, ops._TILE // (w + 2))
-    group = min(n * c, ops._TILE // (band * (w + 2)))
-    return -(-h // band), -(-n * c // group), h % band != 0, n * c % group != 0
-
-
 def _stages(n, c, h, w):
     """(stages, partial stage) of the depthwise kernel's staged padding on
     ``[n, c, h, w]``, from its stage-size rule."""
@@ -348,31 +342,29 @@ def _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed):
        c=st.integers(1, 40), h=st.integers(1, 300), w=st.integers(1, 300),
        flipped=st.booleans(), seed=st.integers(0, 2**16))
 def test_shifted_sum_matches_whole_plane_oracle_bitwise(dtype, n, c, h, w, flipped, seed):
-    """Stage by stage and tile by tile, the depthwise kernel gives the
-    bytes of nine whole-plane passes over the whole padded array."""
+    """Stage by stage, the depthwise kernel gives the bytes of nine
+    whole-plane passes over the whole padded array."""
     assume(n * c * (h + 3) * (w + 2) <= 2**20)
-    note(f"bands, groups, partial band, partial group: {_tiles(n, c, h, w)}")
     note(f"stages, partial stage: {_stages(n, c, h, w)}")
     _assert_shifted_sum_bitwise(dtype, n, c, h, w, flipped, seed)
 
 
-@pytest.mark.parametrize("shape,tiles,stages", [
-    ((3, 40, 20, 20), (1, 2, False, True), (1, False)),
-    ((3, 37, 60, 20), (1, 5, False, True), (3, True)),
-    ((1, 2, 300, 300), (3, 2, True, False), (2, False)),
-    ((3, 5, 250, 150), (2, 15, True, False), (15, False)),
-    ((1, 7, 288, 288), (3, 7, True, False), (7, False)),
-    ((3, 7, 60, 60), (1, 3, False, True), (2, True)),
-    ((6, 64, 40, 40), (1, 21, False, True), (11, True)),
-    ((1, 64, 72, 72), (1, 11, False, True), (6, True)),
-], ids=["groups", "more-groups", "bands", "bands-batch", "stages-of-a-plane", "stages-batch",
-        "stages-groups", "stages-partial-group"])
+@pytest.mark.parametrize("shape,stages", [
+    ((3, 40, 20, 20), (1, False)),
+    ((3, 37, 60, 20), (3, True)),
+    ((1, 2, 300, 300), (2, False)),
+    ((3, 5, 250, 150), (15, False)),
+    ((1, 7, 288, 288), (7, False)),
+    ((3, 7, 60, 60), (2, True)),
+    ((6, 64, 40, 40), (11, True)),
+    ((1, 64, 72, 72), (6, True)),
+], ids=["one-stage", "stages-partial", "plane-stages", "plane-stages-batch", "stages-of-a-plane",
+        "stages-batch", "stages-of-many-planes", "stages-72"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("flipped", [False, True], ids=["taps", "flipped"])
-def test_shifted_sum_bitwise_over_several_tiles(shape, tiles, stages, dtype, flipped):
-    """Shapes split into several bands, groups or stages, each ending in a
-    partial one, keep the whole-plane bytes."""
-    assert _tiles(*shape) == tiles
+def test_shifted_sum_bitwise_over_several_stages(shape, stages, dtype, flipped):
+    """Shapes split into one or several stages, some ending in a partial
+    one, keep the whole-plane bytes."""
     assert _stages(*shape) == stages
     _assert_shifted_sum_bitwise(dtype, *shape, flipped, seed=sum(shape))
 
