@@ -169,7 +169,9 @@ class Cbam:
     """Channel attention (shared bias-free two-layer perceptron over avg/max
     spatial descriptors, summed, sigmoid) followed by spatial attention (7x7
     bias-free conv over the stacked channel-avg/channel-max map, sigmoid).
-    Channel gating precedes spatial gating; output shape equals input shape.
+    Channel gating precedes spatial gating; each gate is a plain product
+    (:func:`~sarunet.ops.mul` with a ``[n,c,1,1]``, then a ``[n,1,h,w]``
+    factor), and the output shape equals the input shape.
     """
 
     def __init__(self, channels: int, reduction: int, rng: np.random.Generator,
@@ -197,8 +199,8 @@ class Cbam:
         return ops.sigmoid(self.spatial.forward(ops.concat_channels(avg, mx)))
 
     def forward(self, x: Tensor4) -> Tensor4:
-        gated = ops.mul_broadcast(x, self.channel_attention(x))
-        return ops.mul_broadcast(gated, self.spatial_attention(gated))
+        gated = ops.mul(x, self.channel_attention(x))
+        return ops.mul(gated, self.spatial_attention(gated))
 
     def named_parameters(self, prefix: str = "") -> NamedParams:
         yield _join(prefix, "mlp_w1"), self.mlp_w1

@@ -1,8 +1,12 @@
 """Command-line interface: synthesize data, train, evaluate, predict, explain.
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 data or
-configuration error, 4 numeric failure. An input file of the wrong format
-(another magic) exits 2; a truncated or corrupt container or checkpoint, a
+configuration error, 4 numeric failure. ``main`` has one handler, which
+picks the code by the error's class: a ``UsageError`` exits 2, a
+``NumericError`` 4, and every other package error and an ``OSError`` 3. An
+input file of the wrong format (another magic) exits 2; a truncated or
+corrupt container or checkpoint (checkpoint training metadata that does
+not parse or is out of its key's range included, named by key), a
 malformed config file line or value, and an OS error on a path (a missing
 file, a directory given as a file, an output path that cannot be made or
 written) exit 3. Configuration precedence is flags > config file
@@ -21,6 +25,10 @@ vary between identical reruns. A command hashes its input files (sha256 of
 each whole file) on one worker thread while it reads and computes, and
 joins that thread before it writes its first output or returns, error or
 not.
+
+A cloud setup's targets are the next six frames, so ``--lead-minutes`` with
+``--cloud`` exits 2 in ``train`` and in a persistence-only ``evaluate``, as
+it does against a cloud checkpoint.
 
 ``train`` and ``evaluate`` build rain-gated windows over the whole series
 and split the window list chronologically by anchor (70/15/15); the
@@ -57,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .errors import ConfigurationError, DataError, DimensionError, NumericError, UsageError
+from .errors import ConfigurationError, DataError, NumericError, SarunetError, UsageError
 
 PRECIP_INPUT_FRAMES = (6, 12, 18)
 PRECIP_LEAD_MINUTES = (30, 60, 90, 120, 180)
@@ -70,13 +78,9 @@ _EXIT_NUMERIC = 4
 
 
 def _sha256(path: Path) -> str:
-    """Hex sha256 of the file, read into one reused 1 MiB buffer."""
-    h = hashlib.sha256()
-    buf = memoryview(bytearray(1 << 20))
-    with open(path, "rb", buffering=0) as f:
-        while n := f.readinto(buf):
-            h.update(buf[:n])
-    return h.hexdigest()
+    """Hex sha256 of the whole file."""
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 class _Digests:
@@ -191,7 +195,7 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _refuse_overwrite(paths, force: bool) -> None:
-    existing = [str(p) for p in paths if Path(p).exists()]
+    existing = [str(p) for p in paths if p.exists()]
     if existing and not force:
         raise DataError("refusing to overwrite existing output(s) "
                         f"{existing}; pass --force to replace them")
@@ -247,11 +251,16 @@ def _window_setup(args, series):
     --cloud and --select-fraction setup over ``series``. A cloud setup sets
     an unset ``args.in_frames`` to 4 and has no gate by default;
     precipitation sets an unset ``args.select_fraction`` to 0.5. The
-    manifest then records the values used."""
+    manifest then records the values used. A cloud setup's targets are the
+    next six frames, so ``--lead-minutes`` with ``--cloud`` is a
+    UsageError."""
     if args.cloud and args.in_frames is None:
         args.in_frames = CLOUD_INPUT_FRAMES
     if not args.cloud and args.select_fraction is None:
         args.select_fraction = 0.5
+    if args.cloud and args.lead_minutes is not None:
+        raise UsageError(f"--lead-minutes {args.lead_minutes} does not apply to --cloud, "
+                         f"whose targets are the next {CLOUD_LEAD_COUNT} frames")
     _require(args, ["in_frames"] if args.cloud else ["in_frames", "lead_minutes"])
     spec = _window_spec(args.in_frames, args.lead_minutes, args.cloud,
                         series.interval_minutes)
@@ -278,11 +287,17 @@ def _checkpoint_setup(args, spec, fraction, interval: int) -> None:
         raise UsageError("setup option(s) disagree with the checkpoint: " + ", ".join(clashes))
 
 
-def _lead_minutes_tuple(spec, interval: int) -> tuple[int, ...]:
-    return tuple(o * interval for o in spec.target_offsets)
-
-
 _SPLIT_NAMES = ("train", "val", "test")
+
+
+def _gated_windows(series, spec, fraction):
+    """The windows over ``series`` whose targets pass the rain gate of
+    ``fraction`` (None: no gate), and the phrase error messages give the
+    gate."""
+    if fraction is None:
+        return data.make_windows(series, spec), ""
+    return (data.make_windows(series, spec, data.select_rainy(series, fraction)),
+            f" passing the rain gate (select fraction {fraction})")
 
 
 def _window_frames(windows) -> set[int]:
@@ -300,17 +315,13 @@ def _assemble(series, spec, select_fraction, scale=None, need=()):
     train windows read. Each split named in ``need`` must hold a window,
     else ``DataError``; a derived scale needs ``train``.
     """
-    selected = None if select_fraction is None else \
-        data.select_rainy(series, select_fraction)
-    windows = data.make_windows(series, spec, selected)
+    windows, gate = _gated_windows(series, spec, select_fraction)
     parts = [windows[lo:hi] for lo, hi in data.split_bounds(len(windows))]
     if scale is None:
         need = ("train",) + tuple(need)
     for name, part in zip(_SPLIT_NAMES, parts):
         if name in need and not part:
             span = spec.input_frames + max(spec.target_offsets)
-            gate = "" if select_fraction is None else \
-                f" passing the rain gate (select fraction {select_fraction})"
             raise DataError(
                 f"{name} split holds no windows: the {len(series)}-frame series "
                 f"gives {len(windows)} window(s){gate}, and one window spans "
@@ -350,28 +361,46 @@ def _checkpoint_extras(spec, series, scale, select_fraction) -> dict:
     }
 
 
+# Each training metadata key a checkpoint must hold: its parser (ValueError
+# when the text is not such a value), the rule the value keeps (None: any)
+# and that rule as error messages give it.
+_TRAINED_META = (
+    ("input_frames", int, lambda v: v >= 1, "an integer >= 1"),
+    ("target_offsets", lambda s: tuple(int(o) for o in s.split(",")),
+     lambda v: min(v) >= 1, "comma-separated integers >= 1"),
+    ("norm_scale", float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    ("select_fraction", lambda s: float(s) if s else None,
+     lambda v: v is None or 0.0 <= v <= 1.0, "empty or a number in [0, 1]"),
+    ("interval_minutes", int, lambda v: v >= 1, "an integer >= 1"),
+    ("unit", str, None, "text"),
+)
+
+
 def _load_trained(ckpt: Path, series):
     """(model, spec, scale, fraction): the checkpoint's model and the window
     spec, normalization scale and rain-gate fraction it was trained with,
     checked against the model and ``series``. A missing metadata key is a
-    UsageError; metadata that does not parse or contradicts the model's
-    channels is a DataError; a series of another interval or unit is a
-    ConfigurationError."""
+    UsageError; a value that does not parse or breaks its key's rule in
+    :data:`_TRAINED_META` is a DataError naming the checkpoint and the key,
+    as is metadata that contradicts the model's channels; a series of
+    another interval or unit is a ConfigurationError."""
     from .model import load_checkpoint
     model, meta = load_checkpoint(ckpt)
-    try:
-        spec = data.WindowSpec(int(meta["input_frames"]),
-                               tuple(int(o) for o in meta["target_offsets"].split(",")))
-        scale = float(meta["norm_scale"])
-        fraction = float(meta["select_fraction"]) if meta["select_fraction"] else None
-        interval = int(meta["interval_minutes"])
-        unit = meta["unit"]
-    except KeyError as e:
-        raise UsageError(f"checkpoint is missing training metadata key {e}") from None
-    except ValueError as e:
-        raise DataError(f"checkpoint training metadata is unparseable: {e}") from None
-    if not 0.0 < scale < float("inf"):
-        raise DataError(f"checkpoint norm_scale must be finite and > 0, got {scale!r}")
+    values = []
+    for key, parse, rule, wanted in _TRAINED_META:
+        if key not in meta:
+            raise UsageError(f"checkpoint {ckpt} is missing training metadata key {key!r}")
+        try:
+            value = parse(meta[key])
+            valid = rule is None or rule(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise DataError(f"checkpoint {ckpt}: training metadata {key}={meta[key]!r} "
+                            f"is not {wanted}")
+        values.append(value)
+    input_frames, offsets, scale, fraction, interval, unit = values
+    spec = data.WindowSpec(input_frames, offsets)
     trained = (spec.input_frames, len(spec.target_offsets))
     built = (model.config.in_channels, model.config.out_channels)
     if trained != built:
@@ -395,7 +424,7 @@ def _load_trained(ckpt: Path, series):
 def cmd_synth(args) -> int:
     started = time.time()
     _require(args, ["out"])
-    out = Path(args.out)
+    out = args.out
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     _refuse_overwrite([out, manifest_path], args.force)
     try:
@@ -427,8 +456,7 @@ def cmd_train(args) -> int:
     from .train import TrainConfig, fit
     started = time.time()
     _require(args, ["data", "out_dir"])
-    data_path = Path(args.data)
-    out_dir = Path(args.out_dir)
+    data_path, out_dir = args.data, args.out_dir
     with _Digests(data_path) as digests:
         series = data.load_nwds(data_path)
         spec, fraction = _window_setup(args, series)
@@ -467,9 +495,7 @@ def cmd_evaluate(args) -> int:
     started = time.time()
     _require(args, ["data", "out_dir"])
     _check_threshold(args.threshold)
-    data_path = Path(args.data)
-    out_dir = Path(args.out_dir)
-    ckpt = Path(args.checkpoint) if args.checkpoint else None
+    ckpt, data_path, out_dir = args.checkpoint, args.data, args.out_dir
     with _Digests(data_path, *([] if ckpt is None else [ckpt])) as digests:
         series = data.load_nwds(data_path)
         model = None
@@ -489,7 +515,7 @@ def cmd_evaluate(args) -> int:
         datasets, scale = _assemble(series, spec, fraction, scale=scale,
                                     need=("test",))
         test_ds = datasets[2]
-        leads = _lead_minutes_tuple(spec, series.interval_minutes)
+        leads = tuple(o * series.interval_minutes for o in spec.target_offsets)
         input_minutes = spec.input_frames * series.interval_minutes
 
         def setup_for(name):
@@ -526,11 +552,8 @@ def _load_window(ckpt: Path, data_path: Path, index: int, flag: str):
     usage error naming ``flag``; an empty window list is a DataError."""
     series = data.load_nwds(data_path)
     model, spec, scale, fraction = _load_trained(ckpt, series)
-    selected = None if fraction is None else data.select_rainy(series, fraction)
-    windows = data.make_windows(series, spec, selected)
+    windows, gate = _gated_windows(series, spec, fraction)
     if not windows:
-        gate = "" if fraction is None else \
-            f" passing the rain gate (select fraction {fraction})"
         raise DataError(f"the {len(series)}-frame series gives no window{gate}")
     if not 0 <= index < len(windows):
         raise UsageError(f"{flag} {index} outside [0, {len(windows)})")
@@ -543,9 +566,7 @@ def cmd_predict(args) -> int:
     from .model import check_prediction
     started = time.time()
     _require(args, ["checkpoint", "data", "out"])
-    ckpt = Path(args.checkpoint)
-    data_path = Path(args.data)
-    out = Path(args.out)
+    ckpt, data_path, out = args.checkpoint, args.data, args.out
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     _refuse_overwrite([out, manifest_path], args.force)
     with _Digests(ckpt, data_path) as digests:
@@ -569,9 +590,7 @@ def cmd_explain(args) -> int:
     started = time.time()
     _require(args, ["checkpoint", "data", "out_dir"])
     _check_threshold(args.threshold)
-    ckpt = Path(args.checkpoint)
-    data_path = Path(args.data)
-    out_dir = Path(args.out_dir)
+    ckpt, data_path, out_dir = args.checkpoint, args.data, args.out_dir
     with _Digests(ckpt, data_path) as digests:
         model, series, x, scale = _load_window(ckpt, data_path, args.input_window,
                                                "--input-window")
@@ -704,15 +723,11 @@ def main(argv=None) -> int:
     try:
         _resolve_options(args)
         return args.func(args)
-    except UsageError as e:
+    except (SarunetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ConfigurationError, DataError, DimensionError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_DATA
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_NUMERIC
+        if isinstance(e, UsageError):
+            return _EXIT_USAGE
+        return _EXIT_NUMERIC if isinstance(e, NumericError) else _EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ _SYNTH_FLOOR = 0.01
 # mean blob peak of the synthetic generator, in raw units (hundredths of a mm
 # per frame); each blob draws its peak from 0.5x to 1.5x of it
 _SYNTH_AMPLITUDE = 120.0
+# the largest float32: a synthetic frame with a pixel past it does not cast
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -187,6 +189,11 @@ class WindowDataset:
 
 # -- synthetic generator -------------------------------------------------------
 
+def _growth_overflow(growth: float, n_frames: int, t: int) -> UsageError:
+    return UsageError(f"growth {growth} over {n_frames} frames takes frame {t} past "
+                      f"float32 ({_F32_MAX:.4g}); lower --growth or --frames")
+
+
 def synth_generate(seed: int, n_frames: int, height: int, width: int,
                    n_blobs: int = 3, wind: tuple[float, float] = (1.0, 0.0),
                    growth: float = 1.0, jitter: float = 0.0,
@@ -199,7 +206,8 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
     displacement (and changes the draw sequence). Values below a fixed floor
     are clamped to zero so the background holds true zeros. Same seed, same
     arguments: bitwise identical output. ``growth`` must be finite and > 0,
-    ``jitter`` finite and >= 0 (``UsageError`` otherwise).
+    ``jitter`` finite and >= 0, and a frame's pixels must stay within
+    float32 (``UsageError`` otherwise, raised before any value overflows).
     """
     if height < 32 or width < 32:
         raise UsageError(f"synthetic frames must be at least 32x32, got {height}x{width}")
@@ -224,6 +232,7 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
     frames = np.empty((n_frames, height, width), dtype=np.float32)
     px, py = cx.copy(), cy.copy()
     gain = 1.0
+    amp_total = float(amp.sum())
     for t in range(n_frames):
         if t > 0:
             px = px + wind[0]
@@ -234,10 +243,16 @@ def synth_generate(seed: int, n_frames: int, height: int, width: int,
             px %= width
             py %= height
             gain *= growth
+        # amp_total * gain bounds every pixel; past 1e300 it is far past
+        # float32, and the float64 sum itself could overflow
+        if amp_total * gain > 1e300:
+            raise _growth_overflow(growth, n_frames, t)
         acc = np.zeros((height, width), dtype=np.float64)
         for b in range(n_blobs):
             r2 = (xs - px[b]) ** 2 + (ys - py[b]) ** 2
             acc += amp[b] * gain * np.exp(-r2 / (2.0 * sigma[b] ** 2))
+        if acc.max() > _F32_MAX:
+            raise _growth_overflow(growth, n_frames, t)
         frame = acc.astype(np.float32)
         frame[frame < _SYNTH_FLOOR] = 0.0
         frames[t] = frame

@@ -162,10 +162,6 @@ def _model_predictor(model: Model) -> PredictFn:
     return lambda inputs: check_prediction(model.forward(inputs, train=False)[0])
 
 
-def _persistence_predictor(out_ch: int) -> PredictFn:
-    return lambda inputs: persistence_forward(inputs, out_ch)
-
-
 def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
                    batch_size: int = 6) -> MetricReport:
     """Evaluate one model over one split.
@@ -183,7 +179,8 @@ def evaluate_setup(predictor, data: WindowDataset, setup: EvalSetup,
         raise UsageError(f"batch size must be >= 1, got {batch_size}")
     n_leads = len(setup.lead_minutes)
     if predictor == "persistence":
-        fn = _persistence_predictor(n_leads)
+        def fn(inputs):
+            return persistence_forward(inputs, n_leads)
     elif isinstance(predictor, Model):
         fn = _model_predictor(predictor)
     else:

@@ -33,19 +33,19 @@ rebuild, it rebuilds. What each rule keeps:
   again from ``x == out``; the mean and the reductions: shapes only;
 - :func:`upsample_bilinear2`, :func:`add`, :func:`sub` and
   :func:`concat_channels`: nothing;
-- :func:`mul` and :func:`mul_broadcast`: each factor only when the other
-  needs a gradient.
+- :func:`mul` (equal shapes, and CBAM's per-channel and per-pixel gates):
+  each factor only when the other needs a gradient.
 
 Every rule captures its arrays directly, never through a nested function,
 so a count of the closure cells sees them all.
 
 A backward rule computes only the gradients something reads, as PyTorch's
 ``needs_input_grad`` does. The three conv kernels,
-:func:`pointwise_batch_norm`, :func:`mul` and :func:`mul_broadcast` read
-each input's ``requires_grad`` at forward time and keep the flags in the
-closure as booleans. A ``None`` gradient means no gradient is needed: the
-rule returns ``None`` in the slot of an input that needs none and skips
-that input's work. So a frozen weight costs no weight gradient, and the
+:func:`pointwise_batch_norm` and :func:`mul` read each input's
+``requires_grad`` at forward time and keep the flags in the closure as
+booleans. A ``None`` gradient means no gradient is needed: the rule
+returns ``None`` in the slot of an input that needs none and skips that
+input's work. So a frozen weight costs no weight gradient, and the
 model input costs no ``dx``. The other rules compute every input gradient,
 and :meth:`~sarunet.tensor.Tape.backward` drops the ones nothing needs.
 
@@ -67,8 +67,8 @@ from .errors import ConfigurationError, DimensionError, UsageError
 from .tensor import Tensor4, make_result
 
 __all__ = [
-    "conv2d", "pointwise_batch_norm", "relu", "sigmoid", "add", "sub", "mul", "mul_broadcast",
-    "concat_channels", "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
+    "conv2d", "pointwise_batch_norm", "relu", "sigmoid", "add", "sub", "mul", "concat_channels",
+    "max_pool2", "upsample_bilinear2", "global_pool", "sum_all", "mean_all",
 ]
 
 
@@ -169,16 +169,15 @@ def _conv_pointwise(x: Tensor4, weight: Tensor4, bias: Optional[Tensor4]) -> Ten
     w_kept = w2 if need_x else None
 
     def backward_fn(gout: np.ndarray):
-        dx, dw = _pointwise_grads(gout, x_kept, w_kept, x_shape, w_shape, need_x, need_w)
-        if not has_b:
-            return [dx, dw]
-        return [dx, dw, gout.sum(axis=(0, 2, 3), keepdims=True) if need_b else None]
+        grads = list(_pointwise_grads(gout, x_kept, w_kept, x_shape, w_shape, need_x, need_w))
+        if has_b:
+            grads.append(gout.sum(axis=(0, 2, 3), keepdims=True) if need_b else None)
+        return grads
 
     out = _pointwise(x3, w2, (n, cout, h, w_in))
-    if not has_b:
-        return make_result(out, "conv2d", (x, weight), backward_fn)
-    out += bias.data                                  # a fresh array
-    return make_result(out, "conv2d", (x, weight, bias), backward_fn)
+    if has_b:
+        out += bias.data                              # a fresh array
+    return make_result(out, "conv2d", (x, weight, bias)[:2 + has_b], backward_fn)
 
 
 # The depthwise kernel pads each ``[h, w]`` plane by one column each side,
@@ -510,41 +509,28 @@ def sub(a: Tensor4, b: Tensor4) -> Tensor4:
 
 
 def mul(a: Tensor4, b: Tensor4) -> Tensor4:
-    """Elementwise product of equal shapes."""
-    _same_dtype(a, b)
-    _check_same_shape(a, b, "mul")
-    need_a, need_b = _needs(a, b)
-    a_kept = a.data if need_b else None
-    b_kept = b.data if need_a else None
-
-    def backward_fn(gout):
-        return [gout * b_kept if need_a else None, gout * a_kept if need_b else None]
-
-    return make_result(a.data * b.data, "mul", (a, b), backward_fn)
-
-
-def mul_broadcast(a: Tensor4, b: Tensor4) -> Tensor4:
-    """Gate ``a`` with a per-channel ``[n,c,1,1]`` or per-pixel ``[n,1,h,w]`` factor."""
+    """Elementwise product of ``a`` and a factor of ``a``'s shape, a
+    per-channel ``[n,c,1,1]`` one or a per-pixel ``[n,1,h,w]`` one (CBAM's
+    gates). A broadcast factor's gradient is summed over the axes it spans;
+    a factor of ``a``'s own shape is never summed."""
     _same_dtype(a, b)
     n, c, h, w = a.shape
-    if b.shape == (n, c, 1, 1):
-        reduce_axes = (2, 3)
-    elif b.shape == (n, 1, h, w):
-        reduce_axes = (1,)
-    else:
-        raise DimensionError(
-            f"mul_broadcast factor must be ({n},{c},1,1) or ({n},1,{h},{w}), got {b.shape}")
-
+    # a later key wins: an equal shape is never reduced
+    reduce_axes = {(n, c, 1, 1): (2, 3), (n, 1, h, w): (1,), a.shape: ()}.get(b.shape)
+    if reduce_axes is None:
+        raise DimensionError(f"mul factor must be {a.shape}, ({n},{c},1,1) or "
+                             f"({n},1,{h},{w}), got {b.shape}")
     need_a, need_b = _needs(a, b)
     a_kept = a.data if need_b else None
     b_kept = b.data if need_a else None
 
     def backward_fn(gout):
-        da = gout * b_kept if need_a else None
-        db = (gout * a_kept).sum(axis=reduce_axes, keepdims=True) if need_b else None
-        return [da, db]
+        db = gout * a_kept if need_b else None
+        if need_b and reduce_axes:
+            db = db.sum(axis=reduce_axes, keepdims=True)
+        return [gout * b_kept if need_a else None, db]
 
-    return make_result(a.data * b.data, "mul_broadcast", (a, b), backward_fn)
+    return make_result(a.data * b.data, "mul", (a, b), backward_fn)
 
 
 def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:

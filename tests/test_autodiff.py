@@ -447,8 +447,8 @@ class TestOpGradients:
             return (tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True, dtype=F64),
                     tensor(rng.normal(size=(2, 1, 4, 4)), requires_grad=True, dtype=F64))
 
-        check_op_gradients(build_c, ops.mul_broadcast, seeds=range(5))
-        check_op_gradients(build_s, ops.mul_broadcast, seeds=range(5))
+        check_op_gradients(build_c, ops.mul, seeds=range(5))
+        check_op_gradients(build_s, ops.mul, seeds=range(5))
 
 
 class TestDepthwiseSeparableProperty:
@@ -496,8 +496,8 @@ _SKIP_CASES = {
     "batch_norm_train": (_bn(True), [(2, 4, 4, 4), (3, 4, 1, 1), (1, 3, 1, 1), (1, 3, 1, 1)]),
     "batch_norm_eval": (_bn(False), [(2, 4, 4, 4), (3, 4, 1, 1), (1, 3, 1, 1), (1, 3, 1, 1)]),
     "mul": (ops.mul, [(2, 3, 4, 4), (2, 3, 4, 4)]),
-    "mul_broadcast_channel": (ops.mul_broadcast, [(2, 3, 4, 4), (2, 3, 1, 1)]),
-    "mul_broadcast_pixel": (ops.mul_broadcast, [(2, 3, 4, 4), (2, 1, 4, 4)]),
+    "mul_broadcast_channel": (ops.mul, [(2, 3, 4, 4), (2, 3, 1, 1)]),
+    "mul_broadcast_pixel": (ops.mul, [(2, 3, 4, 4), (2, 1, 4, 4)]),
 }
 
 

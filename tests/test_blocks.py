@@ -174,6 +174,17 @@ class TestCbam:
         interior = sa[3:-3, 3:-3]
         assert np.ptp(interior) < 1e-12
 
+    def test_gates_are_recorded_as_plain_products(self):
+        """The channel and the spatial gate are each one ``mul``, the op of
+        every other elementwise product."""
+        rng = np.random.default_rng(15)
+        m = Cbam(4, 2, rng, dtype=F64)
+        with Tape() as tape:
+            m.forward(tensor(rng.normal(size=(1, 4, 4, 4)), requires_grad=True, dtype=F64))
+        names = [rec.name for rec in tape.ops]
+        assert names.count("mul") == 2 and names[-1] == "mul"
+        assert not any("broadcast" in name for name in names)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
         m = Cbam(4, 2, rng, dtype=F64)

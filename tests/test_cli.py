@@ -6,6 +6,7 @@ import shutil
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestSynth:
                    "--out", tmp_path / "x.nwds")
         assert code == 2
         assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "x.nwds").exists()
+
+    @pytest.mark.parametrize("growth,frames", [(1.6, 200), (1e308, 60)])
+    def test_growth_past_float32_is_usage_error(self, tmp_path, capsys, growth, frames):
+        """A growth whose frames would pass the largest float32 exits 2
+        naming both flags, before numpy can warn of an overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("synth", "--frames", frames, "--size", 32, "--growth", growth,
+                       "--out", tmp_path / "x.nwds")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--growth" in err and "--frames" in err, err
         assert not (tmp_path / "x.nwds").exists()
 
     def test_zero_interval_series_is_data_error(self, tmp_path):
@@ -198,6 +212,22 @@ class TestTrain:
         model, meta = load_checkpoint(out / "model.ckpt")
         assert model.config.out_channels == 6
         assert "cloud" not in meta          # the six target offsets say it
+
+    @pytest.mark.parametrize("command,extra", [
+        ("train", ["--in-frames", 4, "--max-epochs", 1]),
+        ("evaluate", ["--baseline", "persistence"])])
+    def test_lead_minutes_with_cloud_is_usage_error(self, tmp_path, capsys, command, extra):
+        """A cloud setup's targets are the next six frames, so a lead given
+        with --cloud is refused, not recorded unread."""
+        cloud = tmp_path / "cloud.nwds"
+        assert run("synth", "--frames", 40, "--size", 32, "--binary",
+                   "--interval", 15, "--out", cloud) == 0
+        out = tmp_path / "out"
+        code = run(command, "--data", cloud, "--cloud", "--lead-minutes", 7, *extra,
+                   "--out-dir", out)
+        assert code == 2
+        assert "--lead-minutes 7 does not apply to --cloud" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_precedence(self, synth_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -455,6 +485,27 @@ def test_bad_checkpoint_norm_scale_is_data_error(synth_file, trained_dir, tmp_pa
     code = run(command, "--checkpoint", ckpt, "--data", synth_file, out_flag, out)
     assert code == 3
     assert "norm_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("target_offsets", "0"), ("target_offsets", "6,-1"), ("target_offsets", "6,"),
+    ("input_frames", "0"), ("input_frames", "six"), ("select_fraction", "7"),
+    ("select_fraction", "nan"), ("select_fraction", "-0.5"), ("interval_minutes", "0")])
+@pytest.mark.parametrize("command,out_flag", [("evaluate", "--out-dir"), ("predict", "--out")])
+def test_bad_checkpoint_metadata_is_data_error(synth_file, trained_dir, tmp_path, capsys,
+                                               command, out_flag, key, value):
+    """Training metadata that does not parse or lies outside its key's range
+    exits 3 naming the checkpoint, the key and its value."""
+    from sarunet.model import load_checkpoint, save_checkpoint
+    model, meta = load_checkpoint(trained_dir / "model.ckpt")
+    ckpt = tmp_path / "bad_meta.ckpt"
+    save_checkpoint(ckpt, model, {**meta, key: value})
+    out = tmp_path / "out"
+    code = run(command, "--checkpoint", ckpt, "--data", synth_file, out_flag, out)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"checkpoint {ckpt}: training metadata {key}={value!r}" in err, err
     assert not out.exists()
 
 

@@ -1,16 +1,20 @@
 """Source hygiene: every name a program module imports at module level is
 used in that module (``__init__.py`` is skipped, since it imports to
 re-export), the CLI defers only the model stack, every public and every
-private name is read by the program, the benchmark's tracer installs,
+private name is read by the program, every docstring cross-reference
+names a live object, the benchmark's tracer installs,
 every attribute set on ``self`` is read, the model traces only the layers
 Grad-CAM explains, and backward closures hold arrays and plain values
 only."""
 
 import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +149,89 @@ def test_every_private_name_is_read_by_the_program(path):
     assert not unread, f"private names the program never reads: {unread}"
 
 
+# A Sphinx cross-reference in a docstring: its role and target, with an
+# optional leading ``~``.
+DOC_REF = re.compile(r":(func|meth|attr|data|class|mod):`~?([\w.]+)`")
+_MISSING = object()
+
+
+def docstrings(tree):
+    """Each docstring of a module, its classes and its functions, with the
+    names of the classes around it."""
+    def visit(node, owner):
+        doc = ast.get_docstring(node, clean=False)
+        if doc:
+            yield doc, owner
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, owner + (child.name,))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, owner)
+    yield from visit(tree, ())
+
+
+def member(obj, name):
+    """``obj``'s attribute ``name``, or ``"self." + name`` for an instance
+    attribute that a class's own code sets on ``self``; ``_MISSING`` when
+    there is neither."""
+    if hasattr(obj, name):
+        return getattr(obj, name)
+    if isinstance(obj, type):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        if any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+               and isinstance(n.value, ast.Name) and n.value.id == "self" and n.attr == name
+               for n in ast.walk(tree)):
+            return f"self.{name}"
+    return _MISSING
+
+
+def doc_target(target, module, owner):
+    """What a docstring reference names: a full ``sarunet.`` path, read from
+    its longest module prefix (``sarunet.tensor`` is also a function's
+    name in the package), or a name of the enclosing classes (innermost
+    first) or of the module, followed by attributes. ``_MISSING`` when any
+    step does not resolve."""
+    head, *rest = target.split(".")
+    if head == "sarunet":
+        parts = target.split(".")
+        depth = max(i for i in range(1, len(parts) + 1)
+                    if ".".join(parts[:i]) in sys.modules)
+        obj, rest = sys.modules[".".join(parts[:depth])], parts[depth:]
+    else:
+        scopes = [module]
+        for name in owner:
+            scopes.insert(0, getattr(scopes[0], name))
+        obj = next((found for found in (member(s, head) for s in scopes)
+                    if found is not _MISSING), _MISSING)
+    for name in rest:
+        if obj is _MISSING:
+            break
+        obj = member(obj, name)
+    return obj
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_docstring_reference_resolves(path):
+    """Each ``:func:``, ``:meth:``, ``:attr:``, ``:data:``, ``:class:`` and
+    ``:mod:`` target in a docstring names a live object of its kind: a
+    callable for a function or method, a class for a class, a module for a
+    module. A renamed or deleted name leaves no stale reference."""
+    for stem in (p.stem for p in MODULES):
+        importlib.import_module(f"sarunet.{stem}")   # so sarunet.<module> paths resolve
+    module = importlib.import_module(f"sarunet.{path.stem}" if path.stem != "__init__"
+                                     else "sarunet")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    kinds = {"func": callable, "meth": callable, "class": inspect.isclass,
+             "mod": inspect.ismodule}
+    stale = []
+    for doc, owner in docstrings(tree):
+        for role, target in DOC_REF.findall(doc):
+            obj = doc_target(target, module, owner)
+            if obj is _MISSING or not kinds.get(role, lambda o: True)(obj):
+                stale.append(f":{role}:`{target}` in {'.'.join(owner) or path.stem}")
+    assert not stale, f"{path.name} docstring references to no live name of their kind: {stale}"
+
+
 def test_benchmark_tracer_installs():
     """The benchmark's tracer wraps program functions and methods by name,
     so deleting or renaming one of them breaks its install. It runs in a
@@ -254,5 +341,5 @@ def test_backward_closures_hold_no_tensor_or_class(monkeypatch):
             for cell in rec.backward_fn.__closure__ or ():
                 v = cell.cell_contents
                 assert not isinstance(v, (Tensor4, type)), f"{rec.name} keeps {v!r}"
-    assert {"conv2d", "batch_norm", "mul_broadcast", "mean_all", "sum_all",
+    assert {"conv2d", "batch_norm", "mul", "mean_all", "sum_all",
             "global_pool_max_channel"} <= names

@@ -554,10 +554,38 @@ class TestElementwise:
         x = t(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
         cfac = t(rng.normal(size=(2, 3, 1, 1)).astype(np.float32))
         sfac = t(rng.normal(size=(2, 1, 4, 4)).astype(np.float32))
-        np.testing.assert_allclose(ops.mul_broadcast(x, cfac).data, x.data * cfac.data)
-        np.testing.assert_allclose(ops.mul_broadcast(x, sfac).data, x.data * sfac.data)
+        np.testing.assert_allclose(ops.mul(x, cfac).data, x.data * cfac.data)
+        np.testing.assert_allclose(ops.mul(x, sfac).data, x.data * sfac.data)
         with pytest.raises(DimensionError):
-            ops.mul_broadcast(x, t(np.ones((2, 3, 4, 4))))
+            ops.mul(x, t(np.ones((2, 3, 4, 1), np.float32)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 1), (2, 3, 1, 4), (2, 1, 4, 1), (1, 3, 4, 4),
+                                       (2, 3, 2, 2), (2, 1, 1, 1), (1, 1, 1, 1)])
+    def test_mul_rejects_other_factor_shapes(self, shape):
+        x = t(np.ones((2, 3, 4, 4), np.float32))
+        with pytest.raises(DimensionError) as err:
+            ops.mul(x, t(np.ones(shape, np.float32)))
+        assert str(err.value) == (f"mul factor must be (2, 3, 4, 4), (2,3,1,1) or (2,1,4,4), "
+                                  f"got {shape}")
+
+    def test_mul_one_channel_by_its_own_shape_is_never_summed(self):
+        """A one-channel input's per-pixel factor has the input's own shape;
+        its product, and the factor's gradient, are the plain elementwise
+        products bit for bit (a sum over the one channel would turn a
+        ``-0.0`` into ``+0.0``)."""
+        rng = np.random.default_rng(19)
+        a_data = rng.normal(size=(2, 1, 4, 4)).astype(np.float32)
+        a_data[0, 0, 0, :2] = -0.0, 0.0
+        b_data = rng.normal(size=(2, 1, 4, 4)).astype(np.float32)
+        gout = np.abs(rng.normal(size=(2, 1, 4, 4))).astype(np.float32)
+        a, b = t(a_data, requires_grad=True), t(b_data, requires_grad=True)
+        with Tape() as tape:
+            out = ops.mul(a, b)
+        assert bits(out.data).tobytes() == bits(a_data * b_data).tobytes()
+        da, db = tape.ops[0].backward_fn(gout)
+        assert bits(da).tobytes() == bits(gout * b_data).tobytes()
+        assert bits(db).tobytes() == bits(gout * a_data).tobytes()
+        assert np.signbit(db[0, 0, 0, 0])
 
     def test_add_shape_error(self):
         with pytest.raises(DimensionError):
